@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -262,8 +263,16 @@ def cmd_iterate(args, file_cfg) -> int:
     return EXIT_NUMERICAL if trace.flag == "diverged" else EXIT_OK
 
 
-_FORM_NAMES = {"product": None, "q0": nf.BilinearFormSpec("q0"),
-               "qtilde": nf.BilinearFormSpec("qtilde")}
+def parse_form(text, n: int):
+    """Bilinear form of a probe: product (None), q0, qtilde or qij<i><j> with 1 <= i < j <= n."""
+    if text == "product":
+        return None
+    if text in ("q0", "qtilde"):
+        return nf.BilinearFormSpec(text)
+    m = re.fullmatch(r"qij([1-9])([1-9])", str(text))
+    if m and 1 <= int(m[1]) < int(m[2]) <= n:
+        return nf.BilinearFormSpec("qij", i=int(m[1]), j=int(m[2]))
+    raise ConfigError(f"unknown form {text!r}; expected product, q0, qtilde or qij<i><j>, i < j <= {n}")
 
 
 def cmd_probe_embedding(args, file_cfg) -> int:
@@ -287,12 +296,7 @@ def cmd_probe_embedding(args, file_cfg) -> int:
                     "probe.target_q": args.target_q, "probe.target_r": args.target_r,
                     "probe.unary": True if args.unary else None,
                     "probe.scales": args.scales, "probe.out": args.out})
-    if args.form is not None and args.form.startswith("qij"):
-        form = nf.BilinearFormSpec("qij", i=1, j=2)
-    elif cfg["probe.form"] in _FORM_NAMES:
-        form = _FORM_NAMES[cfg["probe.form"]]
-    else:
-        raise ConfigError(f"unknown form {cfg['probe.form']!r}")
+    form = parse_form(cfg["probe.form"], cfg["grid.n"])
     target_mixed = None
     if cfg["probe.target_q"] is not None or cfg["probe.target_r"] is not None:
         if cfg["probe.target_q"] is None or cfg["probe.target_r"] is None:

@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (SPACETIME, SPATIAL, Grid, SpectralField, cutoff_profile,
-                      field_from_fine_samples, fine_samples,
-                      from_time_spatial_rep, inverse_transform,
+from .lattice import (SPACETIME, SPATIAL, FineLattice, Grid, SpectralField,
+                      cutoff_profile, from_time_spatial_rep, inverse_transform,
                       time_spatial_rep, transform)
+# bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
+from .lattice import fine_samples  # noqa: F401
 from .multiplier import MultiplierSpec, SpaceIndex, apply, ws_norm
-from .nullform import BilinearFormSpec, apply_form
+from .nullform import BilinearFormSpec, apply_form, combine_forms, form_samples
 from .propagate import (CauchyData, duhamel_mixed, homogeneous,
                         homogeneous_spacetime, signed_times)
 
@@ -90,152 +91,94 @@ def _pairs(n: int):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def _default_q_coeff(n_out: int, n_pairs: int, n_left: int, n_right: int) -> np.ndarray:
-    return np.ones((n_out, n_pairs, n_left, n_right))
+def _or_ones(coeff, shape: tuple) -> np.ndarray:
+    return np.ones(shape) if coeff is None else coeff
 
 
 def _d_inverse(u: SpectralField) -> SpectralField:
     return apply(MultiplierSpec("d", -1.0), u)
 
 
-def _q_combination(coeff: np.ndarray, left: list, right: list, grid: Grid) -> list:
+def _q_combination(eng: FineLattice, coeff: np.ndarray, left: list, right: list) -> list:
     """Components sum_{p,J,K} coeff[I,p,J,K] Q_{ij_p}(left^J, right^K)."""
-    pairs = _pairs(grid.n)
-    n_out = coeff.shape[0]
-    out = [np.zeros(grid.spacetime_shape, dtype=complex) for _ in range(n_out)]
-    projected = any(f.zero_mode_projected for f in left + right)
-    real = all(f.real_flag for f in left + right)
-    for p, (i, j) in enumerate(pairs):
-        spec = BilinearFormSpec("qij", i=i, j=j)
-        for J in range(coeff.shape[2]):
-            for K in range(coeff.shape[3]):
-                col = coeff[:, p, J, K]
-                if not np.any(col):
-                    continue
-                q = apply_form(spec, left[J], right[K])
-                for I in range(n_out):
-                    if col[I]:
-                        out[I] += col[I] * q.coeffs
-    fields = []
-    for c in out:
-        f = SpectralField(grid=grid, kind=SPACETIME, coeffs=c, real_flag=real)
-        f.zero_mode_projected = projected
-        fields.append(f)
-    return fields
+    terms = [(BilinearFormSpec("qij", i=i, j=j), left[J], right[K], coeff[:, p, J, K])
+             for p, (i, j) in enumerate(_pairs(eng.grid.n))
+             for J in range(coeff.shape[2]) for K in range(coeff.shape[3])
+             if np.any(coeff[:, p, J, K])]
+    return combine_forms(eng, terms, coeff.shape[0],
+                         real=all(f.real_flag for f in left + right),
+                         projected=any(f.zero_mode_projected for f in left + right))
 
 
-def _wm_nonlinearity(sys_spec: SystemSpec, comps: list, sign: float) -> list:
-    """-(or +) sum Gamma^I_JK(u) Q0(u^J,u^K) on a lattice padded for the degree."""
-    grid = comps[0].grid
-    deg = 2 + sys_spec.gamma_degree()
-    factor = (deg + 1) / 2.0
+def _wm_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
+    """-sum Gamma^I_JK(u) Q0(u^J,u^K) on a lattice padded for the degree."""
+    eng = FineLattice(comps[0].grid, SPACETIME, factor=(3 + sys_spec.gamma_degree()) / 2.0)
     N = sys_spec.N
-    U = [fine_samples(c, factor) for c in comps]
-    dt = [fine_samples(c.copy_with(c.coeffs * (1j * grid.tau_broadcast())), factor) for c in comps]
-    grads = []
-    for c in comps:
-        grads.append([fine_samples(
-            c.copy_with(c.coeffs * (1j * grid.xi_component(ax, SPACETIME))), factor)
-            for ax in range(grid.n)])
-    real = all(c.real_flag for c in comps)
-
     q0 = {}
     for J in range(N):
         for K in range(J, N):
-            acc = -dt[J] * dt[K]
-            for ax in range(grid.n):
-                acc = acc + grads[J][ax] * grads[K][ax]
-            q0[(J, K)] = acc
-            q0[(K, J)] = acc
+            [(_, q0[(J, K)])] = form_samples(eng, BilinearFormSpec("q0"), comps[J], comps[K])
+            q0[(K, J)] = q0[(J, K)]
+
+    monomials = []
+    for table, powers in sys_spec.gamma_poly:
+        mono = np.ones(eng.fine_shape)
+        for c_idx, power in enumerate(powers):
+            for _ in range(int(power)):
+                mono = mono * eng.samples(comps[c_idx])
+        monomials.append((table, mono))
 
     out = []
     for I in range(N):
-        acc = np.zeros_like(U[0])
+        acc = np.zeros(eng.fine_shape)
         for J in range(N):
             for K in range(N):
-                g_val = sys_spec.gamma_const[I, J, K]
-                gamma = None
-                for table, powers in sys_spec.gamma_poly:
-                    if table[I, J, K] == 0.0:
-                        continue
-                    mono = np.ones_like(U[0])
-                    for c_idx, power in enumerate(powers):
-                        for _ in range(int(power)):
-                            mono = mono * U[c_idx]
-                    gamma = (gamma if gamma is not None else 0.0) + table[I, J, K] * mono
-                total = g_val if gamma is None else g_val + gamma
+                total = sys_spec.gamma_const[I, J, K] + sum(
+                    table[I, J, K] * mono for table, mono in monomials if table[I, J, K] != 0.0)
                 if np.isscalar(total) and total == 0.0:
                     continue
                 acc = acc + total * q0[(J, K)]
-        out.append(field_from_fine_samples(grid, SPACETIME, sign * acc, real_flag=real))
+        out.append(eng.crop(-acc, all(c.real_flag for c in comps)))
     return out
 
 
 def apply_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
-    """Evaluate the model nonlinearity on a list of spacetime component fields."""
+    """Evaluate the model nonlinearity on a list of spacetime component fields.
+
+    All products of one evaluation share one fine lattice, so each component
+    and each of its derivatives is padded once.
+    """
     if len(comps) != sys_spec.N:
         raise ValueError(f"expected {sys_spec.N} components, got {len(comps)}")
     grid = comps[0].grid
     if sys_spec.kind == "scalarQ0":
         return [apply_form(BilinearFormSpec("q0"), comps[0], comps[0])]
     if sys_spec.kind == "WM":
-        return _wm_nonlinearity(sys_spec, comps, sign=-1.0)
+        return _wm_nonlinearity(sys_spec, comps)
+    eng = FineLattice(grid, SPACETIME)
     if sys_spec.kind == "WMM":
-        qt = {}
-        out = []
-        real = all(c.real_flag for c in comps)
-        spec = BilinearFormSpec("qtilde")
-        acc = [np.zeros(grid.spacetime_shape, dtype=complex) for _ in range(sys_spec.N)]
-        projected = False
-        for J in range(sys_spec.N):
-            for K in range(sys_spec.N):
-                col = sys_spec.a_table[:, J, K]
-                if not np.any(col):
-                    continue
-                key = (J, K)
-                if key not in qt:
-                    qt[key] = apply_form(spec, comps[J], comps[K])
-                projected = projected or qt[key].zero_mode_projected
-                for I in range(sys_spec.N):
-                    if col[I]:
-                        acc[I] += col[I] * qt[key].coeffs
-        for c in acc:
-            f = SpectralField(grid=grid, kind=SPACETIME, coeffs=c, real_flag=real)
-            f.zero_mode_projected = projected
-            out.append(f)
-        return out
+        N = sys_spec.N
+        terms = [(BilinearFormSpec("qtilde"), comps[J], comps[K], sys_spec.a_table[:, J, K])
+                 for J in range(N) for K in range(N) if np.any(sys_spec.a_table[:, J, K])]
+        return combine_forms(eng, terms, N, real=all(c.real_flag for c in comps),
+                             projected=bool(terms))
     n_pairs = len(_pairs(grid.n))
     if sys_spec.kind == "YMmodel":
-        coeff = sys_spec.q_coeff
-        if coeff is None:
-            coeff = _default_q_coeff(sys_spec.N, n_pairs, sys_spec.N, sys_spec.N)
-        coeff2 = sys_spec.q_coeff_second
-        if coeff2 is None:
-            coeff2 = coeff
-        first = _q_combination(coeff, comps, comps, grid)
-        first = [_d_inverse(f) for f in first]
-        dinv = [_d_inverse(c) for c in comps]
-        second = _q_combination(coeff2, dinv, comps, grid)
-        out = []
-        for a, b in zip(first, second):
-            f = a.copy_with(a.coeffs + b.coeffs)
-            f.zero_mode_projected = a.zero_mode_projected or b.zero_mode_projected
-            f.real_flag = a.real_flag and b.real_flag
-            out.append(f)
-        return out
+        N = sys_spec.N
+        coeff = _or_ones(sys_spec.q_coeff, (N, n_pairs, N, N))
+        coeff2 = coeff if sys_spec.q_coeff_second is None else sys_spec.q_coeff_second
+        first = [_d_inverse(f) for f in _q_combination(eng, coeff, comps, comps)]
+        second = _q_combination(eng, coeff2, [_d_inverse(c) for c in comps], comps)
+        return [a.copy_with(a.coeffs + b.coeffs, real_flag=a.real_flag and b.real_flag,
+                            zero_mode_projected=a.zero_mode_projected or b.zero_mode_projected)
+                for a, b in zip(first, second)]
     if sys_spec.kind == "MKGmodel":
-        u_comps = comps[: sys_spec.N1]
-        v_comps = comps[sys_spec.N1:]
-        coeff_u = sys_spec.q_coeff
-        if coeff_u is None:
-            coeff_u = _default_q_coeff(sys_spec.N1, n_pairs, sys_spec.N2, sys_spec.N2)
-        coeff_v = sys_spec.q_coeff_second
-        if coeff_v is None:
-            coeff_v = _default_q_coeff(sys_spec.N2, n_pairs, sys_spec.N1, sys_spec.N2)
-        top = [_d_inverse(f) for f in _q_combination(coeff_u, v_comps, v_comps, grid)]
-        dinv_u = [_d_inverse(c) for c in u_comps]
-        bottom = _q_combination(coeff_v, dinv_u, v_comps, grid)
-        return top + bottom
+        N1, N2 = sys_spec.N1, sys_spec.N2
+        u_comps, v_comps = comps[:N1], comps[N1:]
+        coeff_u = _or_ones(sys_spec.q_coeff, (N1, n_pairs, N2, N2))
+        coeff_v = _or_ones(sys_spec.q_coeff_second, (N2, n_pairs, N1, N2))
+        top = [_d_inverse(f) for f in _q_combination(eng, coeff_u, v_comps, v_comps)]
+        return top + _q_combination(eng, coeff_v, [_d_inverse(c) for c in u_comps], v_comps)
     raise AssertionError(sys_spec.kind)
 
 
@@ -275,6 +218,24 @@ def _slice_hs_sq(grid: Grid, a: np.ndarray, s: float) -> np.ndarray:
     return np.sum(lam2 * np.abs(a) ** 2, axis=tuple(range(1, grid.n + 1))) * V
 
 
+def _picard_map(sys_spec: SystemSpec, data: list, cutoff_width: float):
+    """u_0 and the maps cut: u_j -> M_phi u_j (mixed representation to spacetime
+    fields) and step: M_phi u_j -> u_{j+1} = u_0 + inverse_wave(N(M_phi u_j))."""
+    grid = data[0].f.grid
+    real = all(d.f.real_flag for d in data)
+    phi = cutoff_profile(grid, cutoff_width).reshape((grid.N_t,) + (1,) * grid.n)
+    u0 = [homogeneous_spacetime(d) for d in data]
+
+    def cut(current):
+        return [from_time_spatial_rep(grid, phi * a, real_flag=real) for a in current]
+
+    def step(cut_fields):
+        F = apply_nonlinearity(sys_spec, cut_fields)
+        return [c + duhamel_mixed(grid, time_spatial_rep(Fc)) for c, Fc in zip(u0, F)]
+
+    return u0, cut, step
+
+
 def picard_run(sys_spec: SystemSpec, data: list, iterations: int, idx: SpaceIndex,
                cutoff_width: float) -> IterationTrace:
     """Run u_{j+1} = u_0 + inverse_wave(N(M_phi u_j)) and record norms."""
@@ -285,12 +246,8 @@ def picard_run(sys_spec: SystemSpec, data: list, iterations: int, idx: SpaceInde
     grid = data[0].f.grid
     if not (0.0 < cutoff_width < grid.T_per):
         raise ValueError("grid period does not accommodate the cutoff width")
-    real = all(d.f.real_flag for d in data)
-    phi = cutoff_profile(grid, cutoff_width).reshape((grid.N_t,) + (1,) * grid.n)
+    u0, cut_of, step = _picard_map(sys_spec, data, cutoff_width)
     window = np.abs(signed_times(grid)) <= cutoff_width / 2.0 + 1e-12
-
-    u0 = [homogeneous_spacetime(d) for d in data]
-    current = [a.copy() for a in u0]
 
     def window_sup_hs(arrs):
         tot = np.zeros(grid.N_t)
@@ -298,36 +255,30 @@ def picard_run(sys_spec: SystemSpec, data: list, iterations: int, idx: SpaceInde
             tot += _slice_hs_sq(grid, a, idx.s)
         return float(np.sqrt(np.max(tot[window])))
 
+    def ws(cut):
+        return float(np.sqrt(sum(ws_norm(f, idx) ** 2 for f in cut)))
+
+    current = u0
+    cut = cut_of(current)
     sup_hs = [window_sup_hs(current)]
-    ws_list = [float(np.sqrt(sum(
-        ws_norm(from_time_spatial_rep(grid, phi * a, real_flag=real), idx) ** 2
-        for a in current)))]
+    ws_list = [ws(cut)]
     d_list = []
     ratios = []
     flag = "stalled"
     diverged_at = None
 
     for j in range(1, iterations + 1):
-        cut = [from_time_spatial_rep(grid, phi * a, real_flag=real) for a in current]
-        F = apply_nonlinearity(sys_spec, cut)
-        nxt = []
-        for c, Fc in zip(u0, F):
-            nxt.append(c + duhamel_mixed(grid, time_spatial_rep(Fc)))
+        nxt = step(cut)
         top = max(float(np.max(np.abs(a))) for a in nxt)
         if not math.isfinite(top) or top > _DIVERGENCE_CAP:
             flag = "diverged"
             diverged_at = j
-            current = nxt
             break
-        diff_sq = np.zeros(grid.N_t)
-        for a, b in zip(nxt, current):
-            diff_sq += _slice_hs_sq(grid, a - b, idx.s)
-        d_list.append(float(np.sqrt(np.max(diff_sq[window]))))
+        d_list.append(window_sup_hs([a - b for a, b in zip(nxt, current)]))
         current = nxt
+        cut = cut_of(current)
         sup_hs.append(window_sup_hs(current))
-        ws_list.append(float(np.sqrt(sum(
-            ws_norm(from_time_spatial_rep(grid, phi * a, real_flag=real), idx) ** 2
-            for a in current))))
+        ws_list.append(ws(cut))
 
     for k in range(1, len(d_list)):
         denom = d_list[k - 1]
@@ -350,15 +301,9 @@ def picard_run(sys_spec: SystemSpec, data: list, iterations: int, idx: SpaceInde
 def iterate_samples(sys_spec: SystemSpec, data: list, iterations: int,
                     cutoff_width: float) -> list:
     """Mixed representation of the final iterate (helper for oracle comparisons)."""
-    grid = data[0].f.grid
-    real = all(d.f.real_flag for d in data)
-    phi = cutoff_profile(grid, cutoff_width).reshape((grid.N_t,) + (1,) * grid.n)
-    u0 = [homogeneous_spacetime(d) for d in data]
-    current = [a.copy() for a in u0]
+    current, cut, step = _picard_map(sys_spec, data, cutoff_width)
     for _ in range(iterations):
-        cut = [from_time_spatial_rep(grid, phi * a, real_flag=real) for a in current]
-        F = apply_nonlinearity(sys_spec, cut)
-        current = [c + duhamel_mixed(grid, time_spatial_rep(Fc)) for c, Fc in zip(u0, F)]
+        current = step(cut(current))
     return current
 
 

@@ -14,6 +14,7 @@ convolution scaled by 1/sqrt(domain volume).
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -300,14 +301,6 @@ def mixed_norm(u: SpectralField, q, r) -> float:
     return float((np.sum(slices**q) * g.dt) ** (1.0 / q))
 
 
-def spatial_lp(samples: np.ndarray, grid: Grid, p) -> float:
-    p = _check_exponent(p)
-    a = np.abs(samples)
-    if math.isinf(p):
-        return float(a.max())
-    return float((np.sum(a**p) * grid.dx**grid.n) ** (1.0 / p))
-
-
 def _dual(p: float) -> float:
     if math.isinf(p):
         return 1.0
@@ -438,60 +431,121 @@ def time_cutoff(u: SpectralField, width: float) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# dealiased products
+# fine-lattice products
+#
+# Products of band-limited fields are formed on a lattice refined by `factor`
+# per axis (3/2 keeps quadratics alias-free on the coarse band).  Pads and
+# crops copy the nonnegative and the negative frequencies of each axis by
+# slicing; real fields use a real FFT along the last axis.
 
 
-def _pad_spectrum(c: np.ndarray, fine_shape: tuple) -> np.ndarray:
-    out = np.zeros(fine_shape, dtype=complex)
-    src = np.fft.fftshift(c)
-    slices = []
-    for N, M in zip(c.shape, fine_shape):
-        lo = (M - N) // 2
-        slices.append(slice(lo, lo + N))
-    shifted = np.zeros(fine_shape, dtype=complex)
-    shifted[tuple(slices)] = src
-    out = np.fft.ifftshift(shifted)
+def _fine_shape(shape: tuple, factor: float) -> tuple:
+    return tuple(int(math.ceil(N * factor / 2.0)) * 2 for N in shape)
+
+
+def _band_blocks(coarse: tuple, fine: tuple) -> list:
+    """(coarse index, fine index) pairs of the blocks of the coarse band on the fine lattice."""
+    halves = [((slice(0, N // 2), slice(0, N // 2)), (slice(N // 2, N), slice(M - N // 2, M)))
+              for N, M in zip(coarse, fine)]
+    return [tuple(zip(*block)) for block in itertools.product(*halves)]
+
+
+def _pad(A: np.ndarray, fine: tuple) -> np.ndarray:
+    out = np.zeros(fine, dtype=complex)
+    for src, dst in _band_blocks(A.shape, fine):
+        out[dst] = A[src]
     return out
 
 
-def _crop_spectrum(c: np.ndarray, coarse_shape: tuple) -> np.ndarray:
-    src = np.fft.fftshift(c)
-    slices = []
-    for N, M in zip(coarse_shape, c.shape):
-        lo = (M - N) // 2
-        slices.append(slice(lo, lo + N))
-    return np.fft.ifftshift(src[tuple(slices)])
+def _crop(F: np.ndarray, coarse: tuple) -> np.ndarray:
+    out = np.empty(coarse, dtype=complex)
+    for dst, src in _band_blocks(coarse, F.shape):
+        out[dst] = F[src]
+    return out
 
 
 def fine_samples(fieldv: SpectralField, factor: float = 1.5) -> np.ndarray:
-    """Values of the band-limited interpolant on a lattice refined by `factor`."""
-    shape = fieldv.coeffs.shape
-    fine = tuple(int(math.ceil(N * factor / 2.0)) * 2 for N in shape)
+    """Values of the band-limited interpolant (real parts for a real field) on a lattice
+    refined by `factor`."""
     A = plane_wave_coeffs(fieldv)
-    Af = _pad_spectrum(A, fine)
-    out = np.fft.ifftn(Af) * np.prod(fine)
-    if fieldv.real_flag:
-        return out.real
-    return out
+    fine = _fine_shape(A.shape, factor)
+    axes = tuple(range(A.ndim))
+    if not fieldv.real_flag:
+        return np.fft.ifftn(_pad(A, fine), axes=axes, norm="forward")
+    N, h = A.shape[-1], A.shape[-1] // 2
+    Y = np.fft.ifftn(_pad(A, fine[:-1] + (N,)), axes=axes[:-1], norm="forward")
+    # Hermitian half along the last axis, Z_k = (Y_k + conj Y_-k) / 2 for
+    # 0 < k <= N/2: the coarse Nyquist column -N/2 splits into two halves
+    Z = np.zeros(Y.shape[:-1] + (h + 1,), dtype=complex)
+    Z[..., :h] = Y[..., :h]
+    Z[..., 1:] = 0.5 * (Z[..., 1:] + np.conj(Y[..., :h - 1:-1]))
+    return np.fft.irfft(Z, n=fine[-1], axis=-1, norm="forward")
 
 
 def field_from_fine_samples(grid: Grid, kind: str, P_fine: np.ndarray,
                             real_flag: bool = False) -> SpectralField:
     """Transform fine-lattice samples and truncate to the representable band."""
     shape = grid.shape_for(kind)
-    A_fine = np.fft.fftn(P_fine) / P_fine.size
-    A = _crop_spectrum(A_fine, shape)
+    axes = tuple(range(P_fine.ndim))
+    if np.iscomplexobj(P_fine):
+        A = _crop(np.fft.fftn(P_fine, axes=axes, norm="forward"), shape)
+    else:
+        h = shape[-1] // 2
+        X = np.fft.rfft(P_fine, axis=-1, norm="forward")
+        Y = np.concatenate([X[..., :h], np.conj(X[..., h:0:-1])], axis=-1)
+        A = _crop(np.fft.fftn(Y, axes=axes[:-1], norm="forward"), shape)
     return from_plane_wave_coeffs(grid, A, kind, real_flag=real_flag)
+
+
+def symbol_image(u: SpectralField, op=None) -> SpectralField:
+    """u under one of the diagonal symbols of the product engine.
+
+    op is None (identity), ("d", mu) for d/dx_mu with mu = 0 the time axis,
+    or ("rr", j) for the Riesz product R_0 R_j, which projects out xi = 0.
+    """
+    if op is None:
+        return u
+    name, mu = op
+    g = u.grid
+    comp = g.tau_broadcast() if mu == 0 else g.xi_component(mu - 1, u.kind)
+    if name == "d":
+        return u.copy_with(u.coeffs * (1j * comp))
+    if name != "rr":
+        raise ValueError(f"unknown symbol {op!r}")
+    ax2 = g.abs_xi(u.kind) ** 2
+    sym = np.where(ax2 == 0.0, 0.0, -g.tau_broadcast() * comp / np.where(ax2 == 0.0, 1.0, ax2))
+    return u.copy_with(u.coeffs * sym, real_flag=False, zero_mode_projected=True)
+
+
+class FineLattice:
+    """One evaluation's workspace for sums of products on a refined lattice.
+
+    `samples(u, op)` pads u's image under a diagonal symbol (`symbol_image`) once per
+    workspace; callers sum products of samples and `crop` each finished sum once.
+    """
+
+    def __init__(self, grid: Grid, kind: str = SPACETIME, factor: float = 1.5):
+        self.grid, self.kind, self.factor = grid, kind, factor
+        self.fine_shape = _fine_shape(grid.shape_for(kind), factor)
+        self._memo = {}
+
+    def samples(self, u: SpectralField, op=None) -> np.ndarray:
+        key = (id(u), op)
+        if key not in self._memo:
+            # the memo holds u itself, so its id is not reused while cached
+            self._memo[key] = (u, fine_samples(symbol_image(u, op), self.factor))
+        return self._memo[key][1]
+
+    def crop(self, P_fine: np.ndarray, real_flag: bool) -> SpectralField:
+        return field_from_fine_samples(self.grid, self.kind, P_fine, real_flag=real_flag)
 
 
 def dealiased_product(u: SpectralField, v: SpectralField, factor: float = 1.5) -> SpectralField:
     """Pointwise product with 3/2 zero-padding per axis (alias-free quadratics)."""
     if u.grid != v.grid or u.kind != v.kind:
         raise ValueError("fields must share grid and kind")
-    Pu = fine_samples(u, factor)
-    Pv = fine_samples(v, factor)
-    real = u.real_flag and v.real_flag
-    out = field_from_fine_samples(u.grid, u.kind, Pu * Pv, real_flag=real)
+    eng = FineLattice(u.grid, u.kind, factor)
+    out = eng.crop(eng.samples(u) * eng.samples(v), u.real_flag and v.real_flag)
     out.zero_mode_projected = u.zero_mode_projected or v.zero_mode_projected
     return out
 
@@ -517,16 +571,23 @@ def write_field(fieldv: SpectralField, path) -> None:
 
 
 def read_field(path) -> SpectralField:
+    """Load an NFLB1 container; a short header or a payload of the wrong length is an error."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        magic, n, kind_code, N_t, N_x, T_per, L_per = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ValueError("not an NFLB1 container")
-        grid = make_grid(n, N_t, N_x, T_per, L_per)
-        kind = _KIND_NAME[kind_code]
-        count = int(np.prod(grid.shape_for(kind)))
-        payload = np.frombuffer(fh.read(16 * count), dtype="<f8")
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"NFLB1 header needs {_HEADER.size} bytes, file has {len(raw)}")
+    magic, n, kind_code, N_t, N_x, T_per, L_per = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise ValueError("not an NFLB1 container")
+    if kind_code not in _KIND_NAME:
+        raise ValueError(f"unknown NFLB1 kind code {kind_code}")
+    grid = make_grid(n, N_t, N_x, T_per, L_per)
+    kind = _KIND_NAME[kind_code]
+    want, got = 16 * int(np.prod(grid.shape_for(kind))), len(raw) - _HEADER.size
+    if got != want:
+        raise ValueError(f"NFLB1 payload has {got} bytes, expected {want}")
+    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     coeffs = (payload[0::2] + 1j * payload[1::2]).reshape(grid.shape_for(kind))
-    f = SpectralField(grid=grid, kind=kind, coeffs=coeffs.copy())
+    f = SpectralField(grid=grid, kind=kind, coeffs=coeffs)
     f.real_flag = f.hermitian_error() <= 1e-12 * max(1.0, float(np.max(np.abs(coeffs))))
     return f

@@ -23,7 +23,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .lattice import SPACETIME, SPATIAL, Grid, SpectralField
+from .lattice import SPACETIME, SPATIAL, Grid, SpectralField, symbol_image
 
 FAMILIES = ("identity", "lambda", "lambda_plus", "lambda_minus",
             "d", "d_plus", "d_minus", "riesz")
@@ -167,9 +167,7 @@ def time_derivative(u: SpectralField) -> SpectralField:
     """Spectral d/dt (multiplication by i*tau)."""
     if u.kind != SPACETIME:
         raise ValueError("time derivative needs a spacetime field")
-    out = u.copy_with(u.coeffs * (1j * u.grid.tau_broadcast()))
-    out.real_flag = u.real_flag
-    return out
+    return symbol_image(u, ("d", 0))
 
 
 def spatial_hs_norm(coeffs: np.ndarray, grid: Grid, s: float) -> float:

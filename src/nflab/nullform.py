@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (SPACETIME, SPATIAL, FrequencyPoint, Grid, SpectralField,
-                      dealiased_product, field_from_fine_samples, fine_samples,
-                      from_time_spatial_rep, time_spatial_rep)
-from .multiplier import MultiplierSpec, apply
+from .lattice import (SPACETIME, SPATIAL, FineLattice, FrequencyPoint, Grid, SpectralField,
+                      dealiased_product, from_time_spatial_rep, symbol_image,
+                      time_spatial_rep)
+# bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
+from .lattice import fine_samples  # noqa: F401
 
 FORMS = ("q0", "qij", "qtilde", "ralpha", "splus", "sminus", "product")
 
@@ -132,61 +133,57 @@ def kernel_value(spec: BilinearFormSpec, p: FrequencyPoint, q: FrequencyPoint) -
 
 # ---------------------------------------------------------------------------
 # derivative-product route
+#
+# Each form is a list of groups (outer, [(sign, op_u, op_v), ...]): the
+# products of the symbol images (see lattice.symbol_image) are summed on the
+# fine lattice, cropped, and mapped by the outer symbol.
 
 
-def _gradient_fields(u: SpectralField) -> list:
-    g = u.grid
-    out = []
-    for j in range(g.n):
-        c = u.coeffs * (1j * g.xi_component(j, u.kind))
-        out.append(u.copy_with(c))
-    return out
+def _groups(spec: BilinearFormSpec, n: int) -> list:
+    if spec.form == "q0":
+        return [(None, [(-1, ("d", 0), ("d", 0))] + [(1, ("d", j), ("d", j)) for j in range(1, n + 1)])]
+    if spec.form == "qij":
+        return [(None, [(1, ("d", spec.i), ("d", spec.j)), (-1, ("d", spec.j), ("d", spec.i))])]
+    return [(("d", j), [(1, ("rr", j), None), (-1, None, ("rr", j))]) for j in range(1, n + 1)]
 
 
-def _dt_field(u: SpectralField) -> SpectralField:
-    return u.copy_with(u.coeffs * (1j * u.grid.tau_broadcast()))
+def form_samples(eng: FineLattice, spec: BilinearFormSpec, u: SpectralField, v: SpectralField):
+    """Yield (outer symbol, fine samples) for each group of a q0, qij or qtilde form."""
+    for outer, prods in _groups(spec, eng.grid.n):
+        acc = 0
+        for sign, op_u, op_v in prods:
+            t = eng.samples(u, op_u) * eng.samples(v, op_v)
+            acc = acc + t if sign > 0 else acc - t
+        yield outer, acc
 
 
-def _q0(u: SpectralField, v: SpectralField) -> SpectralField:
-    g = u.grid
-    fine = None
-    acc = None
-    du, dv = _dt_field(u), _dt_field(v)
-    acc = -(fine_samples(du) * fine_samples(dv))
-    for ju, jv in zip(_gradient_fields(u), _gradient_fields(v)):
-        acc = acc + fine_samples(ju) * fine_samples(jv)
-    real = u.real_flag and v.real_flag
-    return field_from_fine_samples(g, u.kind, acc, real_flag=real)
+def combine_forms(eng: FineLattice, terms: list, n_out: int, real: bool,
+                  projected: bool) -> list:
+    """Components sum_t w_t[I] F_t(u_t, v_t) for I < n_out, from terms (F_t, u_t, v_t, w_t).
+
+    The weighted products are summed on the fine lattice, so each group of
+    each output component is cropped once.
+    """
+    acc = {}
+    for spec, u, v, w in terms:
+        for outer, P in form_samples(eng, spec, u, v):
+            for I in np.flatnonzero(w):
+                key = (int(I), outer)
+                acc[key] = w[I] * P if key not in acc else acc[key] + w[I] * P
+    out = [np.zeros(eng.grid.spacetime_shape, dtype=complex) for _ in range(n_out)]
+    for (I, outer), P in acc.items():
+        out[I] += symbol_image(eng.crop(P, real), outer).coeffs
+    return [SpectralField(grid=eng.grid, kind=SPACETIME, coeffs=c, real_flag=real,
+                          zero_mode_projected=projected) for c in out]
 
 
-def _qij(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
-    g = u.grid
-    if spec.j > g.n:
-        raise ValueError(f"axis pair ({spec.i},{spec.j}) exceeds dimension {g.n}")
-    gu, gv = _gradient_fields(u), _gradient_fields(v)
-    i, j = spec.i - 1, spec.j - 1
-    acc = fine_samples(gu[i]) * fine_samples(gv[j]) - fine_samples(gu[j]) * fine_samples(gv[i])
-    real = u.real_flag and v.real_flag
-    return field_from_fine_samples(g, u.kind, acc, real_flag=real)
+def _derivative_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
+    return combine_forms(FineLattice(u.grid), [(spec, u, v, np.ones(1))], 1,
+                         u.real_flag and v.real_flag, projected=spec.form == "qtilde")[0]
 
 
 def _qtilde(u: SpectralField, v: SpectralField) -> SpectralField:
-    g = u.grid
-    r0 = MultiplierSpec("riesz", axis=0)
-    out_c = np.zeros(g.spacetime_shape, dtype=complex)
-    projected = False
-    real = u.real_flag and v.real_flag
-    for j in range(1, g.n + 1):
-        rj = MultiplierSpec("riesz", axis=j)
-        au = apply(r0, apply(rj, u))
-        av = apply(r0, apply(rj, v))
-        projected = projected or au.zero_mode_projected or av.zero_mode_projected
-        w = fine_samples(au) * fine_samples(v) - fine_samples(u) * fine_samples(av)
-        wf = field_from_fine_samples(g, SPACETIME, w, real_flag=real)
-        out_c += wf.coeffs * (1j * g.xi_component(j - 1, SPACETIME))
-    out = SpectralField(grid=g, kind=SPACETIME, coeffs=out_c, real_flag=real)
-    out.zero_mode_projected = projected
-    return out
+    return _derivative_form(BilinearFormSpec("qtilde"), u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +292,11 @@ def apply_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> Sp
     if spec.form in ("q0", "qij", "qtilde"):
         if u.kind != SPACETIME:
             raise ValueError(f"{spec.form} needs spacetime fields")
-        if spec.form == "q0":
-            return _q0(u, v)
-        if spec.form == "qij":
-            return _qij(spec, u, v)
-        return _qtilde(u, v)
+        if spec.form == "qij" and spec.j > u.grid.n:
+            raise ValueError(f"axis pair ({spec.i},{spec.j}) exceeds dimension {u.grid.n}")
+        if spec.form == "qtilde":
+            return _qtilde(u, v)
+        return _derivative_form(spec, u, v)
     if spec.form == "product":
         return dealiased_product(u, v)
     if spec.form == "ralpha":

@@ -339,12 +339,6 @@ _ANGLE_GRADE = 4
 _RADIAL_LEVELS = 44
 
 
-def _gauss(lo, hi):
-    x, w = leggauss(_GAUSS_N)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
-
-
 def _sphere_area(d: int) -> float:
     """Surface measure of S^d."""
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)

@@ -223,3 +223,40 @@ def test_counterexample_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == EXIT_OK
     assert main(args + ["--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def _probe_row(tmp_path, name, extra, config=None):
+    out = tmp_path / f"{name}.csv"
+    head = ["--config", str(config)] if config else []
+    code = main(head + ["probe-embedding", "--ensemble", "random-gaussian", "--trials", "2",
+                        "--n", "3", "--nt", "8", "--nx", "8", "--out", str(out)] + extra)
+    assert code == EXIT_OK
+    return out.read_text().splitlines()[2]
+
+
+def test_probe_form_qij_axes_are_honoured(tmp_path):
+    rows = {f: _probe_row(tmp_path, f, ["--form", f]) for f in ("qij12", "qij13", "qij23")}
+    assert len(set(rows.values())) == 3
+    cfg = tmp_path / "form.cfg"
+    cfg.write_text("[probe]\nform = qij13\n")
+    assert _probe_row(tmp_path, "from-file", [], config=cfg) == rows["qij13"]
+
+
+@pytest.mark.parametrize("form", ["qij", "qij31", "qij14", "qij11", "qijab", "qij123", "q1"])
+def test_probe_form_rejects_bad_names(tmp_path, capsys, form):
+    code = main(["probe-embedding", "--ensemble", "random-gaussian", "--trials", "1",
+                 "--n", "3", "--nt", "8", "--nx", "8", "--form", form])
+    assert code == EXIT_CONFIG
+    assert "ERROR\tcode=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cut", ["trailing", "truncated"])
+def test_norms_rejects_malformed_field_file(tmp_path, capsys, cut):
+    g = make_grid(2, 8, 8, 2 * math.pi, 2 * math.pi)
+    path = tmp_path / "field.nflb"
+    write_field(random_field(g, SPACETIME, 9), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw + b"\0" * 8 if cut == "trailing" else raw[:-8])
+    assert main(["norms", "--field", str(path)]) == EXIT_CONFIG
+    got = 16 * 512 + (8 if cut == "trailing" else -8)
+    assert f"payload has {got} bytes, expected {16 * 512}" in capsys.readouterr().out

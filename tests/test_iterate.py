@@ -213,3 +213,79 @@ def test_ym_and_mkg_zero_mode_flag(grid2d):
           random_field(grid2d, SPACETIME, 7, max_freq=2)]
     out2 = apply_nonlinearity(SystemSpec("MKGmodel", N1=1, N2=1), uv)
     assert len(out2) == 2
+
+
+def _grid3():
+    return make_grid(3, 8, 8, 1.0, TWO_PI)
+
+
+def _random_systems(n):
+    rng = np.random.default_rng(11)
+    pairs = n * (n - 1) // 2
+    return [SystemSpec("WM", N=2, gamma_const=rng.uniform(-1, 1, (2, 2, 2))),
+            SystemSpec("WMM", N=2, a_table=rng.uniform(-1, 1, (2, 2, 2))),
+            SystemSpec("YMmodel", N=2, q_coeff=rng.uniform(-1, 1, (2, pairs, 2, 2)),
+                       q_coeff_second=rng.uniform(-1, 1, (2, pairs, 2, 2))),
+            SystemSpec("MKGmodel", N1=1, N2=2, q_coeff=rng.uniform(-1, 1, (1, pairs, 2, 2)),
+                       q_coeff_second=rng.uniform(-1, 1, (2, pairs, 1, 2))),
+            SystemSpec("scalarQ0")]
+
+
+@pytest.mark.parametrize("kind, pads", [("YMmodel", 12), ("WMM", 8)])
+def test_nonlinearity_pads_each_input_once(monkeypatch, kind, pads):
+    # n = 3, N = 2: YMmodel needs the three gradients of u^J and of D^-1 u^J,
+    # WMM needs u^J and its three R_0 R_j images
+    import nflab.lattice as lat
+    comps = [random_field(_grid3(), SPACETIME, s, max_freq=2) for s in (1, 2)]
+    inputs = []
+    original = lat.fine_samples
+
+    def counting(f, factor=1.5):
+        inputs.append(f.coeffs.tobytes())
+        return original(f, factor)
+
+    monkeypatch.setattr(lat, "fine_samples", counting)
+    apply_nonlinearity(SystemSpec(kind, N=2), comps)
+    assert len(inputs) == len(set(inputs)) == pads
+
+
+def test_nonlinearity_equals_assembly_from_forms():
+    from nflab.multiplier import MultiplierSpec, apply
+    from nflab.nullform import BilinearFormSpec, apply_form
+    g = _grid3()
+    comps = [random_field(g, SPACETIME, s, max_freq=2) for s in (3, 4, 5)]
+    pairs = [(i, j) for i in range(1, 4) for j in range(i + 1, 4)]
+
+    def form(name, u, v, **kw):
+        return apply_form(BilinearFormSpec(name, **kw), u, v).coeffs
+
+    def dinv(c):
+        return apply(MultiplierSpec("d", -1.0), SpectralField(grid=g, kind=SPACETIME, coeffs=c))
+
+    def q_sum(coeff, left, right):
+        return [sum(coeff[I, p, J, K] * form("qij", left[J], right[K], i=i, j=j)
+                    for p, (i, j) in enumerate(pairs)
+                    for J in range(len(left)) for K in range(len(right)))
+                for I in range(coeff.shape[0])]
+
+    for spec in _random_systems(3):
+        u = comps[:spec.N]
+        if spec.kind == "WM":
+            want = [-sum(spec.gamma_const[I, J, K] * form("q0", u[J], u[K])
+                         for J in range(2) for K in range(2)) for I in range(2)]
+        elif spec.kind == "WMM":
+            want = [sum(spec.a_table[I, J, K] * form("qtilde", u[J], u[K])
+                        for J in range(2) for K in range(2)) for I in range(2)]
+        elif spec.kind == "YMmodel":
+            dinv_u = [dinv(f.coeffs) for f in u]
+            want = [dinv(a).coeffs + b for a, b in zip(q_sum(spec.q_coeff, u, u),
+                                                       q_sum(spec.q_coeff_second, dinv_u, u))]
+        elif spec.kind == "MKGmodel":
+            top = [dinv(a).coeffs for a in q_sum(spec.q_coeff, u[1:], u[1:])]
+            want = top + q_sum(spec.q_coeff_second, [dinv(u[0].coeffs)], u[1:])
+        else:
+            want = [form("q0", u[0], u[0])]
+        got = apply_nonlinearity(spec, u)
+        assert len(got) == len(want)
+        for f, w in zip(got, want):
+            assert np.max(np.abs(f.coeffs - w)) <= 1e-12 * np.max(np.abs(w)), spec.kind

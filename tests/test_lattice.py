@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from nflab.lattice import (SPACETIME, SPATIAL, SpectralField, cutoff_profile,
-                           dealiased_product, inverse_transform, make_grid,
+                           dealiased_product, field_from_fine_samples, fine_samples,
+                           from_plane_wave_coeffs, inverse_transform, make_grid,
                            mixed_norm, modified_mixed_norm,
-                           modified_mixed_norm_detailed, random_field,
-                           read_field, time_cutoff, transform, write_field)
+                           modified_mixed_norm_detailed, plane_wave_coeffs,
+                           random_field, read_field, time_cutoff, transform,
+                           write_field)
 
 TWO_PI = 2.0 * math.pi
 
@@ -225,3 +227,67 @@ def test_serialization_spatial_kind(tmp_path, grid2d):
     back = read_field(path)
     assert back.kind == SPATIAL
     assert np.max(np.abs(back.coeffs - u.coeffs)) <= 1e-15
+
+
+def test_read_field_rejects_trailing_bytes(tmp_path, grid2d):
+    path = tmp_path / "long.nflb"
+    write_field(random_field(grid2d, SPACETIME, 52), path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 8)
+    with pytest.raises(ValueError, match="payload has 65544 bytes, expected 65536"):
+        read_field(path)
+
+
+def test_read_field_rejects_truncated_payload(tmp_path, grid2d):
+    path = tmp_path / "short.nflb"
+    write_field(random_field(grid2d, SPACETIME, 53), path)
+    path.write_bytes(path.read_bytes()[:-16])
+    with pytest.raises(ValueError, match="payload has 65520 bytes, expected 65536"):
+        read_field(path)
+    path.write_bytes(b"NFLB1")
+    with pytest.raises(ValueError, match="header"):
+        read_field(path)
+
+
+# reference route for the fine lattice: scatter the coefficients by signed
+# index, complex FFT on the whole fine lattice, real part for real fields
+
+def _band_index(coarse, fine):
+    return np.ix_(*[np.round(np.fft.fftfreq(N) * N).astype(int) % M
+                    for N, M in zip(coarse, fine)])
+
+
+def _c2c_fine_samples(u, factor):
+    A = plane_wave_coeffs(u)
+    fine = tuple(int(math.ceil(N * factor / 2.0)) * 2 for N in A.shape)
+    F = np.zeros(fine, dtype=complex)
+    F[_band_index(A.shape, fine)] = A
+    P = np.fft.ifftn(F) * F.size
+    return P.real if u.real_flag else P
+
+
+def _c2c_crop(grid, kind, P):
+    A = (np.fft.fftn(P) / P.size)[_band_index(grid.shape_for(kind), P.shape)]
+    return from_plane_wave_coeffs(grid, A, kind).coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", [SPATIAL, SPACETIME])
+def test_real_fft_route_matches_complex_route(n, kind):
+    g = make_grid(n, 8, 8 if n == 3 else 16, 1.3, TWO_PI)
+    shape = g.shape_for(kind)
+    rng = np.random.default_rng(n)
+    arbitrary = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fields = [random_field(g, kind, n, max_freq=g.N_x // 2),  # real, Nyquist planes filled
+              SpectralField(grid=g, kind=kind, coeffs=arbitrary, real_flag=True),
+              SpectralField(grid=g, kind=kind, coeffs=arbitrary, real_flag=False)]
+    assert fields[0].real_flag
+    for u in fields:
+        for factor in (1.5, 2.0, 2.5, 3.0, 3.5):
+            want = _c2c_fine_samples(u, factor)
+            got = fine_samples(u, factor)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            back = field_from_fine_samples(g, kind, got, real_flag=u.real_flag).coeffs
+            ref = _c2c_crop(g, kind, got)
+            assert np.max(np.abs(back - ref)) <= 1e-14 * np.max(np.abs(ref))
