@@ -30,6 +30,8 @@ from .propagate import (CauchyData, duhamel_mixed, homogeneous,
 KINDS = ("WM", "YMmodel", "MKGmodel", "WMM", "scalarQ0")
 
 _DIVERGENCE_CAP = 1e8
+# d_j at or below this fraction of sup_Hs[0] is rounding noise: the run has converged
+_ROUNDING_FLOOR = 1e-12
 
 
 @dataclass
@@ -201,11 +203,14 @@ class IterationTrace:
     diverged_at: int | None = None
 
     def to_csv(self) -> str:
+        """One row per iterate; ratio_j is blank where d_{j-1} is at the rounding floor."""
         buf = io.StringIO()
         buf.write("j,sup_Hs,d_j,ratio_j,flag\n")
+        floor = _ROUNDING_FLOOR * max(self.sup_hs[0], 1e-300)
         for j, sup in enumerate(self.sup_hs):
             dj = repr(self.d[j - 1]) if 1 <= j <= len(self.d) else ""
-            rj = repr(self.ratios[j - 2]) if 2 <= j <= len(self.ratios) + 1 else ""
+            rj = (repr(self.ratios[j - 2])
+                  if 2 <= j <= len(self.ratios) + 1 and self.d[j - 2] > floor else "")
             flag = self.flag if j == len(self.sup_hs) - 1 else ""
             buf.write(f"{j},{sup!r},{dj},{rj},{flag}\n")
         return buf.getvalue()
@@ -286,7 +291,7 @@ def picard_run(sys_spec: SystemSpec, data: list, iterations: int, idx: SpaceInde
 
     if flag != "diverged":
         scale = max(sup_hs[0], 1e-300)
-        if d_list and d_list[-1] <= 1e-12 * scale:
+        if d_list and d_list[-1] <= _ROUNDING_FLOOR * scale:
             flag = "converged"
         elif ratios and all(r < 1.0 for r in ratios[-2:]):
             flag = "converged"

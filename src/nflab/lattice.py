@@ -114,8 +114,8 @@ def make_grid(n: int, N_t: int, N_x: int, T_per: float, L_per: float) -> Grid:
         raise ValueError(f"N_t must be an even power of two, got {N_t}")
     if not _is_pow2(N_x):
         raise ValueError(f"N_x must be an even power of two, got {N_x}")
-    if not (T_per > 0 and L_per > 0):
-        raise ValueError("periods must be positive")
+    if not (0 < T_per < math.inf and 0 < L_per < math.inf):
+        raise ValueError("periods must be positive and finite")
     return Grid(n=n, N_t=int(N_t), N_x=int(N_x), T_per=float(T_per), L_per=float(L_per))
 
 
@@ -561,13 +561,9 @@ _KIND_NAME = {0: SPATIAL, 1: SPACETIME}
 def write_field(fieldv: SpectralField, path) -> None:
     g = fieldv.grid
     head = _HEADER.pack(MAGIC, g.n, _KIND_CODE[fieldv.kind], g.N_t, g.N_x, g.T_per, g.L_per)
-    flat = np.ascontiguousarray(fieldv.coeffs).ravel()
-    payload = np.empty(2 * flat.size, dtype="<f8")
-    payload[0::2] = flat.real
-    payload[1::2] = flat.imag
     with open(path, "wb") as fh:
         fh.write(head)
-        fh.write(payload.tobytes())
+        fh.write(np.ascontiguousarray(fieldv.coeffs, dtype="<c16").tobytes())
 
 
 def read_field(path) -> SpectralField:
@@ -583,11 +579,11 @@ def read_field(path) -> SpectralField:
         raise ValueError(f"unknown NFLB1 kind code {kind_code}")
     grid = make_grid(n, N_t, N_x, T_per, L_per)
     kind = _KIND_NAME[kind_code]
-    want, got = 16 * int(np.prod(grid.shape_for(kind))), len(raw) - _HEADER.size
+    want, got = 16 * math.prod(grid.shape_for(kind)), len(raw) - _HEADER.size
     if got != want:
         raise ValueError(f"NFLB1 payload has {got} bytes, expected {want}")
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    coeffs = (payload[0::2] + 1j * payload[1::2]).reshape(grid.shape_for(kind))
+    payload = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    coeffs = payload.reshape(grid.shape_for(kind)).astype(complex)
     f = SpectralField(grid=grid, kind=kind, coeffs=coeffs)
     f.real_flag = f.hermitian_error() <= 1e-12 * max(1.0, float(np.max(np.abs(coeffs))))
     return f

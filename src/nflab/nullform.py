@@ -4,9 +4,10 @@ Two computation routes exist side by side:
 
 * derivative-product route (q0, qij, qtilde, plain product): unary multipliers
   followed by physical-space multiplication with 3/2 dealiasing;
-* kernel-convolution route (ralpha, splus, sminus): a direct double sum over
-  occupied frequency pairs with the exact kernel, scaled like the product
-  route so both can be compared mode by mode.
+* kernel route (ralpha, splus, sminus): one sum over pairs of occupied spatial
+  columns, the kernel evaluated once per pair and the operands' time samples
+  multiplied per pair; sums outside the lattice band are dropped, and the
+  scaling matches the product route so both can be compared mode by mode.
 
 Kernels on spatial frequency pairs (a, b):
 
@@ -16,6 +17,10 @@ Kernels on spatial frequency pairs (a, b):
 and on space-time pairs ((tau,a), (lam,b)):
 
     ralpha  Delta_+(a,b)^alpha  if tau*lam >= 0,   Delta_-(a,b)^alpha  else
+
+so tau = 0 takes the Delta_+ branch.  ralpha convolves time on the 3/2
+lattice; spacetime splus/sminus multiply unpadded time slices, so their
+tau-sums wrap around the band.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (SPACETIME, SPATIAL, FineLattice, FrequencyPoint, Grid, SpectralField,
-                      dealiased_product, from_time_spatial_rep, symbol_image,
+from .lattice import (SPACETIME, FineLattice, FrequencyPoint, Grid, SpectralField, _fine_shape,
+                      _measure, dealiased_product, from_time_spatial_rep, symbol_image,
                       time_spatial_rep)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
@@ -187,7 +192,8 @@ def _qtilde(u: SpectralField, v: SpectralField) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# kernel-convolution route (sparse double sum over occupied modes)
+# kernel route: Delta_{+/-} depend on the spatial frequencies only and R^alpha
+# on the sign of tau*lam, so each form is one sum over spatial column pairs
 
 
 def occupied_modes(u: SpectralField):
@@ -204,85 +210,84 @@ def occupied_modes(u: SpectralField):
     return signed, c[sel]
 
 
-def _index_frequencies(grid: Grid, signed: np.ndarray, kind: str):
-    """(tau, xi) frequency values for signed index rows."""
-    if kind == SPACETIME:
-        tau = signed[:, 0] * (2 * math.pi / grid.T_per)
-        xi = signed[:, 1:] * (2 * math.pi / grid.L_per)
+def _columns(X: np.ndarray, per_mode: bool = False):
+    """Signed index rows (M, n) and samples (T, M) of the occupied spatial columns of X
+    (T, *spatial); per_mode zeroes their unoccupied entries, as occupied_modes does."""
+    flat = X.reshape(len(X), -1)
+    mag = np.abs(flat)
+    keep = mag > _OCCUPIED_REL_TOL * np.max(mag)
+    cols = np.flatnonzero(keep.any(axis=0))
+    vals = np.where(keep[:, cols], flat[:, cols], 0.0) if per_mode else flat[:, cols]
+    shape = np.array(X.shape[1:])
+    idx = np.array(np.unravel_index(cols, X.shape[1:])).T
+    return np.where(idx >= shape // 2, idx - shape, idx), vals
+
+
+def _pair_sum(spec: BilinearFormSpec, g: Grid, su, sv, U, V, opp=None):
+    """Flat output columns s and W[:, s] = sum_{a+b=s in band} K(a,b) U[:, a] V[:, b] over the
+    time rows of U, V.  For R^alpha K = Delta_+^alpha, and opp = (U+, U-, V+, V-) adds
+    (Delta_-^alpha - Delta_+^alpha)(a,b) (U+[:, a] V-[:, b] + U-[:, a] V+[:, b])."""
+    N = g.N_x
+    a, b = su[:, None] * (2 * math.pi / g.L_per), sv[None] * (2 * math.pi / g.L_per)
+    ker = (delta_minus if spec.form == "sminus" else delta_plus)(a, b) ** spec.alpha
+    if opp is not None:
+        up, um, vp, vm = opp
+        dker = delta_minus(a, b) ** spec.alpha - ker
+    # a + b + N written in base 2N: one key per output column, the sum of a key of a and of b
+    radix = (2 * N) ** np.arange(g.n - 1, -1, -1)
+    keys = ((su + N) @ radix)[:, None] + (sv @ radix)[None, :]
+    if keys.size == 0:
+        return np.zeros(0, dtype=int), np.zeros((len(U), 0), dtype=complex)
+    # products in blocks of time rows, so the temporaries stay in cache
+    G = np.empty((len(U),) + ker.shape, dtype=complex)
+    rows = max(1, 2**12 // ker.size)
+    for lo in range(0, len(U), rows):
+        blk = slice(lo, lo + rows)
+        Gb = np.multiply(U[blk, :, None], V[blk, None, :], out=G[blk])
+        Gb *= ker
+        if opp is not None:
+            O = up[blk, :, None] * vm[blk, None, :]
+            O += um[blk, :, None] * vp[blk, None, :]
+            O *= dker
+            Gb += O
+    order = np.argsort(keys, axis=None)
+    sorted_keys = keys.ravel()[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    s = sorted_keys[starts, None] // radix % (2 * N) - N
+    inband = np.all((s >= -(N // 2)) & (s < N // 2), axis=1)
+    W = np.add.reduceat(G.reshape(len(U), -1)[:, order], starts, axis=1)[:, inband]
+    return np.ravel_multi_index(tuple((s[inband] % N).T), g.spatial_shape), W
+
+
+def _time_sign_parts(u: SpectralField, M: int):
+    """Occupied columns of u and their samples U, U+, U- (tau>0, tau<0 parts) on M time points."""
+    su, A = _columns(u.coeffs, per_mode=True)
+    h = len(A) // 2
+    P = np.zeros((2, M, A.shape[1]), dtype=complex)
+    P[0, 1:h], P[1, M - h:] = A[1:h], A[h:]
+    plus, minus = np.fft.ifft(P, axis=1, norm="forward")
+    return su, plus + minus + A[0], plus, minus
+
+
+def _kernel_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
+    g, real = u.grid, u.real_flag and v.real_flag
+    if spec.form == "ralpha":
+        h, M = g.N_t // 2, _fine_shape((g.N_t,), 1.5)[0]
+        (su, U, up, um), (sv, V, vp, vm) = _time_sign_parts(u, M), _time_sign_parts(v, M)
+        cols, W = _pair_sum(spec, g, su, sv, U, V, (up, um, vp, vm))
+        F = np.fft.fft(W, axis=0, norm="forward")
+        W = np.concatenate([F[:h], F[M - h:]])
     else:
-        tau = np.zeros(len(signed))
-        xi = signed * (2 * math.pi / grid.L_per)
-    return tau, xi
-
-
-def _convolve_kernel(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
-    g = u.grid
-    kind = u.kind
-    iu, cu = occupied_modes(u)
-    iv, cv = occupied_modes(v)
-    out = np.zeros(g.shape_for(kind), dtype=complex)
-    if len(iu) == 0 or len(iv) == 0:
-        return SpectralField(grid=g, kind=kind, coeffs=out,
-                             real_flag=u.real_flag and v.real_flag)
-    tau_u, xi_u = _index_frequencies(g, iu, kind)
-    tau_v, xi_v = _index_frequencies(g, iv, kind)
-    shape = np.array(g.shape_for(kind))
-    scale = 1.0 / math.sqrt(g.volume if kind == SPACETIME else g.spatial_volume)
-
-    chunk = max(1, int(2e6) // max(1, len(iv)))
-    for lo in range(0, len(iu), chunk):
-        hi = min(lo + chunk, len(iu))
-        a = xi_u[lo:hi, None, :]
-        b = xi_v[None, :, :]
-        if spec.form == "splus":
-            ker = delta_plus(a, b) ** spec.alpha
-        elif spec.form == "sminus":
-            ker = delta_minus(a, b) ** spec.alpha
-        elif spec.form == "ralpha":
-            ker = r_kernel(tau_u[lo:hi, None], a, tau_v[None, :], b) ** spec.alpha
-        else:
-            raise AssertionError(spec.form)
-        vals = ker * cu[lo:hi, None] * cv[None, :] * scale
-        isum = iu[lo:hi, None, :] + iv[None, :, :]
-        inband = np.all((isum >= -(shape // 2)) & (isum <= shape // 2 - 1), axis=-1)
-        pos = np.mod(isum, shape)
-        flat = np.ravel_multi_index(tuple(np.moveaxis(pos, -1, 0)), tuple(shape))
-        np.add.at(out.ravel(), flat[inband], vals[inband])
-    return SpectralField(grid=g, kind=kind, coeffs=out,
-                         real_flag=u.real_flag and v.real_flag)
-
-
-def _slicewise_kernel(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
-    """S_{+/-} on spacetime fields, applied time slice by time slice."""
-    g = u.grid
-    au = time_spatial_rep(u)
-    av = time_spatial_rep(v)
-    spatial_shape = np.array(g.spatial_shape)
-    sel_u = np.argwhere(np.max(np.abs(au), axis=0) > _OCCUPIED_REL_TOL * max(np.max(np.abs(au)), 1e-300))
-    sel_v = np.argwhere(np.max(np.abs(av), axis=0) > _OCCUPIED_REL_TOL * max(np.max(np.abs(av)), 1e-300))
-    out = np.zeros_like(au)
-    if len(sel_u) == 0 or len(sel_v) == 0:
-        return from_time_spatial_rep(g, out, real_flag=u.real_flag and v.real_flag)
-    signed_u = np.where(sel_u >= spatial_shape // 2, sel_u - spatial_shape, sel_u)
-    signed_v = np.where(sel_v >= spatial_shape // 2, sel_v - spatial_shape, sel_v)
-    xi_u = signed_u * (2 * math.pi / g.L_per)
-    xi_v = signed_v * (2 * math.pi / g.L_per)
-    if spec.form == "splus":
-        ker = delta_plus(xi_u[:, None, :], xi_v[None, :, :]) ** spec.alpha
-    else:
-        ker = delta_minus(xi_u[:, None, :], xi_v[None, :, :]) ** spec.alpha
-    isum = signed_u[:, None, :] + signed_v[None, :, :]
-    inband = np.all((isum >= -(spatial_shape // 2)) & (isum <= spatial_shape // 2 - 1), axis=-1)
-    pos = np.mod(isum, spatial_shape)
-    flat = np.ravel_multi_index(tuple(np.moveaxis(pos, -1, 0)), tuple(spatial_shape))
-    cu = au[(slice(None),) + tuple(sel_u.T)]
-    cv = av[(slice(None),) + tuple(sel_v.T)]
-    pairs = np.einsum("tp,tq->tpq", cu, cv) * ker[None, :, :]
-    flat_out = out.reshape(g.N_t, -1)
-    for t in range(g.N_t):
-        np.add.at(flat_out[t], flat[inband], pairs[t][inband])
-    return from_time_spatial_rep(g, flat_out.reshape(out.shape),
-                                 real_flag=u.real_flag and v.real_flag)
+        rep = time_spatial_rep if u.kind == SPACETIME else (lambda f: f.coeffs[None])
+        (su, U), (sv, V) = _columns(rep(u)), _columns(rep(v))
+        cols, W = _pair_sum(spec, g, su, sv, U, V)
+    out = np.zeros((len(W), math.prod(g.spatial_shape)), dtype=complex)
+    if spec.form != "ralpha" and u.kind == SPACETIME:
+        out[:, cols] = W
+        return from_time_spatial_rep(g, out.reshape(g.spacetime_shape), real_flag=real)
+    out[:, cols] = W / math.sqrt(_measure(g, u.kind))
+    return SpectralField(grid=g, kind=u.kind, coeffs=out.reshape(g.shape_for(u.kind)),
+                         real_flag=real)
 
 
 def apply_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
@@ -299,15 +304,9 @@ def apply_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> Sp
         return _derivative_form(spec, u, v)
     if spec.form == "product":
         return dealiased_product(u, v)
-    if spec.form == "ralpha":
-        if u.kind != SPACETIME:
-            raise ValueError("ralpha needs spacetime fields")
-        return _convolve_kernel(spec, u, v)
-    if spec.form in ("splus", "sminus"):
-        if u.kind == SPATIAL:
-            return _convolve_kernel(spec, u, v)
-        return _slicewise_kernel(spec, u, v)
-    raise AssertionError(spec.form)
+    if spec.form == "ralpha" and u.kind != SPACETIME:
+        raise ValueError("ralpha needs spacetime fields")
+    return _kernel_form(spec, u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,16 @@ def test_trace_csv_schema():
     assert lines[-1].endswith(tr.flag)
 
 
+def test_trace_csv_blanks_ratios_of_rounding_noise():
+    # d_2 = 1e-14 is below 1e-12 * sup_Hs[0], so ratio_3 = d_3 / d_2 is a quotient of noise
+    tr = IterationTrace(s=1.0, theta=0.6, cutoff_width=0.5, sup_hs=[2.0] * 4,
+                        ws=[1.0] * 4, d=[1e-3, 1e-14, 1.1e-14], ratios=[1e-11, 1.1],
+                        flag="converged")
+    rows = [line.split(",") for line in tr.to_csv().strip().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["", "", repr(1e-11), ""]
+    assert rows[3][2] == repr(1.1e-14)
+
+
 def test_q0_closed_form_trivial_cases(grid2d):
     zero = _zero_spatial(grid2d)
     d0 = CauchyData(zero, zero)

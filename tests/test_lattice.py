@@ -1,7 +1,12 @@
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from nflab.lattice import (SPACETIME, SPATIAL, SpectralField, cutoff_profile,
                            dealiased_product, field_from_fine_samples, fine_samples,
@@ -247,6 +252,78 @@ def test_read_field_rejects_truncated_payload(tmp_path, grid2d):
     path.write_bytes(b"NFLB1")
     with pytest.raises(ValueError, match="header"):
         read_field(path)
+
+
+@pytest.mark.parametrize("T_per, L_per", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                           (1.0, -math.inf), (0.0, 1.0)])
+def test_make_grid_rejects_non_finite_periods(T_per, L_per):
+    with pytest.raises(ValueError, match="periods"):
+        make_grid(2, 8, 8, T_per, L_per)
+
+
+def _nflb1_header(n, kind, N_t, N_x, T_per, L_per, magic=b"NFLB1"):
+    return struct.pack("<5sBBII dd", magic, n, kind, N_t, N_x, T_per, L_per)
+
+
+def test_read_field_rejects_infinite_period(tmp_path):
+    path = tmp_path / "inf.nflb"
+    path.write_bytes(_nflb1_header(1, 0, 2, 2, math.inf, 1.0) + bytes(32))
+    with pytest.raises(ValueError, match="periods"):
+        read_field(path)
+
+
+def test_read_field_payload_size_does_not_overflow(tmp_path):
+    # 16 * 2 * (2**31)**3 bytes is 0 modulo 2**64
+    path = tmp_path / "huge.nflb"
+    path.write_bytes(_nflb1_header(3, 1, 2, 2**31, 1.0, 1.0))
+    with pytest.raises(ValueError, match=f"payload has 0 bytes, expected {2**98}"):
+        read_field(path)
+
+
+_UINT32 = st.integers(0, 2**32 - 1) | st.sampled_from([2**31, 2**32 - 1])
+# (valid value, arbitrary value) of each header field: magic, n, kind, N_t, N_x, T_per, L_per
+_HEADER_FIELDS = [(st.just(b"NFLB1"), st.binary(min_size=5, max_size=5)),
+                  (st.integers(1, 3), st.integers(0, 255)),
+                  (st.integers(0, 1), st.integers(0, 255)),
+                  (st.sampled_from([2, 4, 8]), _UINT32),
+                  (st.sampled_from([2, 4, 8]), _UINT32),
+                  (st.floats(0.1, 10.0), st.floats()),
+                  (st.floats(0.1, 10.0), st.floats())]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_read_field_header_fuzz(data):
+    # a valid header with up to two fields replaced by arbitrary values either loads a
+    # field that writes back to the same bytes, or raises ValueError
+    arbitrary = data.draw(st.sets(st.integers(0, len(_HEADER_FIELDS) - 1), max_size=2))
+    magic, n, kind, N_t, N_x, T_per, L_per = (data.draw(pair[i in arbitrary])
+                                              for i, pair in enumerate(_HEADER_FIELDS))
+    head = _nflb1_header(n, kind, N_t, N_x, T_per, L_per, magic)
+    size = 16 * (N_t if kind == 1 else 1) * N_x**n + data.draw(st.sampled_from([0, 0, -16, 8]))
+    payload = data.draw(st.binary(min_size=size, max_size=size) if 0 <= size <= 8192
+                        else st.binary(max_size=64))
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(invalid="ignore"):
+        src, dst = Path(tmp) / "in.nflb", Path(tmp) / "out.nflb"
+        src.write_bytes(head + payload)
+        try:
+            f = read_field(src)
+        except ValueError:
+            event("rejected")
+            return
+        event("loaded")
+        write_field(f, dst)
+        assert dst.read_bytes() == head + payload
+
+
+def test_serialization_keeps_non_finite_coefficients(tmp_path):
+    c = np.zeros((2, 2), dtype=complex)
+    c[0, 0], c[0, 1], c[1, 0] = complex(1.0, math.inf), complex(math.nan, 2.0), -math.inf
+    path = tmp_path / "nonfinite.nflb"
+    write_field(SpectralField(grid=make_grid(2, 2, 2, 1.0, 1.0), kind=SPATIAL, coeffs=c), path)
+    with np.errstate(invalid="ignore"):
+        back = read_field(path)
+    assert back.coeffs.tobytes() == c.tobytes()
 
 
 # reference route for the fine lattice: scatter the coefficients by signed

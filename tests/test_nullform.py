@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nflab import nullform
 from nflab.lattice import (SPACETIME, SPATIAL, FrequencyPoint, SpectralField,
-                           dealiased_product, from_time_spatial_rep,
+                           dealiased_product, from_time_spatial_rep, make_grid,
                            plane_wave_coeffs, random_field, transform)
 from nflab.multiplier import MultiplierSpec, apply
 from nflab.nullform import (INEQUALITY_REGISTRY, BilinearFormSpec, apply_form,
                             check_symbol_inequality, delta_minus, delta_plus,
-                            kernel_value, r_kernel)
+                            kernel_value, occupied_modes, r_kernel)
 from nflab.propagate import half_wave, pm_decompose
 
 from conftest import axis_mode_field, banded_spacetime_field, single_mode_field
@@ -170,6 +171,91 @@ def test_splus_spatial_direct_convolution_symmetric(grid2d):
     assert out.kind == SPATIAL
     sym = apply_form(BilinearFormSpec("splus", alpha=1.0), h, f)
     assert np.max(np.abs(out.coeffs - sym.coeffs)) <= 1e-12 * np.max(np.abs(out.coeffs))
+
+
+def _direct_double_sum(spec, u, v):
+    """Test oracle of the kernel route: sum of kernel_value(p, q) u_p v_q / sqrt(volume) over
+    all pairs of occupied modes whose sum p + q lies in the lattice band."""
+    g, shape = u.grid, u.coeffs.shape
+    iu, cu = occupied_modes(u)
+    iv, cv = occupied_modes(v)
+    st_kind = u.kind == SPACETIME
+    memo = {}  # kernel_value depends on (tau, lam) only through the sign of tau * lam
+
+    def kernel(p, q):
+        key = (st_kind and p[0] * q[0] < 0, p[-g.n:], q[-g.n:])
+        if key not in memo:
+            tau = (p[0] * TWO_PI / g.T_per, q[0] * TWO_PI / g.T_per) if st_kind else (0.0, 0.0)
+            memo[key] = kernel_value(
+                spec, FrequencyPoint(tau[0], np.array(p[-g.n:]) * TWO_PI / g.L_per),
+                FrequencyPoint(tau[1], np.array(q[-g.n:]) * TWO_PI / g.L_per))
+        return memo[key]
+
+    out = np.zeros(shape, dtype=complex)
+    for p, cp in zip(map(tuple, iu.tolist()), cu):
+        for q, cq in zip(map(tuple, iv.tolist()), cv):
+            s = tuple(a + b for a, b in zip(p, q))
+            if all(-(N // 2) <= k < N // 2 for k, N in zip(s, shape)):
+                out[s] += kernel(p, q) * cp * cq
+    return out / math.sqrt(g.volume if st_kind else g.spatial_volume)
+
+
+def _full_band_field(grid, kind, seed):
+    """Complex coefficients on every lattice mode: tau = 0 and Nyquist planes included."""
+    rng = np.random.default_rng(seed)
+    shape = grid.shape_for(kind)
+    return SpectralField(grid=grid, kind=kind,
+                         coeffs=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("n, N", [(2, 8), (3, 4)])
+@pytest.mark.parametrize("form, kind", [("ralpha", SPACETIME), ("splus", SPATIAL),
+                                        ("sminus", SPATIAL)])
+def test_kernel_forms_match_direct_double_sum(n, N, form, kind):
+    g = make_grid(n, N, N, 5.0, 3.0)
+    u, v = _full_band_field(g, kind, 31), _full_band_field(g, kind, 32)
+    spec = BilinearFormSpec(form, alpha=0.7)
+    want = _direct_double_sum(spec, u, v)
+    got = apply_form(spec, u, v).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_ralpha_tau_zero_takes_delta_plus_branch(grid2d):
+    # tau * lam = 0 is in the Delta_+ branch; tau * lam < 0 in the Delta_- branch
+    a, b = np.array([2, 1]), np.array([-1, 3])
+    spec = BilinearFormSpec("ralpha", alpha=0.7)
+    v = single_mode_field(grid2d, -2, b)
+    N = grid2d.N_x
+    for kt, delta in ((0, delta_plus), (3, delta_minus)):
+        out = apply_form(spec, single_mode_field(grid2d, kt, a), v).coeffs
+        pos = ((kt - 2) % grid2d.N_t,) + tuple((a + b) % N)
+        want = float(delta(a[None, :], b[None, :])[0]) ** 0.7 / math.sqrt(grid2d.volume)
+        assert abs(out[pos] - want) <= 1e-14
+        out[pos] = 0.0
+        assert np.max(np.abs(out)) <= 1e-15
+    assert abs(float(delta_plus(a[None, :], b[None, :])[0])
+               - float(delta_minus(a[None, :], b[None, :])[0])) > 0.5
+
+
+def test_ralpha_evaluates_kernels_once_per_spatial_pair(monkeypatch):
+    g = make_grid(2, 16, 16, TWO_PI, TWO_PI)
+    u = random_field(g, SPACETIME, 21, max_freq=3)
+    v = random_field(g, SPACETIME, 22, max_freq=3)
+    sizes = {"delta_plus": [], "delta_minus": []}
+    for name, fn in ((name, getattr(nullform, name)) for name in sizes):
+        def counted(a, b, fn=fn, name=name):
+            out = fn(a, b)
+            sizes[name].append(out.size)
+            return out
+        monkeypatch.setattr(nullform, name, counted)
+    apply_form(BilinearFormSpec("ralpha", alpha=0.8), u, v)
+
+    def columns(f):
+        return len({tuple(k[1:]) for k in occupied_modes(f)[0]})
+
+    spatial_pairs = columns(u) * columns(v)
+    assert sizes == {"delta_plus": [spatial_pairs], "delta_minus": [spatial_pairs]}
+    assert len(occupied_modes(u)[0]) * len(occupied_modes(v)[0]) == 49 * spatial_pairs
 
 
 def test_qtilde_raises_riesz_flag_and_is_real(grid2d):
