@@ -22,7 +22,7 @@ from .lattice import (SPACETIME, SPATIAL, FineLattice, Grid, SpectralField,
                       time_spatial_rep, transform)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
-from .multiplier import MultiplierSpec, SpaceIndex, apply, ws_norm
+from .multiplier import MultiplierSpec, SpaceIndex, apply, weight, ws_norm
 from .nullform import BilinearFormSpec, apply_form, combine_forms, form_samples
 from .propagate import (CauchyData, duhamel_mixed, homogeneous,
                         homogeneous_spacetime, signed_times)
@@ -218,7 +218,7 @@ class IterationTrace:
 
 def _slice_hs_sq(grid: Grid, a: np.ndarray, s: float) -> np.ndarray:
     """Squared H^s norms of every time slice of a mixed-representation array."""
-    lam2 = (1.0 + grid.abs_xi(SPATIAL) ** 2) ** s
+    lam2 = weight("lambda", 2.0 * s, None, grid.abs_xi(SPATIAL))
     V = grid.spatial_volume
     return np.sum(lam2 * np.abs(a) ** 2, axis=tuple(range(1, grid.n + 1))) * V
 

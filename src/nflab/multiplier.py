@@ -1,17 +1,30 @@
 """Unary Fourier multipliers, wave-Sobolev norms, and admissibility checkers.
 
-Symbol table (tau, xi denote the space-time frequency, Xi the full vector):
+Weights.  `weight(family, a, tau, abs_xi)` evaluates each weight family to
+the power a on broadcastable arrays (or scalars) of the temporal frequency
+tau and the spatial magnitude |xi|; Xi = (tau, xi) is the space-time
+frequency and Q = |xi|^2 - tau^2 its Lorentzian form.  Every norm, probe and
+symbol inequality of the package takes its weights from it:
 
-    lambda        (1 + |xi|^2)^(a/2)          elliptic, spatial only
+    lambda        (1 + |xi|^2)^(a/2)          elliptic, spatial only (tau unused)
     lambda_plus   (1 + |Xi|^2)^(a/2)          full space-time weight
-    lambda_minus  (1 + Q^2/(1+|Xi|^2))^(a/2)  Q = |xi|^2 - tau^2, hyperbolic
-    d             |xi|^a
+    lambda_minus  (1 + Q^2/(1+|Xi|^2))^(a/2)  hyperbolic
+    d             |xi|^a                      (tau unused)
     d_plus        (|tau| + |xi|)^a
-    d_minus       ||tau| - |xi||^a
-    riesz         i * Xi_mu / |xi|            mu = 0 is the temporal component
+    d_minus       ||tau| - |xi||^a            distance to the light cone
+
+A negative power of a homogeneous family (d, d_plus, d_minus) is 0 where its
+base vanishes: |xi| = 0, the origin, and the light cone respectively.
+
+Lattice symbols.  `symbol_values` evaluates a `MultiplierSpec` on the
+frequency lattice: the six weight families through `weight`, and
+
+    identity      1
+    riesz         i * Xi_mu / |xi|            0 <= mu <= n; mu = 0 is the temporal component
 
 Negative homogeneous powers and the Riesz family project out the xi = 0 mode
-and set the diagnostic flag on the output field.
+(the origin is always a lattice point) and set the diagnostic flag on the
+output field.
 """
 
 from __future__ import annotations
@@ -25,8 +38,8 @@ import numpy as np
 
 from .lattice import SPACETIME, SPATIAL, Grid, SpectralField, symbol_image
 
-FAMILIES = ("identity", "lambda", "lambda_plus", "lambda_minus",
-            "d", "d_plus", "d_minus", "riesz")
+HOMOGENEOUS = ("d", "d_plus", "d_minus")
+FAMILIES = ("identity", "lambda", "lambda_plus", "lambda_minus") + HOMOGENEOUS + ("riesz",)
 
 _EQ_TOL = 1e-12
 
@@ -66,61 +79,57 @@ class StrichartzTriple:
         return is_wave_admissible(self.q, self.r, self.n)
 
 
-def _needs_spacetime(family: str) -> bool:
-    return family in ("lambda_plus", "lambda_minus", "d_plus", "d_minus")
+def weight(family: str, a: float, tau, abs_xi):
+    """Weight `family` to the power a at (tau, |xi|); see the module docstring.
+
+    tau and abs_xi broadcast against each other; tau may be None for the
+    spatial families lambda and d.
+    """
+    if family == "lambda":
+        return (1.0 + abs_xi**2) ** (a / 2.0)
+    if family == "lambda_plus":
+        return (1.0 + tau**2 + abs_xi**2) ** (a / 2.0)
+    if family == "lambda_minus":
+        qform = abs_xi**2 - tau**2
+        e2 = tau**2 + abs_xi**2
+        return (1.0 + qform**2 / (1.0 + e2)) ** (a / 2.0)
+    if family == "d":
+        base = abs_xi
+    elif family == "d_plus":
+        base = np.abs(tau) + abs_xi
+    elif family == "d_minus":
+        base = np.abs(np.abs(tau) - abs_xi)
+    else:
+        raise ValueError(f"{family!r} is not a weight family")
+    if a < 0:
+        zero = base == 0.0
+        return np.where(zero, 0.0, np.where(zero, 1.0, base) ** a)
+    return base**a
 
 
 def symbol_values(spec: MultiplierSpec, grid: Grid, kind: str):
     """Symbol evaluated on the frequency lattice; returns (array, projected_flag)."""
-    if _needs_spacetime(spec.family) and kind != SPACETIME:
+    if spec.family in ("lambda_plus", "lambda_minus", "d_plus", "d_minus") and kind != SPACETIME:
         raise ValueError(f"{spec.family} acts on spacetime fields only")
-    a = spec.alpha
-    projected = False
+    shape = grid.shape_for(kind)
     if spec.family == "identity":
-        return np.ones(grid.shape_for(kind)), False
-    if spec.family == "lambda":
-        return (1.0 + grid.abs_xi(kind) ** 2) ** (a / 2.0) + np.zeros(grid.shape_for(kind)), False
-    if spec.family == "lambda_plus":
-        tau = grid.tau_broadcast()
-        return (1.0 + tau**2 + grid.abs_xi(kind) ** 2) ** (a / 2.0) + np.zeros(grid.shape_for(kind)), False
-    if spec.family == "lambda_minus":
-        tau = grid.tau_broadcast()
-        ax = grid.abs_xi(kind)
-        qform = ax**2 - tau**2
-        e2 = tau**2 + ax**2
-        return (1.0 + qform**2 / (1.0 + e2)) ** (a / 2.0) + np.zeros(grid.shape_for(kind)), False
-
-    ax = grid.abs_xi(kind) + np.zeros(grid.shape_for(kind))
+        return np.ones(shape), False
+    ax = grid.abs_xi(kind)
+    tau = grid.tau_broadcast() if kind == SPACETIME else None
+    if spec.family != "riesz":
+        projected = spec.family in HOMOGENEOUS and bool(spec.alpha < 0)
+        return np.broadcast_to(weight(spec.family, spec.alpha, tau, ax), shape).copy(), projected
+    if not 0 <= spec.axis <= grid.n:
+        raise ValueError(f"Riesz axis must be in 0..{grid.n}, got {spec.axis}")
+    if spec.axis == 0:
+        if kind != SPACETIME:
+            raise ValueError("temporal Riesz component needs a spacetime field")
+        comp = tau
+    else:
+        comp = grid.xi_component(spec.axis - 1, kind)
     zero = ax == 0.0
-    if spec.family == "d":
-        if a < 0:
-            vals = np.where(zero, 0.0, np.where(zero, 1.0, ax) ** a)
-            return vals, True
-        return ax**a, False
-    if spec.family == "d_plus":
-        tau = np.abs(grid.tau_broadcast()) + np.zeros(grid.shape_for(kind))
-        base = tau + ax
-        zero_b = base == 0.0
-        if a < 0:
-            return np.where(zero_b, 0.0, np.where(zero_b, 1.0, base) ** a), bool(zero_b.any())
-        return base**a, False
-    if spec.family == "d_minus":
-        tau = np.abs(grid.tau_broadcast()) + np.zeros(grid.shape_for(kind))
-        base = np.abs(tau - ax)
-        zero_b = base == 0.0
-        if a < 0:
-            return np.where(zero_b, 0.0, np.where(zero_b, 1.0, base) ** a), bool(zero_b.any())
-        return base**a, False
-    if spec.family == "riesz":
-        if spec.axis == 0:
-            if kind != SPACETIME:
-                raise ValueError("temporal Riesz component needs a spacetime field")
-            comp = grid.tau_broadcast() + np.zeros(grid.shape_for(kind))
-        else:
-            comp = grid.xi_component(spec.axis - 1, kind) + np.zeros(grid.shape_for(kind))
-        vals = np.where(zero, 0.0, 1j * comp / np.where(zero, 1.0, ax))
-        return vals, True
-    raise AssertionError(spec.family)
+    vals = np.where(zero, 0.0, 1j * comp / np.where(zero, 1.0, ax))
+    return np.broadcast_to(vals, shape).copy(), True
 
 
 def apply(spec: MultiplierSpec, u: SpectralField) -> SpectralField:
@@ -137,10 +146,9 @@ def ws_norm(u: SpectralField, idx: SpaceIndex) -> float:
     """H^{s,theta} norm: L^2 of Lambda^s Lambda_-^theta applied to u."""
     if u.kind != SPACETIME:
         raise ValueError("ws_norm needs a spacetime field")
-    g = u.grid
-    lam, _ = symbol_values(MultiplierSpec("lambda", idx.s), g, SPACETIME)
-    lam_m, _ = symbol_values(MultiplierSpec("lambda_minus", idx.theta), g, SPACETIME)
-    return float(np.sqrt(np.sum((lam * lam_m) ** 2 * np.abs(u.coeffs) ** 2)))
+    tau, ax = u.grid.tau_broadcast(), u.grid.abs_xi(SPACETIME)
+    w = weight("lambda", idx.s, tau, ax) * weight("lambda_minus", idx.theta, tau, ax)
+    return float(np.sqrt(np.sum(w**2 * np.abs(u.coeffs) ** 2)))
 
 
 def cal_norm(u: SpectralField, idx: SpaceIndex, du_dt: SpectralField | None = None):
@@ -152,11 +160,10 @@ def cal_norm(u: SpectralField, idx: SpaceIndex, du_dt: SpectralField | None = No
     """
     if u.kind != SPACETIME:
         raise ValueError("cal_norm needs a spacetime field")
-    g = u.grid
-    lam, _ = symbol_values(MultiplierSpec("lambda", idx.s - 1.0), g, SPACETIME)
-    lam_p, _ = symbol_values(MultiplierSpec("lambda_plus", 1.0), g, SPACETIME)
-    lam_m, _ = symbol_values(MultiplierSpec("lambda_minus", idx.theta), g, SPACETIME)
-    single = float(np.sqrt(np.sum((lam * lam_p * lam_m) ** 2 * np.abs(u.coeffs) ** 2)))
+    tau, ax = u.grid.tau_broadcast(), u.grid.abs_xi(SPACETIME)
+    w = (weight("lambda", idx.s - 1.0, tau, ax) * weight("lambda_plus", 1.0, tau, ax)
+         * weight("lambda_minus", idx.theta, tau, ax))
+    single = float(np.sqrt(np.sum(w**2 * np.abs(u.coeffs) ** 2)))
     if du_dt is None:
         return single
     two_term = ws_norm(u, idx) + ws_norm(du_dt, SpaceIndex(idx.s - 1.0, idx.theta))
@@ -172,7 +179,7 @@ def time_derivative(u: SpectralField) -> SpectralField:
 
 def spatial_hs_norm(coeffs: np.ndarray, grid: Grid, s: float) -> float:
     """H^s norm of a spatial coefficient array."""
-    lam = (1.0 + grid.abs_xi(SPATIAL) ** 2) ** (s / 2.0)
+    lam = weight("lambda", s, None, grid.abs_xi(SPATIAL))
     return float(np.sqrt(np.sum((lam * np.abs(coeffs)) ** 2)))
 
 

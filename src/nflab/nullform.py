@@ -35,6 +35,7 @@ from .lattice import (SPACETIME, FineLattice, FrequencyPoint, Grid, SpectralFiel
                       time_spatial_rep)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
+from .multiplier import weight
 
 FORMS = ("q0", "qij", "qtilde", "ralpha", "splus", "sminus", "product")
 
@@ -328,7 +329,7 @@ class ViolationReport:
 
 
 def _hyp(tau, xi):
-    return np.abs(np.abs(tau) - _norm(xi))
+    return weight("d_minus", 1.0, tau, _norm(xi))
 
 
 def _euclid(tau, xi):
@@ -378,8 +379,8 @@ def _ineq_qij(tau, lam, xi, eta):
 
 
 def _ineq_elliptic(tau, lam, xi, eta):
-    lhs = np.sqrt(1.0 + _norm(xi + eta) ** 2)
-    rhs = np.sqrt(1.0 + _norm(xi) ** 2) + np.sqrt(1.0 + _norm(eta) ** 2)
+    lhs = weight("lambda", 1.0, None, _norm(xi + eta))
+    rhs = weight("lambda", 1.0, None, _norm(xi)) + weight("lambda", 1.0, None, _norm(eta))
     unit = 1.0 + _norm(xi) + _norm(eta)
     return lhs, rhs, unit
 
@@ -393,19 +394,10 @@ def _ineq_wedge(tau, lam, xi, eta):
     return lhs, rhs, unit
 
 
-def _lam_plus(tau, xi):
-    return np.sqrt(1.0 + tau**2 + np.sum(xi * xi, axis=-1))
-
-
-def _lam_minus(tau, xi):
-    e2 = tau**2 + np.sum(xi * xi, axis=-1)
-    q = np.sum(xi * xi, axis=-1) - tau**2
-    return np.sqrt(1.0 + q * q / (1.0 + e2))
-
-
 def _ineq_lambda_minus_trivial(tau, lam, xi, eta):
-    lhs = _lam_minus(tau + lam, xi + eta)
-    rhs = 2.0 * _lam_plus(tau, xi) * _lam_plus(lam, eta)
+    lhs = weight("lambda_minus", 1.0, tau + lam, _norm(xi + eta))
+    rhs = (2.0 * weight("lambda_plus", 1.0, tau, _norm(xi))
+           * weight("lambda_plus", 1.0, lam, _norm(eta)))
     unit = rhs
     return lhs, rhs, unit
 

@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .lattice import (SPACETIME, Grid, SpectralField, modified_mixed_norm,
                       random_field)
-from .multiplier import SpaceIndex, ws_norm
+from .multiplier import SpaceIndex, weight, ws_norm
 from .nullform import BilinearFormSpec, apply_form, delta_minus, delta_plus
 
 TWO_PI = 2.0 * math.pi
@@ -240,16 +240,13 @@ def _lattice_set_B(L: float, n: int):
     return np.concatenate(rows, axis=0).astype(int)
 
 
-def _sparse_ws_norm(points: np.ndarray, idx: SpaceIndex) -> float:
-    """H^{s,theta} weight sum over unit-coefficient integer modes."""
+def _sparse_ws_norm(points: np.ndarray, idx: SpaceIndex, values=1.0) -> float:
+    """H^{s,theta} norm of the spectrum with coefficients `values` (default 1)
+    at the integer modes `points` (rows tau, xi_1, ..., xi_n)."""
     tau = points[:, 0].astype(float)
-    xi = points[:, 1:].astype(float)
-    ax = np.linalg.norm(xi, axis=-1)
-    lam = (1.0 + ax**2) ** (idx.s / 2.0)
-    e2 = tau**2 + ax**2
-    q = ax**2 - tau**2
-    lam_m = (1.0 + q * q / (1.0 + e2)) ** (idx.theta / 2.0)
-    return float(np.sqrt(np.sum((lam * lam_m) ** 2)))
+    ax = np.linalg.norm(points[:, 1:].astype(float), axis=-1)
+    w = weight("lambda", idx.s, tau, ax) * weight("lambda_minus", idx.theta, tau, ax)
+    return float(np.sqrt(np.sum((w * values) ** 2)))
 
 
 def counterexample_lattice_ratio(spec: EmbeddingSpec, L: float) -> float:
@@ -280,15 +277,7 @@ def counterexample_lattice_ratio(spec: EmbeddingSpec, L: float) -> float:
     conv[conv < 1e-9] = 0.0
     occ = np.argwhere(conv > 0)
     pts = occ + lo
-    vals = conv[tuple(occ.T)]
-    tau = pts[:, 0].astype(float)
-    xi = pts[:, 1:].astype(float)
-    ax = np.linalg.norm(xi, axis=-1)
-    lam = (1.0 + ax**2) ** (spec.target.s / 2.0)
-    e2 = tau**2 + ax**2
-    q = ax**2 - tau**2
-    lam_m = (1.0 + q * q / (1.0 + e2)) ** (spec.target.theta / 2.0)
-    num = float(np.sqrt(np.sum((lam * lam_m * vals) ** 2)))
+    num = _sparse_ws_norm(pts, spec.target, conv[tuple(occ.T)])
     return num / (_sparse_ws_norm(A, spec.left) * _sparse_ws_norm(B, spec.right))
 
 
@@ -495,8 +484,7 @@ def _cal_weight(tau, abs_xi, euclid, s, theta):
     equivalent to the inhomogeneous weight within fixed constants; using it
     keeps desk-scale log-log fits on the asymptotic exponent.
     """
-    hyp = np.abs(np.abs(tau) - abs_xi)
-    return abs_xi ** (s - 1.0) * euclid * hyp**theta
+    return weight("d", s - 1.0, tau, abs_xi) * euclid * weight("d_minus", theta, tau, abs_xi)
 
 
 def counterexample_norms(p: CounterexampleParams) -> CounterexampleRecord:
@@ -573,9 +561,8 @@ def counterexample_norms(p: CounterexampleParams) -> CounterexampleRecord:
     off_hi, w_hi = _gauss_nodes(0.0, 1.0)
     for offs, wts in ((off_lo, w_lo), (off_hi, w_hi)):
         for o, w in zip(offs, wts):
-            tau = abs_xi + o
             hyp = abs(o)
-            f = abs_xi ** (s - 1.0) * hyp ** (th - 1.0) * qsym * measure_A
+            f = weight("d", s - 1.0, None, abs_xi) * hyp ** (th - 1.0) * qsym * measure_A
             val_c += float(np.sum(f**2 * surf_x * WXR)) * w
             measure_C += float(np.sum(surf_x * WXR)) * w
     lhs_lower = math.sqrt(val_c)

@@ -20,6 +20,7 @@ import numpy as np
 from .lattice import (SPACETIME, SPATIAL, Grid, SpectralField,
                       from_time_spatial_rep, plane_wave_coeffs, time_cutoff,
                       time_spatial_rep)
+from .multiplier import weight
 
 
 @dataclass
@@ -215,9 +216,8 @@ def step1_bound_check(F: SpectralField, t: float, cutoff_width: float | None = N
 
     # tau-resolved transform of each mode's time signal, plain DFT over axis 0
     A = np.fft.fft(a_F, axis=0) / g.N_t
-    tau = g.tau().reshape((g.N_t,) + (1,) * g.n)
     ax = g.abs_xi(SPATIAL)
-    hyp = np.abs(np.abs(tau) - ax)
+    hyp = weight("d_minus", 1.0, g.tau_broadcast(), ax)
     int_weighted = np.sum(np.abs(A) / (1.0 + hyp), axis=0)
     int_plain = np.sum(np.abs(A), axis=0)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nflab.lattice import SPACETIME, SPATIAL, SpectralField, make_grid, random_field
-from nflab.multiplier import (MultiplierSpec, SpaceIndex, StrichartzTriple,
+from nflab.multiplier import (HOMOGENEOUS, MultiplierSpec, SpaceIndex, StrichartzTriple,
                               apply, cal_norm, check_thmB, check_thmC,
                               is_wave_admissible, spatial_hs_norm, strichartz_s,
-                              symbol_values, time_derivative, ws_norm)
+                              symbol_values, time_derivative, weight, ws_norm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,6 +52,21 @@ def test_riesz_axis_and_zero_mode_flag(grid2d):
     dc = _single(grid2d, 0, (0, 0))
     out_dc = apply(MultiplierSpec("riesz", axis=1), dc)
     assert out_dc.coeffs[0, 0, 0] == 0.0
+
+
+@pytest.mark.parametrize("axis", [-1, 3, 7])
+def test_riesz_axis_outside_zero_to_n_is_rejected(grid2d, axis):
+    u = random_field(grid2d, SPACETIME, 0, real=False)
+    with pytest.raises(ValueError, match="Riesz axis"):
+        apply(MultiplierSpec("riesz", axis=axis), u)
+    with pytest.raises(ValueError, match="Riesz axis"):
+        symbol_values(MultiplierSpec("riesz", axis=axis), grid2d, SPATIAL)
+
+
+def test_riesz_last_axis_is_the_last_spatial_component(grid2d):
+    u = _single(grid2d, 1, (0, 3))
+    assert abs(apply(MultiplierSpec("riesz", axis=2), u).coeffs[1, 0, 3] - 1j) <= 1e-14
+    assert apply(MultiplierSpec("riesz", axis=1), u).coeffs[1, 0, 3] == 0.0
 
 
 def test_negative_homogeneous_power_projects_zero_mode(grid2d):
@@ -201,3 +217,78 @@ def test_spatial_hs_norm_matches_ws_on_slices(grid2d):
     direct = spatial_hs_norm(f.coeffs, grid2d, 1.1)
     lam = (1.0 + grid2d.abs_xi(SPATIAL) ** 2) ** 0.55
     assert abs(direct - float(np.sqrt(np.sum((lam * np.abs(f.coeffs)) ** 2)))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the weight evaluator off and on the lattice
+
+
+def _closed_form(family, a, tau, x):
+    if family == "lambda":
+        return (1.0 + x * x) ** (a / 2.0)
+    if family == "lambda_plus":
+        return (1.0 + tau * tau + x * x) ** (a / 2.0)
+    if family == "lambda_minus":
+        return (1.0 + (x * x - tau * tau) ** 2 / (1.0 + tau * tau + x * x)) ** (a / 2.0)
+    base = {"d": x, "d_plus": abs(tau) + x, "d_minus": abs(abs(tau) - x)}[family]
+    if base == 0.0 and a < 0:
+        return 0.0
+    return base**a
+
+
+_OFF_LATTICE = [(0.0, 0.0), (0.0, 2.5), (3.0, 0.0), (-1.7, 0.0), (2.2, 2.2), (-2.2, 2.2),
+                (-0.7, 3.1), (4.3, 1.3), (0.25, 0.75)]
+_WEIGHTS = ("lambda", "lambda_plus", "lambda_minus") + HOMOGENEOUS
+
+
+@pytest.mark.parametrize("family", _WEIGHTS)
+def test_weight_matches_closed_form_off_lattice(family):
+    taus = np.array([t for t, _ in _OFF_LATTICE])[:, None]
+    xs = np.array([x for _, x in _OFF_LATTICE])[None, :]
+    for a in (-1.5, -1.0, 0.0, 0.5, 1.0, 2.3):
+        for tau, x in _OFF_LATTICE:
+            want = _closed_form(family, a, tau, x)
+            got = float(weight(family, a, tau, x))
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (a, tau, x)
+        # lambda and d do not read tau, so their values broadcast along it
+        vals = np.broadcast_to(weight(family, a, taus, xs), (len(_OFF_LATTICE),) * 2)
+        want = np.array([[_closed_form(family, a, t, x) for x in xs[0]] for t in taus[:, 0]])
+        assert np.allclose(vals, want, rtol=1e-14, atol=0.0), a
+
+
+@pytest.mark.parametrize("family", HOMOGENEOUS)
+def test_negative_homogeneous_weight_vanishes_on_its_singular_set(family):
+    tau = np.array([0.0, 0.0, 2.0, -2.0, 3.0])
+    x = np.array([0.0, 1.5, 2.0, 2.0, 0.0])
+    singular = {"d": x == 0.0, "d_plus": (tau == 0.0) & (x == 0.0),
+                "d_minus": np.abs(tau) == x}[family]
+    vals = weight(family, -0.8, tau, x)
+    assert np.all(vals[singular] == 0.0)
+    assert np.all(np.isfinite(vals)) and np.all(vals[~singular] > 0.0)
+
+
+def test_weight_rejects_unknown_family():
+    with pytest.raises(ValueError, match="not a weight family"):
+        weight("riesz", 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("family", _WEIGHTS)
+def test_weight_on_the_lattice_equals_symbol_values(family):
+    kinds = (SPACETIME, SPATIAL) if family in ("lambda", "d") else (SPACETIME,)
+    grids = (make_grid(2, 16, 16, TWO_PI, TWO_PI), make_grid(3, 8, 4, 1.0, 3.0))
+    for a, grid, kind in itertools.product((-1.2, 0.0, 0.9), grids, kinds):
+        tau = grid.tau_broadcast() if kind == SPACETIME else None
+        want = np.broadcast_to(weight(family, a, tau, grid.abs_xi(kind)), grid.shape_for(kind))
+        sym, projected = symbol_values(MultiplierSpec(family, a), grid, kind)
+        assert sym.shape == grid.shape_for(kind)
+        assert np.array_equal(sym, want)
+        assert projected is (family in HOMOGENEOUS and a < 0)
+
+
+def test_projection_flag_pins_for_homogeneous_families(grid2d):
+    for family in ("d", "d_plus", "d_minus"):
+        for a, flag in ((-2.0, True), (-0.3, True), (0.0, False), (0.4, False), (1.0, False)):
+            _, projected = symbol_values(MultiplierSpec(family, a), grid2d, SPACETIME)
+            assert projected is flag, (family, a)
+    cone, _ = symbol_values(MultiplierSpec("d_minus", -1.0), grid2d, SPACETIME)
+    assert cone[3, 3, 0] == 0.0 and cone[0, 0, 0] == 0.0

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nflab.lattice import SPACETIME, make_grid, random_field
-from nflab.multiplier import SpaceIndex
-from nflab.probe import (CounterexampleParams, EmbeddingSpec, KernelSpec,
+from nflab.lattice import SPACETIME, SpectralField, make_grid, random_field
+from nflab.multiplier import SpaceIndex, ws_norm
+from nflab.probe import (CounterexampleParams, EmbeddingSpec, KernelSpec, _sparse_ws_norm,
                          counterexample_lattice_ratio, counterexample_norms,
                          discrete_schur_constant, embedding_ratio,
                          first_iterate_kernel, kernel_eval, membership_check,
@@ -186,6 +186,24 @@ def test_counterexample_rejects_small_dimension_and_scale():
         CounterexampleParams(L=8, s=0.4, theta=0.6, n=1)
     with pytest.raises(ValueError):
         CounterexampleParams(L=2, s=0.4, theta=0.6, n=2)
+
+
+@pytest.mark.parametrize("n, N_t, N_x, modes", [
+    (2, 8, 8, [(0, 0, 0), (3, 3, 0), (-2, 1, -3), (1, -2, 2)]),
+    (2, 16, 8, [(0, 0, 0), (3, 3, 0), (-5, -3, -4), (2, -1, 3), (-4, 0, -2)]),
+    (3, 8, 8, [(0, 0, 0, 0), (-2, 0, 2, 0), (3, 1, -2, 2), (-1, -4, 3, 0)]),
+])
+def test_sparse_ws_norm_equals_lattice_ws_norm(n, N_t, N_x, modes):
+    # integer modes with the origin, cone points and negative indices; on a
+    # 2*pi-periodic grid the lattice frequencies are the same integers
+    grid = make_grid(n, N_t, N_x, TWO_PI, TWO_PI)
+    c = np.zeros(grid.spacetime_shape, dtype=complex)
+    for m in modes:
+        c[(m[0] % N_t,) + tuple(k % N_x for k in m[1:])] = 1.0
+    field = SpectralField(grid=grid, kind=SPACETIME, coeffs=c)
+    for idx in (SpaceIndex(1.2, 0.6), SpaceIndex(-0.5, 1.5), SpaceIndex(0.3, -0.7)):
+        sparse = _sparse_ws_norm(np.array(modes), idx)
+        assert sparse == pytest.approx(ws_norm(field, idx), rel=1e-14, abs=0.0)
 
 
 def test_counterexample_lattice_ratio_grows_in_failing_region():

@@ -1,0 +1,22 @@
+"""The benchmark tracer (`perfbench/tracer.py`) wraps nflab functions by name.
+
+A refactor that drops or renames one of them breaks only the benchmark, so
+this checks every (module, name) it lists against the package.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.tracer import BOUNDARIES  # noqa: E402
+
+
+def test_every_traced_name_is_a_callable_of_nflab():
+    missing = [f"nflab.{mod}.{name}" for mod, names in BOUNDARIES.items() for name in names
+               if not callable(getattr(importlib.import_module(f"nflab.{mod}"), name, None))]
+    assert sum(len(names) for names in BOUNDARIES.values()) >= 20
+    assert missing == []
