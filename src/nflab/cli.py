@@ -360,7 +360,7 @@ def cmd_probe_kernel(args, file_cfg) -> int:
     ladder = [(cfg["kernel.R"], cfg["kernel.h"] / 2**i)
               for i in range(cfg["kernel.halvings"] + 1)]
     ladder.append((2 * cfg["kernel.R"], cfg["kernel.h"]))
-    vals = _sweep(lambda rh: pr.schur_bound(k, rh[0], rh[1]), ladder)
+    vals = pr.schur_ladder(k, ladder)
     rows = [_header(cfg), "R,h,value\n"]
     for (R, h), v in zip(ladder, vals):
         rows.append(f"{R!r},{h!r},{v!r}\n")

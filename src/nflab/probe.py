@@ -6,10 +6,18 @@ Three kinds of evidence are produced, none of which claims a proof:
   seeded ensembles and reports a fixed-rule verdict;
 * schur_bound evaluates the boundedness certificate sup_xi int K^2 d(eta) in
   polar coordinates with a graded angular mesh, monotone in the truncation
-  and in the angular refinement by construction;
+  and in the angular refinement by construction; schur_ladder evaluates a
+  ladder of (R, h) rungs with one integrand per dyadic |xi|, built at the
+  finest angular cut any rung sampling that |xi| needs, whose column
+  prefixes give the coarser rungs bit for bit;
+* trilinear_form and discrete_schur_constant share one pair table: the
+  kernel on every (xi, eta) pair of a block of f-rows at once, and h(xi+eta)
+  looked up by raveling the sums over h's bounding box and a searchsorted
+  into h's sorted keys;
 * counterexample_norms integrates the slab/shell indicator family over its
   explicit sets by product quadrature, for scaling-law regression in the
-  family scale L.
+  family scale L; counterexample_lattice_ratio convolves the family's
+  lattice indicators by FFT on 5-smooth lengths.
 """
 
 from __future__ import annotations
@@ -249,12 +257,28 @@ def _sparse_ws_norm(points: np.ndarray, idx: SpaceIndex, values=1.0) -> float:
     return float(np.sqrt(np.sum((w * values) ** 2)))
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (n >= 1): a length the FFT factors into small primes."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def counterexample_lattice_ratio(spec: EmbeddingSpec, L: float) -> float:
     """Plain-product estimate ratio for indicator spectra of A and B at scale L.
 
-    The convolution is computed exactly via FFT on the index bounding box;
-    the ratio is 0-homogeneous so the unit-coefficient normalization is
-    immaterial.
+    The convolution is computed exactly via FFT on the index bounding box,
+    zero-padded to 5-smooth lengths and cropped back; the ratio is
+    0-homogeneous so the unit-coefficient normalization is immaterial.
     """
     n = spec.n
     if n < 2:
@@ -271,9 +295,10 @@ def counterexample_lattice_ratio(spec: EmbeddingSpec, L: float) -> float:
     boxB = np.zeros(tuple(shape_B), dtype=float)
     boxB[tuple((B - B.min(axis=0)).T)] = 1.0
     axes = tuple(range(len(full)))
-    fa = np.fft.rfftn(boxA, full, axes=axes)
-    fb = np.fft.rfftn(boxB, full, axes=axes)
-    conv = np.fft.irfftn(fa * fb, full, axes=axes)
+    fft_shape = tuple(_smooth_length(m) for m in full)
+    spectrum = np.fft.rfftn(boxA, fft_shape, axes=axes)
+    spectrum *= np.fft.rfftn(boxB, fft_shape, axes=axes)
+    conv = np.fft.irfftn(spectrum, fft_shape, axes=axes)[tuple(slice(0, m) for m in full)]
     conv[conv < 1e-9] = 0.0
     occ = np.argwhere(conv > 0)
     pts = occ + lo
@@ -343,12 +368,15 @@ def _theta_bricks(theta_min: float):
     return bricks
 
 
-def _schur_single(k: KernelSpec, xi_mag: float, theta_min: float) -> float:
-    """int over |eta| <= |xi|, theta in (theta_min, pi - theta_min) of K^2 d(eta)."""
+def _schur_integrand(k: KernelSpec, xi_mag: float, bricks) -> np.ndarray:
+    """K^2 jac W_R W_T on the Gauss nodes of |eta| <= |xi| times the angular bricks.
+
+    Rows are the radial nodes; brick j owns columns 8j .. 8j+7, so the
+    integrand of a prefix of `bricks` is a prefix of the columns.
+    """
     n = k.n
     sigma = _sphere_area(n - 2) if n >= 2 else 1.0
     gx, gw = leggauss(_GAUSS_N)
-    bricks = _theta_bricks(theta_min)
     t_lo = np.array([b[0] for b in bricks])
     t_hi = np.array([b[1] for b in bricks])
     r_hi = xi_mag * 2.0 ** (-np.arange(_RADIAL_LEVELS, dtype=float))
@@ -372,7 +400,41 @@ def _schur_single(k: KernelSpec, xi_mag: float, theta_min: float) -> float:
         eta[..., 1] = R * np.sin(T)
     K = kernel_eval(k, xi, eta)
     jac = R ** (n - 1) * (np.sin(T) ** (n - 2) if n >= 2 else 1.0) * sigma
-    return float(np.sum(K**2 * jac * WR * WT))
+    return K**2 * jac * WR * WT
+
+
+def schur_ladder(k: KernelSpec, rungs) -> list[float]:
+    """schur_bound(k, R, h) for every (R, h) in `rungs`, each |xi| integrated once.
+
+    Every rung with R >= |xi| samples the same dyadic |xi|, and the angular
+    bricks of a cut are a prefix of those of any finer cut.  So one integrand
+    per |xi|, at the finest cut among the rungs that sample it, serves them
+    all: a rung's value at that |xi| is the sum of the integrand's first
+    8 * bricks(h) columns, the same numbers summed in the same order as in
+    the rung's own integrand.
+    """
+    tops, cuts = [], []
+    for R, h in rungs:
+        if not (math.isfinite(R) and math.isfinite(h)) or R < 1.0 or h <= 0:
+            raise ValueError("need a finite truncation R >= 1 and a finite angular step h > 0, "
+                             f"got R={R!r}, h={h!r}")
+        theta_min = math.pi * (min(h, math.pi) / math.pi) ** _ANGLE_GRADE
+        if not theta_min > 0.0:
+            raise ValueError(f"angular step h={h!r} is too small: its cut "
+                             f"pi (h/pi)^{_ANGLE_GRADE} underflows to 0")
+        tops.append(R * (1.0 + 1e-12))
+        cuts.append(_theta_bricks(theta_min))
+    best = [0.0] * len(cuts)
+    mag = 1.0
+    while True:
+        active = [i for i, top in enumerate(tops) if mag <= top]
+        if not active:
+            return best
+        integrand = _schur_integrand(k, mag, max((cuts[i] for i in active), key=len))
+        for i in active:
+            cols = integrand[:, :_GAUSS_N * len(cuts[i])]
+            best[i] = max(best[i], float(np.sum(np.ascontiguousarray(cols))))
+        mag *= 2.0
 
 
 def schur_bound(k: KernelSpec, R: float, h: float) -> float:
@@ -383,55 +445,80 @@ def schur_bound(k: KernelSpec, R: float, h: float) -> float:
     The angular mesh excludes a window theta < pi (h/pi)^4 around the singular
     directions; both the xi samples and the angular bricks are nested under
     R-doubling and h-halving, so the value is exactly monotone in R and 1/h.
+    R and h must be finite, R >= 1, and the window pi (h/pi)^4 must be > 0.
     """
-    if R < 1.0 or h <= 0:
-        raise ValueError("need truncation R >= 1 and angular step h > 0")
-    theta_min = math.pi * (min(h, math.pi) / math.pi) ** _ANGLE_GRADE
-    best = 0.0
-    mag = 1.0
-    while mag <= R * (1.0 + 1e-12):
-        best = max(best, _schur_single(k, mag, theta_min))
-        mag *= 2.0
-    return best
+    return schur_ladder(k, [(R, h)])[0]
+
+
+_PAIR_BLOCK = 1 << 16
+
+
+def _index_arrays(k: KernelSpec, name: str, spec: dict):
+    """Integer index array (m, n) and weights (m,) of a lattice spectrum."""
+    if any(len(key) != k.n for key in spec):
+        raise ValueError(f"{name}: every index must have length n = {k.n}")
+    keys = np.array(list(spec.keys()), dtype=np.int64).reshape(len(spec), k.n)
+    return keys, np.array(list(spec.values()), dtype=float)
+
+
+def _pair_table(k: KernelSpec, f: dict, g: dict, h: dict, spacing: float):
+    """Yield (K, fw, gw, hv, hit) per block of about 2^16 (xi, eta) pairs.
+
+    A block pairs some f-rows with every point of g: K[r, j] = K(xi_r, eta_j),
+    fw (rows, 1) and gw (1, points) are the weights, hv[r, j] = h(xi_r + eta_j)
+    and hit marks the sums in supp h (hv is 0 elsewhere).  h is looked up by
+    raveling the sums over h's bounding box and one searchsorted into h's
+    sorted raveled keys.  Yields nothing when a spectrum is empty.
+    """
+    fi, fw = _index_arrays(k, "f", f)
+    gi, gw = _index_arrays(k, "g", g)
+    hi, hw = _index_arrays(k, "h", h)
+    if not (len(fi) and len(gi) and len(hi)):
+        return
+    lo, top = hi.min(axis=0), hi.max(axis=0)
+    dims = tuple(int(d) for d in top - lo + 1)
+    codes = np.ravel_multi_index(tuple((hi - lo).T), dims)
+    order = np.argsort(codes)
+    codes, hw = codes[order], hw[order]
+    xi, eta = fi.astype(float) * spacing, gi.astype(float) * spacing
+    step = max(1, _PAIR_BLOCK // len(gi))
+    for start in range(0, len(fi), step):
+        rows = fi[start:start + step]
+        K = kernel_eval(k, xi[start:start + step, None, :], eta[None, :, :])
+        sums = rows[:, None, :] + gi[None, :, :]
+        inside = np.all((sums >= lo) & (sums <= top), axis=-1)
+        key = np.ravel_multi_index(tuple(np.moveaxis(sums - lo, -1, 0)), dims, mode="clip")
+        pos = np.minimum(np.searchsorted(codes, key), len(codes) - 1)
+        hit = inside & (codes[pos] == key)
+        yield K, fw[start:start + step, None], gw[None, :], np.where(hit, hw[pos], 0.0), hit
 
 
 def trilinear_form(k: KernelSpec, f: dict, g: dict, h: dict, spacing: float = 1.0) -> float:
     """Lattice double sum of K(xi,eta) f(xi) g(eta) h(xi+eta).
 
-    Spectra are mappings from integer index tuples to nonnegative weights;
-    `spacing` scales indices to frequencies and supplies the measure factor
-    spacing^(2n).
+    Spectra are mappings from integer index tuples of length k.n to
+    nonnegative weights; `spacing` scales indices to frequencies and
+    supplies the measure factor spacing^(2n).
     """
     for name, spec in (("f", f), ("g", g), ("h", h)):
         if any(v < 0 for v in spec.values()):
             raise ValueError(f"{name} must be nonnegative")
-    if not f or not g or not h:
-        return 0.0
-    fi = np.array(list(f.keys()), dtype=float)
-    fv = np.array(list(f.values()))
-    gi = np.array(list(g.keys()), dtype=float)
-    gv = np.array(list(g.values()))
-    n = fi.shape[1]
     total = 0.0
-    for row, fval in zip(fi, fv):
-        xi = np.broadcast_to(row, gi.shape) * spacing
-        K = kernel_eval(k, xi, gi * spacing)
-        sums = row + gi
-        hv = np.array([h.get(tuple(int(round(x)) for x in s), 0.0) for s in sums])
-        total += float(np.sum(K * fval * gv * hv))
-    return total * spacing ** (2 * n)
+    for K, fw, gw, hv, _ in _pair_table(k, f, g, h, spacing):
+        # each row is summed on its own and the row totals are added in
+        # order, so the value does not depend on the block size
+        for row_total in np.sum(K * fw * gw * hv, axis=1).tolist():
+            total += row_total
+    return total * spacing ** (2 * k.n)
 
 
 def discrete_schur_constant(k: KernelSpec, f: dict, g: dict, h: dict,
                             spacing: float = 1.0) -> float:
     """max over supp f of sum over interacting eta of K^2 (Cauchy-Schwarz certificate)."""
-    gi = np.array(list(g.keys()), dtype=float)
-    best = 0.0
-    for row in f.keys():
-        xi = np.broadcast_to(np.array(row, dtype=float), gi.shape) * spacing
-        K = kernel_eval(k, xi, gi * spacing)
-        mask = np.array([tuple(int(a + b) for a, b in zip(row, e)) in h for e in gi])
-        best = max(best, float(np.sum((K[mask]) ** 2)) * spacing ** k.n)
+    best, measure = 0.0, spacing ** k.n
+    for K, _, _, _, hit in _pair_table(k, f, g, h, spacing):
+        for K_row, hit_row in zip(K, hit):
+            best = max(best, float(np.sum(K_row[hit_row] ** 2)) * measure)
     return best
 
 

@@ -145,6 +145,17 @@ def test_probe_kernel_outside_region_tagged(tmp_path):
     assert "# region=outside" in text and "# tag=unproven-direction" in text
 
 
+@pytest.mark.parametrize("flag, value", [("--R", "nan"), ("--R", "inf"), ("--h", "nan"),
+                                         ("--h", "1e-300"), ("--halvings", "1000")])
+def test_probe_kernel_rejects_bad_truncation_or_step(flag, value, capsys):
+    args = {"--R": "4", "--h": "0.2", "--halvings": "1"}
+    args[flag] = value
+    code = main(["probe-kernel", "--a", "1.2", "--b", "0.5", "--c", "0.0", "--n", "3"]
+                + [x for kv in args.items() for x in kv])
+    assert code == EXIT_CONFIG
+    assert "ERROR\tcode=2" in capsys.readouterr().out
+
+
 def test_thread_cap_keeps_output_deterministic(tmp_path, monkeypatch):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from nflab.lattice import SPACETIME, SpectralField, make_grid, random_field
 from nflab.multiplier import SpaceIndex, ws_norm
-from nflab.probe import (CounterexampleParams, EmbeddingSpec, KernelSpec, _sparse_ws_norm,
-                         counterexample_lattice_ratio, counterexample_norms,
+from nflab import probe
+from nflab.probe import (CounterexampleParams, EmbeddingSpec, KernelSpec, _smooth_length,
+                         _sparse_ws_norm, counterexample_lattice_ratio, counterexample_norms,
                          discrete_schur_constant, embedding_ratio,
                          first_iterate_kernel, kernel_eval, membership_check,
-                         probe_embedding, scaling_fit, schur_bound,
+                         probe_embedding, scaling_fit, schur_bound, schur_ladder,
                          trilinear_form)
 
 TWO_PI = 2.0 * math.pi
@@ -85,6 +86,55 @@ def test_schur_minus_sign_branch_runs():
     assert schur_bound(k, 4.0, 0.2) > 0.0
 
 
+def _probe_kernel_ladder(R=16.0, h=0.1, halvings=2):
+    """The rungs `nflab probe-kernel` evaluates: h-halvings at R, then 2R at h."""
+    return [(R, h / 2**i) for i in range(halvings + 1)] + [(2 * R, h)]
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous"])
+def test_schur_ladder_equals_bound_per_rung(sign, variant):
+    k = KernelSpec(a=1.2, b=0.2, c=0.3, sign=sign, variant=variant, n=3)
+    ladder = _probe_kernel_ladder()
+    assert schur_ladder(k, ladder) == [schur_bound(k, R, h) for R, h in ladder]
+
+
+def test_schur_ladder_any_rung_order():
+    k = KernelSpec(a=0.5, b=0.4, c=0.3, variant="homogeneous", n=2)
+    ladder = [(8.0, 0.05), (32.0, 0.2), (4.0, 0.025), (16.0, 0.1), (1.0, 4.0)]
+    assert schur_ladder(k, ladder) == [schur_bound(k, R, h) for R, h in ladder]
+    assert schur_ladder(k, []) == []
+
+
+def test_schur_ladder_evaluates_each_xi_once(monkeypatch):
+    # the default probe-kernel ladder samples |xi| = 1..16 at R = 16 and
+    # 1..32 at 2R: one integrand per |xi| at the finest cut (52 bricks up to
+    # 16, 36 at 32) of 352 x 8 nodes per brick, not one per (rung, |xi|)
+    calls = []
+
+    def counting(k, xi, eta):
+        out = kernel_eval(k, xi, eta)
+        calls.append(out.size)
+        return out
+
+    monkeypatch.setattr(probe, "kernel_eval", counting)
+    k = KernelSpec(a=1.2, b=0.2, c=0.3, variant="homogeneous", n=3)
+    schur_ladder(k, _probe_kernel_ladder())
+    assert len(calls) == 6
+    assert sum(calls) == 296 * 2816
+
+
+@pytest.mark.parametrize("R, h", [(math.nan, 0.1), (16.0, math.nan), (math.inf, 0.1),
+                                  (16.0, math.inf), (16.0, -math.inf), (16.0, 1e-300),
+                                  (16.0, 0.1 / 2**1000), (16.0, 0.0)])
+def test_schur_rejects_non_finite_or_vanishing_cut(R, h):
+    k = KernelSpec(a=1.2, b=0.2, c=0.3, variant="homogeneous", n=3)
+    with pytest.raises(ValueError):
+        schur_bound(k, R, h)
+    with pytest.raises(ValueError):
+        schur_ladder(k, [(16.0, 0.1), (R, h)])
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(a=-1.0, b=0.0, c=0.0)
@@ -123,6 +173,84 @@ def test_trilinear_cauchy_schwarz_certificate():
         ng = math.sqrt(sum(v * v for v in g.values()))
         nh = math.sqrt(sum(v * v for v in h.values()))
         assert val <= math.sqrt(C) * nf * ng * nh * (1.0 + 1e-9)
+
+
+def _trilinear_loop(k, f, g, h, spacing=1.0):
+    """Per-xi dict loop: the reference for the pair table of trilinear_form."""
+    fi = np.array(list(f.keys()), dtype=float)
+    fv = np.array(list(f.values()))
+    gi = np.array(list(g.keys()), dtype=float)
+    gv = np.array(list(g.values()))
+    n = fi.shape[1]
+    total = 0.0
+    for row, fval in zip(fi, fv):
+        xi = np.broadcast_to(row, gi.shape) * spacing
+        K = kernel_eval(k, xi, gi * spacing)
+        sums = row + gi
+        hv = np.array([h.get(tuple(int(round(x)) for x in s), 0.0) for s in sums])
+        total += float(np.sum(K * fval * gv * hv))
+    return total * spacing ** (2 * n)
+
+
+def _schur_constant_loop(k, f, g, h, spacing=1.0):
+    """Per-xi dict loop: the reference for discrete_schur_constant."""
+    gi = np.array(list(g.keys()), dtype=float)
+    best = 0.0
+    for row in f.keys():
+        xi = np.broadcast_to(np.array(row, dtype=float), gi.shape) * spacing
+        K = kernel_eval(k, xi, gi * spacing)
+        mask = np.array([tuple(int(a + b) for a, b in zip(row, e)) in h for e in gi])
+        best = max(best, float(np.sum((K[mask]) ** 2)) * spacing ** k.n)
+    return best
+
+
+def _sparse_spectrum(rng, n, m, lo, hi):
+    return {tuple(int(x) for x in rng.integers(lo, hi, n)): float(rng.uniform(0.0, 1.0))
+            for _ in range(m)}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spacing", [1.0, 0.5])
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_pair_table_equals_dict_loops(n, spacing, sign, monkeypatch):
+    # negative indices; h's box is smaller than the range of xi + eta, so
+    # sums fall outside it on every side; blocks of about 1000 pairs split
+    # f into many blocks of rows and a partial last one
+    monkeypatch.setattr(probe, "_PAIR_BLOCK", 1000)
+    k = KernelSpec(a=0.7, b=0.4, c=0.3, sign=sign, variant="inhomogeneous", n=n)
+    rng = np.random.default_rng([n, int(4 * spacing)])
+    f = _sparse_spectrum(rng, n, 150, -9, 10)
+    g = _sparse_spectrum(rng, n, 150, -6, 12)
+    h = _sparse_spectrum(rng, n, 100, -5, 6)
+    assert len(f) % (1000 // len(g)) != 0
+    assert trilinear_form(k, f, g, h, spacing) == _trilinear_loop(k, f, g, h, spacing)
+    assert (discrete_schur_constant(k, f, g, h, spacing)
+            == _schur_constant_loop(k, f, g, h, spacing))
+
+
+def test_trilinear_and_schur_constant_of_empty_spectra_are_zero():
+    k = KernelSpec(a=0.5, b=0.5, c=0.3, variant="inhomogeneous", n=2)
+    full = {(0, 0): 1.0, (1, -1): 2.0}
+    for empty in range(3):
+        spectra = [full, full, full]
+        spectra[empty] = {}
+        assert trilinear_form(k, *spectra) == 0.0
+        assert discrete_schur_constant(k, *spectra) == 0.0
+
+
+@pytest.mark.parametrize("func", [trilinear_form, discrete_schur_constant])
+def test_trilinear_and_schur_constant_reject_wrong_dimension(func):
+    k = KernelSpec(a=0.5, b=0.5, c=0.3, variant="inhomogeneous", n=2)
+    flat = {(0, 1): 1.0, (1, 0): 1.0}
+    cube = {(0, 1, 0): 1.0, (1, 0, 0): 1.0, (1, 1, 0): 1.0}
+    with pytest.raises(ValueError, match="length n = 2"):
+        func(k, cube, cube, cube)
+    with pytest.raises(ValueError, match="length n = 2"):
+        func(k, {(0, 1, 0): 1.0}, flat, flat)
+    with pytest.raises(ValueError, match="length n = 2"):
+        func(k, flat, flat, {(1, 1, 0): 1.0})
+    with pytest.raises(ValueError, match="length n = 2"):
+        func(k, flat, {(0, 1): 1.0, (1, 0, 0): 1.0}, flat)
 
 
 def test_trilinear_rejects_negative_weights():
@@ -204,6 +332,31 @@ def test_sparse_ws_norm_equals_lattice_ws_norm(n, N_t, N_x, modes):
     for idx in (SpaceIndex(1.2, 0.6), SpaceIndex(-0.5, 1.5), SpaceIndex(0.3, -0.7)):
         sparse = _sparse_ws_norm(np.array(modes), idx)
         assert sparse == pytest.approx(ws_norm(field, idx), rel=1e-14, abs=0.0)
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@given(st.integers(1, 200_000))
+@settings(max_examples=200, deadline=None)
+def test_smooth_length_is_the_next_5_smooth_integer(n):
+    m = _smooth_length(n)
+    assert m >= n and _is_5_smooth(m)
+    assert not any(_is_5_smooth(j) for j in range(n, m))
+
+
+@pytest.mark.parametrize("n, L", [(2, 4), (2, 6), (2, 8), (2, 12), (3, 4), (3, 6)])
+def test_counterexample_lattice_ratio_matches_unpadded_fft(n, L, monkeypatch):
+    spec = EmbeddingSpec(left=SpaceIndex(0.5, 0.1), right=SpaceIndex(-0.5, 0.6),
+                         target=SpaceIndex(-0.5, -0.4), n=n)
+    padded = counterexample_lattice_ratio(spec, L)
+    monkeypatch.setattr(probe, "_smooth_length", lambda m: m)
+    unpadded = counterexample_lattice_ratio(spec, L)
+    assert padded == pytest.approx(unpadded, rel=1e-12, abs=0.0)
 
 
 def test_counterexample_lattice_ratio_grows_in_failing_region():
