@@ -1,15 +1,21 @@
 """Configuration-driven experiment runner.
 
 Subcommands: norms, admissible, symbol-check, iterate, probe-embedding,
-probe-kernel, counterexample, selftest.  Exit codes: 0 success, 2 config
-error, 3 numerical-failure flag (divergence, ascent non-convergence,
-growth-rule mismatch never raises, it is reported in the CSV).
+probe-kernel, counterexample, selftest.  `COMMANDS` gives each one a table
+of `Opt(key, type, default, help)` rows that alone drives its flags
+(`sec.some_key` -> `--some-key`), config keys, defaults and header.  Config
+files are flat `key = value` text with [section] brackets; flags override
+the file and unknown keys are rejected.  Flag text and file values take one
+route: the row's type applied to the value's text, so `--q 4` and `[adm]
+q = 4` give the same value.  Every output file starts with a header line
+embedding the fully resolved configuration, so identical config plus seed
+reproduces byte-identical output.  NFLAB_THREADS caps sweep fan-out.
 
-Config files are flat `key = value` text with [section] brackets; values on
-the command line override the file.  Every output file starts with a header
-line embedding the fully resolved configuration, so identical config plus
-seed reproduces byte-identical output.  NFLAB_THREADS caps the fan-out of
-parameter sweeps.
+Exit codes: 0 success; 2 configuration error (`ConfigError`, `ValueError`,
+`OSError`, a value its row's type rejects); 3 numerical-failure flag
+(divergence, ascent non-convergence, membership failures; a growth-rule
+mismatch is reported in the CSV).  Anything else propagates as a bug.
+MKGmodel needs components >= 3, so that v (the second half) has two or more.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,19 +81,52 @@ def read_config(path: str) -> dict:
     return out
 
 
-GRID_KEYS = {"grid.n": 2, "grid.N_t": 16, "grid.N_x": 16,
-             "grid.T_per": 2 * math.pi, "grid.L_per": 2 * math.pi}
+class Opt(NamedTuple):
+    """One option: its config key, the type that turns its text into a value, its default."""
+
+    key: str
+    type: Callable[[str], object]
+    default: object = None
+    help: str | None = None
+    flag: str | None = None
 
 
-def _resolve(defaults: dict, file_cfg: dict, overrides: dict) -> dict:
-    cfg = dict(defaults)
-    for k, v in file_cfg.items():
-        if k not in cfg:
+def _flag(opt: Opt) -> str:
+    return opt.flag or "--" + opt.key.split(".", 1)[1].replace("_", "-")
+
+
+def _count(lo: int, hi: int | None = None):
+    def count(text: str) -> int:
+        v = int(text)
+        if v < lo or (hi is not None and v > hi):
+            raise ValueError(f"must be an integer >= {lo}" + ("" if hi is None else f" and <= {hi}"))
+        return v
+    return count
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("must be true or false")
+    return text.lower() == "true"
+
+
+def _resolve(opts, file_cfg: dict, flags: dict) -> dict:
+    """Defaults, then file values, then the flags given; each given value is its
+    row's type applied to its text (a non-string file value's JSON spelling)."""
+    types = {o.key: o.type for o in opts}
+    for k in file_cfg:
+        if k not in types:
             raise ConfigError(f"unknown config key {k!r}")
-        cfg[k] = v
-    for k, v in overrides.items():
-        if v is not None:
-            cfg[k] = v
+    given = {**file_cfg, **{k: flags[k] for k in types if flags.get(k) is not None}}
+    cfg = {o.key: o.default for o in opts}
+    for k, v in given.items():
+        if v is None:  # a file's null leaves the default
+            continue
+        text = v if isinstance(v, str) else json.dumps(v)
+        try:
+            cfg[k] = types[k](text)
+        except ValueError as exc:
+            raise ConfigError(f"{k} = {text!r}: {exc}") from None
     return cfg
 
 
@@ -135,12 +175,7 @@ def _sweep(func, args_list):
 # subcommands
 
 
-def cmd_admissible(args, file_cfg) -> int:
-    cfg = _resolve({"adm.q": 4.0, "adm.r": 4.0, "adm.n": 3,
-                    "adm.sigma": None, "adm.s1": None, "adm.s2": None},
-                   file_cfg,
-                   {"adm.q": args.q, "adm.r": args.r, "adm.n": args.n,
-                    "adm.sigma": args.sigma, "adm.s1": args.s1, "adm.s2": args.s2})
+def cmd_admissible(cfg) -> int:
     q, r, n = cfg["adm.q"], cfg["adm.r"], cfg["adm.n"]
     ok = mult.is_wave_admissible(q, r, n)
     if not ok:
@@ -157,12 +192,7 @@ def cmd_admissible(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def cmd_symbol_check(args, file_cfg) -> int:
-    cfg = _resolve({"symbol.name": "delta", "symbol.samples": 100000,
-                    "symbol.seed": 0, "symbol.out": None},
-                   file_cfg,
-                   {"symbol.name": args.name, "symbol.samples": args.samples,
-                    "symbol.seed": args.seed, "symbol.out": args.out})
+def cmd_symbol_check(cfg) -> int:
     names = list(nf.INEQUALITY_REGISTRY) if cfg["symbol.name"] == "all" else [cfg["symbol.name"]]
     for nm in names:
         if nm not in nf.INEQUALITY_REGISTRY:
@@ -178,18 +208,7 @@ def cmd_symbol_check(args, file_cfg) -> int:
     return EXIT_NUMERICAL if bad else EXIT_OK
 
 
-def cmd_norms(args, file_cfg) -> int:
-    defaults = dict(GRID_KEYS)
-    defaults.update({"norms.s": 0.5, "norms.theta": 0.6, "norms.q": 2.0,
-                     "norms.r": 2.0, "norms.seed": 0, "norms.field": None,
-                     "norms.out": None})
-    cfg = _resolve(defaults, file_cfg,
-                   {"grid.n": args.n, "grid.N_t": args.nt, "grid.N_x": args.nx,
-                    "grid.T_per": args.t_per, "grid.L_per": args.l_per,
-                    "norms.s": args.s, "norms.theta": args.theta,
-                    "norms.q": args.q, "norms.r": args.r,
-                    "norms.seed": args.seed, "norms.field": args.field,
-                    "norms.out": args.out})
+def cmd_norms(cfg) -> int:
     if cfg["norms.field"]:
         f = lat.read_field(cfg["norms.field"])
     else:
@@ -209,36 +228,18 @@ def cmd_norms(args, file_cfg) -> int:
 
 
 def _system_from_name(name: str, n_comp: int) -> it.SystemSpec:
-    if name == "scalarQ0":
-        return it.SystemSpec("scalarQ0")
-    if name == "WM":
-        return it.SystemSpec("WM", N=n_comp)
-    if name == "WMM":
-        return it.SystemSpec("WMM", N=n_comp)
-    if name == "YMmodel":
-        return it.SystemSpec("YMmodel", N=n_comp)
-    if name == "MKGmodel":
-        half = max(1, n_comp // 2)
-        return it.SystemSpec("MKGmodel", N1=half, N2=max(1, n_comp - half))
-    raise ConfigError(f"unknown system {name!r}")
+    if name not in it.KINDS:
+        raise ConfigError(f"unknown system {name!r}")
+    if name != "MKGmodel":
+        return it.SystemSpec(name, N=n_comp)
+    if n_comp < 3:
+        raise ConfigError(f"MKGmodel needs components >= 3, got {n_comp}: it splits them into "
+                          "u (components // 2) and v (the rest), and with one v component "
+                          "Q_ij(v, v) = 0 by antisymmetry, so the u-equation never moves")
+    return it.SystemSpec(name, N1=n_comp // 2, N2=n_comp - n_comp // 2)
 
 
-def cmd_iterate(args, file_cfg) -> int:
-    defaults = dict(GRID_KEYS)
-    defaults.update({"iterate.system": "scalarQ0", "iterate.J": 8,
-                     "iterate.components": 1, "iterate.s": 1.2,
-                     "iterate.theta": 0.6, "iterate.cutoff_width": None,
-                     "iterate.data_scale": 0.05, "iterate.max_freq": 2,
-                     "iterate.seed": 0, "iterate.out": None})
-    cfg = _resolve(defaults, file_cfg,
-                   {"grid.n": args.n, "grid.N_t": args.nt, "grid.N_x": args.nx,
-                    "grid.T_per": args.t_per, "grid.L_per": args.l_per,
-                    "iterate.system": args.system, "iterate.J": args.J,
-                    "iterate.components": args.components, "iterate.s": args.s,
-                    "iterate.theta": args.theta,
-                    "iterate.cutoff_width": args.cutoff_width,
-                    "iterate.data_scale": args.data_scale,
-                    "iterate.seed": args.seed, "iterate.out": args.out})
+def cmd_iterate(cfg) -> int:
     grid = _grid_from(cfg)
     if cfg["iterate.cutoff_width"] is None:
         cfg["iterate.cutoff_width"] = grid.T_per / 2.0
@@ -275,27 +276,7 @@ def parse_form(text, n: int):
     raise ConfigError(f"unknown form {text!r}; expected product, q0, qtilde or qij<i><j>, i < j <= {n}")
 
 
-def cmd_probe_embedding(args, file_cfg) -> int:
-    defaults = dict(GRID_KEYS)
-    defaults.update({"probe.ensemble": "random-gaussian", "probe.trials": 20,
-                     "probe.seed": 0, "probe.form": "product",
-                     "probe.left_s": 1.2, "probe.left_theta": 0.6,
-                     "probe.right_s": 1.2, "probe.right_theta": 0.6,
-                     "probe.target_s": 1.2, "probe.target_theta": 0.6,
-                     "probe.target_q": None, "probe.target_r": None,
-                     "probe.unary": False,
-                     "probe.scales": None, "probe.out": None})
-    cfg = _resolve(defaults, file_cfg,
-                   {"grid.n": args.n, "grid.N_t": args.nt, "grid.N_x": args.nx,
-                    "grid.T_per": args.t_per, "grid.L_per": args.l_per,
-                    "probe.ensemble": args.ensemble, "probe.trials": args.trials,
-                    "probe.seed": args.seed, "probe.form": args.form,
-                    "probe.left_s": args.left_s, "probe.left_theta": args.left_theta,
-                    "probe.right_s": args.right_s, "probe.right_theta": args.right_theta,
-                    "probe.target_s": args.target_s, "probe.target_theta": args.target_theta,
-                    "probe.target_q": args.target_q, "probe.target_r": args.target_r,
-                    "probe.unary": True if args.unary else None,
-                    "probe.scales": args.scales, "probe.out": args.out})
+def cmd_probe_embedding(cfg) -> int:
     form = parse_form(cfg["probe.form"], cfg["grid.n"])
     target_mixed = None
     if cfg["probe.target_q"] is not None or cfg["probe.target_r"] is not None:
@@ -307,9 +288,9 @@ def cmd_probe_embedding(args, file_cfg) -> int:
         right=mult.SpaceIndex(cfg["probe.right_s"], cfg["probe.right_theta"]),
         target=mult.SpaceIndex(cfg["probe.target_s"], cfg["probe.target_theta"]),
         n=cfg["grid.n"], form=form, target_mixed=target_mixed,
-        unary=bool(cfg["probe.unary"]))
+        unary=cfg["probe.unary"])
     scales = cfg["probe.scales"]
-    if isinstance(scales, str):
+    if scales is not None:
         scales = [float(x) for x in scales.split(",")]
     grid = _grid_from(cfg)
     report = pr.probe_embedding(spec, cfg["probe.ensemble"], cfg["probe.trials"],
@@ -344,16 +325,7 @@ def cmd_probe_embedding(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def cmd_probe_kernel(args, file_cfg) -> int:
-    defaults = {"kernel.a": 1.2, "kernel.b": 0.2, "kernel.c": 0.3,
-                "kernel.sign": "plus", "kernel.variant": "homogeneous",
-                "kernel.n": 3, "kernel.R": 16.0, "kernel.h": 0.1,
-                "kernel.halvings": 2, "kernel.out": None}
-    cfg = _resolve(defaults, file_cfg,
-                   {"kernel.a": args.a, "kernel.b": args.b, "kernel.c": args.c,
-                    "kernel.sign": args.sign, "kernel.variant": args.variant,
-                    "kernel.n": args.n, "kernel.R": args.R, "kernel.h": args.h,
-                    "kernel.halvings": args.halvings, "kernel.out": args.out})
+def cmd_probe_kernel(cfg) -> int:
     k = pr.KernelSpec(a=cfg["kernel.a"], b=cfg["kernel.b"], c=cfg["kernel.c"],
                       sign=cfg["kernel.sign"], variant=cfg["kernel.variant"],
                       n=cfg["kernel.n"])
@@ -374,18 +346,9 @@ def cmd_probe_kernel(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def cmd_counterexample(args, file_cfg) -> int:
-    defaults = {"ce.n": 3, "ce.s": 0.4, "ce.theta": 0.6, "ce.L": "8,16,32,64",
-                "ce.membership_samples": 0, "ce.seed": 0, "ce.out": None}
-    cfg = _resolve(defaults, file_cfg,
-                   {"ce.n": args.n, "ce.s": args.s, "ce.theta": args.theta,
-                    "ce.L": args.L, "ce.membership_samples": args.membership_samples,
-                    "ce.seed": args.seed, "ce.out": args.out})
-    Ls = cfg["ce.L"]
-    if isinstance(Ls, str):
-        Ls = [float(x) for x in Ls.split(",")]
-    params = [pr.CounterexampleParams(L=L, s=cfg["ce.s"], theta=cfg["ce.theta"],
-                                      n=cfg["ce.n"]) for L in Ls]
+def cmd_counterexample(cfg) -> int:
+    params = [pr.CounterexampleParams(L=float(L), s=cfg["ce.s"], theta=cfg["ce.theta"],
+                                      n=cfg["ce.n"]) for L in cfg["ce.L"].split(",")]
     recs = _sweep(pr.counterexample_norms, params)
     fit_u = pr.scaling_fit([(r.L, r.norm_u) for r in recs])
     fit_v = pr.scaling_fit([(r.L, r.norm_v) for r in recs])
@@ -413,7 +376,7 @@ def cmd_counterexample(args, file_cfg) -> int:
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
-def cmd_selftest(args, file_cfg) -> int:
+def cmd_selftest(cfg) -> int:
     grid = lat.make_grid(2, 16, 16, 2 * math.pi, 2 * math.pi)
     rng = np.random.default_rng(0)
     P = rng.standard_normal(grid.spacetime_shape)
@@ -436,121 +399,78 @@ def cmd_selftest(args, file_cfg) -> int:
 
 
 # ---------------------------------------------------------------------------
+# option tables
 
 
-def _add_grid_args(p):
-    p.add_argument("--n", type=int)
-    p.add_argument("--nt", type=int)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--t-per", dest="t_per", type=float)
-    p.add_argument("--l-per", dest="l_per", type=float)
+GRID = (Opt("grid.n", int, 2), Opt("grid.N_t", int, 16, flag="--nt"),
+        Opt("grid.N_x", int, 16, flag="--nx"),
+        Opt("grid.T_per", float, 2 * math.pi, flag="--t-per"),
+        Opt("grid.L_per", float, 2 * math.pi, flag="--l-per"))
+
+COMMANDS = {
+    "admissible": (cmd_admissible, "Strichartz exponent bookkeeping", (
+        Opt("adm.q", float, 4.0), Opt("adm.r", float, 4.0), Opt("adm.n", int, 3),
+        Opt("adm.sigma", float), Opt("adm.s1", float), Opt("adm.s2", float))),
+    "symbol-check": (cmd_symbol_check, "fuzz a registered pointwise inequality", (
+        Opt("symbol.name", str, "delta",
+            f"one of: {', '.join(sorted(nf.INEQUALITY_REGISTRY))}; or 'all'"),
+        Opt("symbol.samples", _count(1), 100000), Opt("symbol.seed", int, 0),
+        Opt("symbol.out", str))),
+    "norms": (cmd_norms, "norm panel for a stored or seeded field", GRID + (
+        Opt("norms.s", float, 0.5), Opt("norms.theta", float, 0.6),
+        Opt("norms.q", float, 2.0), Opt("norms.r", float, 2.0), Opt("norms.seed", int, 0),
+        Opt("norms.field", str, help="path to an NFLB1 container"), Opt("norms.out", str))),
+    "iterate": (cmd_iterate, "Picard run for a model system", GRID + (
+        Opt("iterate.system", str, "scalarQ0"), Opt("iterate.J", int, 8),
+        Opt("iterate.components", _count(1), 1), Opt("iterate.s", float, 1.2),
+        Opt("iterate.theta", float, 0.6), Opt("iterate.cutoff_width", float),
+        Opt("iterate.data_scale", float, 0.05), Opt("iterate.max_freq", _count(0), 2),
+        Opt("iterate.seed", int, 0), Opt("iterate.out", str))),
+    "probe-embedding": (cmd_probe_embedding, "worst-case ratio study", GRID + (
+        Opt("probe.ensemble", str, "random-gaussian"), Opt("probe.trials", int, 20),
+        Opt("probe.seed", int, 0), Opt("probe.form", str, "product"),
+        Opt("probe.left_s", float, 1.2), Opt("probe.left_theta", float, 0.6),
+        Opt("probe.right_s", float, 1.2), Opt("probe.right_theta", float, 0.6),
+        Opt("probe.target_s", float, 1.2), Opt("probe.target_theta", float, 0.6),
+        Opt("probe.target_q", float,
+            help="with --target-r: mixed-norm target via the upper surrogate"),
+        Opt("probe.target_r", float),
+        Opt("probe.unary", _bool, False, "probe a linear embedding: target(u) / source(u)"),
+        Opt("probe.scales", str), Opt("probe.out", str))),
+    "probe-kernel": (cmd_probe_kernel, "Schur certificate refinement ladder", (
+        Opt("kernel.a", float, 1.2), Opt("kernel.b", float, 0.2), Opt("kernel.c", float, 0.3),
+        Opt("kernel.sign", str, "plus"), Opt("kernel.variant", str, "homogeneous"),
+        Opt("kernel.n", int, 3), Opt("kernel.R", float, 16.0), Opt("kernel.h", float, 0.1),
+        # the finest rung is h / 2**halvings, and 2**1024 is no longer a float
+        Opt("kernel.halvings", _count(0, 1023), 2), Opt("kernel.out", str))),
+    "counterexample": (cmd_counterexample, "slab/shell family scaling study", (
+        Opt("ce.n", int, 3), Opt("ce.s", float, 0.4), Opt("ce.theta", float, 0.6),
+        Opt("ce.L", str, "8,16,32,64"), Opt("ce.membership_samples", _count(0), 0),
+        Opt("ce.seed", int, 0), Opt("ce.out", str))),
+    "selftest": (cmd_selftest, "fast built-in checks", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags from the option tables; each stores its text under the option's key."""
     ap = argparse.ArgumentParser(prog="nflab")
     ap.add_argument("--config", help="flat key = value config file")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("admissible", help="Strichartz exponent bookkeeping")
-    p.add_argument("--q", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--s1", type=float)
-    p.add_argument("--s2", type=float)
-    p.set_defaults(func=cmd_admissible)
-
-    registry_names = ", ".join(sorted(nf.INEQUALITY_REGISTRY))
-    p = sub.add_parser("symbol-check", help="fuzz a registered pointwise inequality",
-                       description=f"Registry names: {registry_names}, or 'all'.")
-    p.add_argument("--name", help=f"one of: {registry_names}; or 'all'")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_symbol_check)
-
-    p = sub.add_parser("norms", help="norm panel for a stored or seeded field")
-    _add_grid_args(p)
-    p.add_argument("--s", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--field", help="path to an NFLB1 container")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_norms)
-
-    p = sub.add_parser("iterate", help="Picard run for a model system")
-    _add_grid_args(p)
-    p.add_argument("--system")
-    p.add_argument("--J", type=int)
-    p.add_argument("--components", type=int)
-    p.add_argument("--s", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--cutoff-width", dest="cutoff_width", type=float)
-    p.add_argument("--data-scale", dest="data_scale", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_iterate)
-
-    p = sub.add_parser("probe-embedding", help="worst-case ratio study")
-    _add_grid_args(p)
-    p.add_argument("--ensemble")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--form")
-    p.add_argument("--left-s", dest="left_s", type=float)
-    p.add_argument("--left-theta", dest="left_theta", type=float)
-    p.add_argument("--right-s", dest="right_s", type=float)
-    p.add_argument("--right-theta", dest="right_theta", type=float)
-    p.add_argument("--target-s", dest="target_s", type=float)
-    p.add_argument("--target-theta", dest="target_theta", type=float)
-    p.add_argument("--target-q", dest="target_q", type=float,
-                   help="with --target-r: mixed-norm target via the upper surrogate")
-    p.add_argument("--target-r", dest="target_r", type=float)
-    p.add_argument("--unary", action="store_true", default=None,
-                   help="probe a linear embedding: target(u) / source(u)")
-    p.add_argument("--scales")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_probe_embedding)
-
-    p = sub.add_parser("probe-kernel", help="Schur certificate refinement ladder")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--sign")
-    p.add_argument("--variant")
-    p.add_argument("--n", type=int)
-    p.add_argument("--R", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--halvings", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_probe_kernel)
-
-    p = sub.add_parser("counterexample", help="slab/shell family scaling study")
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--L")
-    p.add_argument("--membership-samples", dest="membership_samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_counterexample)
-
-    p = sub.add_parser("selftest", help="fast built-in checks")
-    p.set_defaults(func=cmd_selftest)
+    for name, (_, help_, opts) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for o in opts:
+            switch = {"action": "store_const", "const": "true"} if o.type is _bool else {}
+            p.add_argument(_flag(o), dest=o.key, help=o.help, **switch)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    file_cfg = {}
+    args = build_parser().parse_args(argv)
+    func, _, opts = COMMANDS[args.command]
     try:
-        if args.config:
-            file_cfg = read_config(args.config)
-        return args.func(args, file_cfg)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+        file_cfg = read_config(args.config) if args.config else {}
+        return func(_resolve(opts, file_cfg, vars(args)))
+    except (ConfigError, ValueError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nflab import cli
 from nflab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, read_config
 from nflab.lattice import SPACETIME, make_grid, random_field, write_field
 
@@ -271,3 +272,90 @@ def test_norms_rejects_malformed_field_file(tmp_path, capsys, cut):
     assert main(["norms", "--field", str(path)]) == EXIT_CONFIG
     got = 16 * 512 + (8 if cut == "trailing" else -8)
     assert f"payload has {got} bytes, expected {16 * 512}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("components", ["1", "2"])
+def test_mkgmodel_needs_three_components(capsys, components):
+    # with one v component Q_ij(v, v) = 0, so the u-equation would never move
+    code = main(["iterate", "--system", "MKGmodel", "--components", components,
+                 "--J", "1", "--n", "2", "--nt", "8", "--nx", "8"])
+    assert code == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and "components >= 3" in out
+
+
+@pytest.mark.parametrize("halvings", ["-3", "2000"])
+def test_probe_kernel_rejects_halvings_before_the_ladder(capsys, monkeypatch, halvings):
+    monkeypatch.setattr(cli.pr, "schur_ladder", lambda *a: pytest.fail("ladder was built"))
+    code = main(["probe-kernel", "--R", "4", "--h", "0.2", "--halvings", halvings])
+    assert code == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and f"kernel.halvings = '{halvings}'" in out
+
+
+@pytest.mark.parametrize("via", ["file", "flag"])
+@pytest.mark.parametrize("command, section, key, text", [
+    ("iterate", "iterate", "J", "2.5"),
+    ("symbol-check", "symbol", "samples", "10.5"),
+    ("admissible", "adm", "q", "true"),
+    ("admissible", "adm", "q", "four"),
+    ("symbol-check", "symbol", "samples", "-5"),
+    ("iterate", "iterate", "components", "0"),
+    ("iterate", "iterate", "components", "-1"),
+    ("iterate", "iterate", "max_freq", "-1"),
+    ("counterexample", "ce", "membership_samples", "-1"),
+])
+def test_bad_value_is_a_config_error_naming_key_and_value(tmp_path, capsys, via,
+                                                          command, section, key, text):
+    if via == "file":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {text}\n")
+        argv = ["--config", str(cfg), command]
+    else:
+        argv = [command, "--" + key.replace("_", "-"), text]
+    assert main(argv) == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and f"{section}.{key} = '{text}'" in out
+
+
+def test_quoted_integer_in_file_reads_like_the_flag(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text('[grid]\nn = "2"\n')
+    args = ["norms", "--nt", "8", "--nx", "8", "--seed", "1", "--out"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    code = main(["--config", str(cfg)] + args + [str(a)])
+    assert code in (EXIT_OK, EXIT_NUMERICAL)
+    assert main(args + [str(b), "--n", "2"]) == code
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_only_config_errors_map_to_exit_2(monkeypatch):
+    def broken(*args):
+        raise KeyError("bug")
+    monkeypatch.setattr(cli.mult, "is_wave_admissible", broken)
+    with pytest.raises(KeyError):
+        main(["admissible"])
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_flag_and_file_resolve_alike(tmp_path, command):
+    opts = cli.COMMANDS[command][2]
+    parser = cli.build_parser()
+    for o in opts:
+        if o.default is None:
+            continue
+        switch = isinstance(o.default, bool)
+        text = "true" if switch else str(o.default)
+        section, key = o.key.split(".", 1)
+        path = tmp_path / f"{o.key}.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        from_file = cli._resolve(opts, read_config(str(path)), {})
+        flag = [cli._flag(o)] + ([] if switch else [text])
+        from_flag = cli._resolve(opts, {}, vars(parser.parse_args([command] + flag)))
+        assert from_file == from_flag, o.key
+        assert cli._header(from_file) == cli._header(from_flag)
+        if not switch:
+            assert type(from_flag[o.key]) is type(o.default) and from_flag[o.key] == o.default
+    header = cli._header(cli._resolve(opts, {}, {}))
+    for o in opts:
+        assert (f" {o.key}=" in header) == (not o.key.endswith(".out")), o.key
