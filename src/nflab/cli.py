@@ -409,7 +409,7 @@ GRID = (Opt("grid.n", int, 2), Opt("grid.N_t", int, 16, flag="--nt"),
 
 COMMANDS = {
     "admissible": (cmd_admissible, "Strichartz exponent bookkeeping", (
-        Opt("adm.q", float, 4.0), Opt("adm.r", float, 4.0), Opt("adm.n", int, 3),
+        Opt("adm.q", float, 4.0), Opt("adm.r", float, 4.0), Opt("adm.n", _count(1), 3),
         Opt("adm.sigma", float), Opt("adm.s1", float), Opt("adm.s2", float))),
     "symbol-check": (cmd_symbol_check, "fuzz a registered pointwise inequality", (
         Opt("symbol.name", str, "delta",
@@ -440,7 +440,7 @@ COMMANDS = {
     "probe-kernel": (cmd_probe_kernel, "Schur certificate refinement ladder", (
         Opt("kernel.a", float, 1.2), Opt("kernel.b", float, 0.2), Opt("kernel.c", float, 0.3),
         Opt("kernel.sign", str, "plus"), Opt("kernel.variant", str, "homogeneous"),
-        Opt("kernel.n", int, 3), Opt("kernel.R", float, 16.0), Opt("kernel.h", float, 0.1),
+        Opt("kernel.n", _count(1), 3), Opt("kernel.R", float, 16.0), Opt("kernel.h", float, 0.1),
         # the finest rung is h / 2**halvings, and 2**1024 is no longer a float
         Opt("kernel.halvings", _count(0, 1023), 2), Opt("kernel.out", str))),
     "counterexample": (cmd_counterexample, "slab/shell family scaling study", (

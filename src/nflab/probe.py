@@ -17,7 +17,10 @@ Three kinds of evidence are produced, none of which claims a proof:
 * counterexample_norms integrates the slab/shell indicator family over its
   explicit sets by product quadrature, for scaling-law regression in the
   family scale L; counterexample_lattice_ratio convolves the family's
-  lattice indicators by FFT on 5-smooth lengths.
+  lattice indicators in light-cone coordinates (tau - xi_1, xi_1, xi'),
+  where the slab A is the product {-1, 0, 1} x [ceil(L/2), floor(L)] x
+  Ann_L: two running sums along the first two axes and one FFT over the
+  n - 1 transverse axes per sheared slab, on 5-smooth lengths.
 """
 
 from __future__ import annotations
@@ -178,6 +181,7 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
     if ensemble == "counterexample-family":
         if scales is None:
             scales = [4, 6, 8, 12]
+        _check_scales(scales)
         vals = [counterexample_lattice_ratio(spec, L) for L in scales]
         fit = scaling_fit(list(zip(scales, vals)))
         growth = fit.slope > GROWTH_SLOPE and fit.residual < GROWTH_RESIDUAL
@@ -187,6 +191,9 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
                            verdict="growth-detected" if growth else "inconclusive",
                            slope=fit.slope, residual=fit.residual,
                            scales=list(scales), values=[float(v) for v in vals])
+    if scales is not None:
+        raise ValueError(f"scales apply only to the counterexample-family ensemble, "
+                         f"not to {ensemble!r}")
     if grid is None:
         raise ValueError("lattice ensembles need a grid")
     sup1, witness, excluded = _sup_ratio(spec, grid, ensemble, trials, seed)
@@ -208,44 +215,35 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
 # lattice counterexample family (indicator spectra of the slab/shell sets)
 
 
+def _transverse_points(lo: float, hi: float, d: int) -> np.ndarray:
+    """Integer points eta' of Z^d with lo <= |eta'| <= hi, in row-major order."""
+    rng = np.arange(-math.floor(hi), math.floor(hi) + 1)
+    grids = np.meshgrid(*([rng] * d), indexing="ij")
+    prim = np.stack([g.ravel() for g in grids], axis=-1)
+    pn = np.linalg.norm(prim, axis=-1)
+    return prim[(pn >= lo) & (pn <= hi)]
+
+
 def _lattice_set_A(L: float, n: int):
     """Integer points of |lam - eta_1| <= 1, L/2 <= eta_1 <= L, L/2 <= |eta'| <= L."""
     eta1 = np.arange(math.ceil(L / 2.0), math.floor(L) + 1)
-    prim_rng = np.arange(-math.floor(L), math.floor(L) + 1)
-    grids = np.meshgrid(*([prim_rng] * (n - 1)), indexing="ij")
-    prim = np.stack([g.ravel() for g in grids], axis=-1)
-    pn = np.linalg.norm(prim, axis=-1)
-    prim = prim[(pn >= L / 2.0) & (pn <= L)]
-    rows = []
-    for e1 in eta1:
-        for lam in (e1 - 1, e1, e1 + 1):
-            block = np.concatenate([np.full((len(prim), 1), lam),
-                                    np.full((len(prim), 1), e1), prim], axis=1)
-            rows.append(block)
-    return np.concatenate(rows, axis=0).astype(int)
+    prim = _transverse_points(L / 2.0, L, n - 1)
+    e, d, p = np.indices((len(eta1), 3, len(prim))).reshape(3, -1)
+    return np.column_stack([eta1[e] + d - 1, eta1[e], prim[p]])
 
 
 def _lattice_set_B(L: float, n: int):
     """Integer points of |tau - |xi|| <= 8, L^2/2 <= xi_1 <= 4 L^2, |xi'| <= 2L."""
     xi1 = np.arange(math.ceil(L * L / 2.0), math.floor(4 * L * L) + 1)
-    prim_rng = np.arange(-math.floor(2 * L), math.floor(2 * L) + 1)
-    grids = np.meshgrid(*([prim_rng] * (n - 1)), indexing="ij")
-    prim = np.stack([g.ravel() for g in grids], axis=-1)
-    pn = np.linalg.norm(prim, axis=-1)
-    prim = prim[pn <= 2 * L]
-    rows = []
-    for x1 in xi1:
-        r = np.sqrt(x1**2 + np.sum(prim**2, axis=-1))
-        for off in range(-8, 9):
-            tau = np.rint(r).astype(int) + off
-            keep = np.abs(tau - r) <= 8
-            if not np.any(keep):
-                continue
-            block = np.concatenate([tau[keep, None],
-                                    np.full((int(keep.sum()), 1), x1),
-                                    prim[keep]], axis=1)
-            rows.append(block)
-    return np.concatenate(rows, axis=0).astype(int)
+    prim = _transverse_points(0.0, 2 * L, n - 1)
+    r = np.sqrt(xi1[:, None] ** 2 + np.sum(prim**2, axis=-1))
+    tau = np.rint(r).astype(int)[:, None, :] + np.arange(-8, 9)[None, :, None]
+    keep = np.abs(tau - r[:, None, :]) <= 8  # rows ordered by (xi_1, tau offset, xi')
+    rows = np.empty((int(keep.sum()), n + 1), dtype=int)
+    rows[:, 0] = tau[keep]
+    rows[:, 1] = np.broadcast_to(xi1[:, None, None], keep.shape)[keep]
+    rows[:, 2:] = np.broadcast_to(prim, keep.shape + prim.shape[1:])[keep]
+    return rows
 
 
 def _sparse_ws_norm(points: np.ndarray, idx: SpaceIndex, values=1.0) -> float:
@@ -273,37 +271,66 @@ def _smooth_length(n: int) -> int:
     return best
 
 
+def _check_scales(scales) -> None:
+    """Family scales must be finite and >= 1: below 1 the set A is empty."""
+    for L in scales:
+        if not (math.isfinite(L) and L >= 1.0):
+            raise ValueError(f"family scale L must be finite and >= 1, got {L!r}")
+
+
+def _box_sum(a: np.ndarray, width: int, axis: int) -> np.ndarray:
+    """Full convolution of `a` with `width` ones along `axis`: a running sum."""
+    out = np.zeros(a.shape[:axis] + (a.shape[axis] + width - 1,) + a.shape[axis + 1:])
+    view, src = np.moveaxis(out, axis, 0), np.moveaxis(a, axis, 0)
+    for k in range(width):
+        view[k:k + len(src)] += src
+    return out
+
+
 def counterexample_lattice_ratio(spec: EmbeddingSpec, L: float) -> float:
     """Plain-product estimate ratio for indicator spectra of A and B at scale L.
 
-    The convolution is computed exactly via FFT on the index bounding box,
-    zero-padded to 5-smooth lengths and cropped back; the ratio is
-    0-homogeneous so the unit-coefficient normalization is immaterial.
+    1_A * 1_B is computed exactly in light-cone coordinates: the unimodular
+    shear S(tau, xi_1, xi') = (tau - xi_1, xi_1, xi') maps A onto the product
+    {-1, 0, 1} x [ceil(L/2), floor(L)] x Ann_L.  So 1_SB takes running sums of
+    width 3 and floor(L) - ceil(L/2) + 1 along its first two axes (exact, on
+    integers), and each slab along the sheared axis is convolved with 1_{Ann_L}
+    by an FFT over the n - 1 transverse axes only, on 5-smooth lengths.  Each
+    slab's occupied cells are mapped back through S^-1 for the weights.
     """
     n = spec.n
     if n < 2:
         raise ValueError("counterexample family needs n >= 2")
-    A = _lattice_set_A(L, n)
+    _check_scales([L])
     B = _lattice_set_B(L, n)
-    lo = A.min(axis=0) + B.min(axis=0)
-    hi = A.max(axis=0) + B.max(axis=0)
-    shape_A = A.max(axis=0) - A.min(axis=0) + 1
-    shape_B = B.max(axis=0) - B.min(axis=0) + 1
-    full = tuple(int(a + b - 1) for a, b in zip(shape_A, shape_B))
-    boxA = np.zeros(tuple(shape_A), dtype=float)
-    boxA[tuple((A - A.min(axis=0)).T)] = 1.0
-    boxB = np.zeros(tuple(shape_B), dtype=float)
-    boxB[tuple((B - B.min(axis=0)).T)] = 1.0
-    axes = tuple(range(len(full)))
+    den = _sparse_ws_norm(_lattice_set_A(L, n), spec.left) * _sparse_ws_norm(B, spec.right)
+    B[:, 0] -= B[:, 1]  # B becomes SB: S(tau, xi_1, xi') = (tau - xi_1, xi_1, xi')
+    lo = B.min(axis=0)
+    B -= lo
+    box = np.zeros(tuple(B.max(axis=0) + 1))
+    box[tuple(B.T)] = 1.0
+    eta1_lo, eta1_hi = math.ceil(L / 2.0), math.floor(L)
+    ann = _transverse_points(L / 2.0, L, n - 1)
+    runs = _box_sum(_box_sum(box, 3, 0), eta1_hi - eta1_lo + 1, 1)
+    ann_lo = ann.min(axis=0)
+    ann_box = np.zeros(tuple(ann.max(axis=0) - ann_lo + 1))
+    ann_box[tuple((ann - ann_lo).T)] = 1.0
+    full = tuple(int(a + b - 1) for a, b in zip(box.shape[2:], ann_box.shape))
     fft_shape = tuple(_smooth_length(m) for m in full)
-    spectrum = np.fft.rfftn(boxA, fft_shape, axes=axes)
-    spectrum *= np.fft.rfftn(boxB, fft_shape, axes=axes)
-    conv = np.fft.irfftn(spectrum, fft_shape, axes=axes)[tuple(slice(0, m) for m in full)]
-    conv[conv < 1e-9] = 0.0
-    occ = np.argwhere(conv > 0)
-    pts = occ + lo
-    num = _sparse_ws_norm(pts, spec.target, conv[tuple(occ.T)])
-    return num / (_sparse_ws_norm(A, spec.left) * _sparse_ws_norm(B, spec.right))
+    axes = tuple(range(1, n))
+    ann_spectrum = np.fft.rfftn(ann_box, fft_shape, axes=tuple(range(n - 1)))
+    crop = (slice(None),) + tuple(slice(0, m) for m in full)
+    origin = np.concatenate([[lo[0] - 1, lo[1] + eta1_lo], lo[2:] + ann_lo])
+    num_sq = 0.0
+    for k, slab in enumerate(runs):
+        spectrum = np.fft.rfftn(slab, fft_shape, axes=axes) * ann_spectrum
+        conv = np.fft.irfftn(spectrum, fft_shape, axes=axes)[crop]
+        conv[conv < 1e-9] = 0.0  # FFT rounding of empty cells
+        occ = np.argwhere(conv > 0)
+        pts = np.column_stack([np.full(len(occ), k), occ]) + origin
+        pts[:, 0] += pts[:, 1]  # S^-1: tau = (tau - xi_1) + xi_1
+        num_sq += _sparse_ws_norm(pts, spec.target, conv[tuple(occ.T)]) ** 2
+    return math.sqrt(num_sq) / den
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +359,8 @@ class KernelSpec:
             raise ValueError("sign must be 'plus' or 'minus'")
         if self.variant not in ("homogeneous", "inhomogeneous"):
             raise ValueError("variant must be 'homogeneous' or 'inhomogeneous'")
+        if self.n < 1:
+            raise ValueError(f"kernel dimension n must be >= 1, got {self.n!r}")
 
 
 def kernel_eval(k: KernelSpec, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -537,8 +566,8 @@ class CounterexampleParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("counterexample needs n >= 2")
-        if self.L < 4:
-            raise ValueError("scale L must be at least 4")
+        if not (math.isfinite(self.L) and self.L >= 4):
+            raise ValueError(f"scale L must be finite and at least 4, got {self.L!r}")
         if not (2 <= self.j <= self.n):
             raise ValueError("second null-form axis must satisfy 2 <= j <= n")
 

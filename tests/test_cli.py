@@ -359,3 +359,41 @@ def test_flag_and_file_resolve_alike(tmp_path, command):
     header = cli._header(cli._resolve(opts, {}, {}))
     for o in opts:
         assert (f" {o.key}=" in header) == (not o.key.endswith(".out")), o.key
+
+
+def test_scales_with_a_lattice_ensemble_is_a_config_error(capsys):
+    code = main(["probe-embedding", "--ensemble", "random-gaussian", "--scales", "4,6,8",
+                 "--n", "2", "--nt", "8", "--nx", "8", "--trials", "1"])
+    assert code == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and "counterexample-family" in out
+
+
+@pytest.mark.parametrize("scales, bad", [("4,6,inf", "inf"), ("4,6,nan", "nan"),
+                                         ("-4,6,8", "-4.0"), ("0.5,1,2", "0.5")])
+def test_family_scales_checked_before_any_is_computed(capsys, monkeypatch, scales, bad):
+    monkeypatch.setattr(cli.pr, "counterexample_lattice_ratio",
+                        lambda *a: pytest.fail("a scale was computed"))
+    code = main(["probe-embedding", "--ensemble", "counterexample-family", "--n", "2",
+                 f"--scales={scales}"])
+    assert code == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and f"got {bad}" in out
+
+
+@pytest.mark.parametrize("L, bad", [("8,16,inf", "inf"), ("8,nan,16", "nan")])
+def test_counterexample_rejects_non_finite_scale(capsys, monkeypatch, L, bad):
+    monkeypatch.setattr(cli.pr, "counterexample_norms",
+                        lambda *a: pytest.fail("a scale was computed"))
+    assert main(["counterexample", "--L", L]) == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and f"got {bad}" in out
+
+
+@pytest.mark.parametrize("command, key, n", [("admissible", "adm.n", "0"),
+                                             ("admissible", "adm.n", "-2"),
+                                             ("probe-kernel", "kernel.n", "0")])
+def test_dimension_below_one_is_a_config_error(capsys, command, key, n):
+    assert main([command, "--n", n]) == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and f"{key} = '{n}'" in out

@@ -135,6 +135,12 @@ def test_schur_rejects_non_finite_or_vanishing_cut(R, h):
         schur_ladder(k, [(16.0, 0.1), (R, h)])
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_kernel_spec_rejects_dimension_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        KernelSpec(a=1.2, b=0.2, c=0.3, n=n)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(a=-1.0, b=0.0, c=0.0)
@@ -357,6 +363,171 @@ def test_counterexample_lattice_ratio_matches_unpadded_fft(n, L, monkeypatch):
     monkeypatch.setattr(probe, "_smooth_length", lambda m: m)
     unpadded = counterexample_lattice_ratio(spec, L)
     assert padded == pytest.approx(unpadded, rel=1e-12, abs=0.0)
+
+
+def _family_spec(n):
+    """crit 9's failing product estimate; distinct SpaceIndex objects per role."""
+    return EmbeddingSpec(left=SpaceIndex(0.5, 0.1), right=SpaceIndex(-0.5, 0.6),
+                         target=SpaceIndex(-0.5, -0.4), n=n)
+
+
+def _loop_lattice_set_A(L, n):
+    """The per-(eta_1, lam) loop that enumerated A before the light-cone route."""
+    eta1 = np.arange(math.ceil(L / 2.0), math.floor(L) + 1)
+    prim_rng = np.arange(-math.floor(L), math.floor(L) + 1)
+    grids = np.meshgrid(*([prim_rng] * (n - 1)), indexing="ij")
+    prim = np.stack([g.ravel() for g in grids], axis=-1)
+    pn = np.linalg.norm(prim, axis=-1)
+    prim = prim[(pn >= L / 2.0) & (pn <= L)]
+    rows = []
+    for e1 in eta1:
+        for lam in (e1 - 1, e1, e1 + 1):
+            rows.append(np.concatenate([np.full((len(prim), 1), lam),
+                                        np.full((len(prim), 1), e1), prim], axis=1))
+    return np.concatenate(rows, axis=0).astype(int)
+
+
+def _loop_lattice_set_B(L, n):
+    """The per-(xi_1, offset) loop that enumerated B before the light-cone route."""
+    xi1 = np.arange(math.ceil(L * L / 2.0), math.floor(4 * L * L) + 1)
+    prim_rng = np.arange(-math.floor(2 * L), math.floor(2 * L) + 1)
+    grids = np.meshgrid(*([prim_rng] * (n - 1)), indexing="ij")
+    prim = np.stack([g.ravel() for g in grids], axis=-1)
+    pn = np.linalg.norm(prim, axis=-1)
+    prim = prim[pn <= 2 * L]
+    rows = []
+    for x1 in xi1:
+        r = np.sqrt(x1**2 + np.sum(prim**2, axis=-1))
+        for off in range(-8, 9):
+            tau = np.rint(r).astype(int) + off
+            keep = np.abs(tau - r) <= 8
+            if not np.any(keep):
+                continue
+            rows.append(np.concatenate([tau[keep, None],
+                                        np.full((int(keep.sum()), 1), x1),
+                                        prim[keep]], axis=1))
+    return np.concatenate(rows, axis=0).astype(int)
+
+
+def _full_box_ratio(spec, L):
+    """The full-box FFT route: (ratio, occupied modes, convolution values there)."""
+    A = probe._lattice_set_A(L, spec.n)
+    B = probe._lattice_set_B(L, spec.n)
+    lo = A.min(axis=0) + B.min(axis=0)
+    shape_A = A.max(axis=0) - A.min(axis=0) + 1
+    shape_B = B.max(axis=0) - B.min(axis=0) + 1
+    full = tuple(int(a + b - 1) for a, b in zip(shape_A, shape_B))
+    boxA = np.zeros(tuple(shape_A), dtype=float)
+    boxA[tuple((A - A.min(axis=0)).T)] = 1.0
+    boxB = np.zeros(tuple(shape_B), dtype=float)
+    boxB[tuple((B - B.min(axis=0)).T)] = 1.0
+    axes = tuple(range(len(full)))
+    fft_shape = tuple(_smooth_length(m) for m in full)
+    spectrum = np.fft.rfftn(boxA, fft_shape, axes=axes)
+    spectrum *= np.fft.rfftn(boxB, fft_shape, axes=axes)
+    conv = np.fft.irfftn(spectrum, fft_shape, axes=axes)[tuple(slice(0, m) for m in full)]
+    conv[conv < 1e-9] = 0.0
+    occ = np.argwhere(conv > 0)
+    values = conv[tuple(occ.T)]
+    num = _sparse_ws_norm(occ + lo, spec.target, values)
+    ratio = num / (_sparse_ws_norm(A, spec.left) * _sparse_ws_norm(B, spec.right))
+    return ratio, occ + lo, values
+
+
+def _sorted_rows(points, values):
+    order = np.lexsort(points.T[::-1])
+    return points[order], values[order]
+
+
+@pytest.mark.parametrize("n, L", [(2, 4), (2, 5.5), (2, 6), (2, 8), (2, 12), (3, 4), (3, 6)])
+def test_light_cone_route_equals_full_box_fft(n, L, monkeypatch):
+    spec = _family_spec(n)
+    want, want_pts, want_vals = _full_box_ratio(spec, L)
+    seen = []
+    sparse = probe._sparse_ws_norm
+
+    def spy(points, idx, values=1.0):
+        if idx is spec.target:
+            seen.append((points.copy(), np.broadcast_to(values, len(points)).copy()))
+        return sparse(points, idx, values)
+
+    monkeypatch.setattr(probe, "_sparse_ws_norm", spy)
+    got = counterexample_lattice_ratio(spec, L)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # the same occupied modes, in unsheared coordinates, with the same counts
+    pts, vals = _sorted_rows(np.concatenate([p for p, _ in seen]),
+                             np.concatenate([v for _, v in seen]))
+    want_pts, want_vals = _sorted_rows(want_pts, want_vals)
+    assert np.array_equal(pts, want_pts)
+    np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("L", [1, 1.5, 4, 5.5, 6, 7.3, 8])
+def test_sheared_set_A_is_a_product_set(n, L):
+    A = probe._lattice_set_A(L, n)
+    SA = A.copy()
+    SA[:, 0] -= A[:, 1]
+    eta1 = range(math.ceil(L / 2), math.floor(L) + 1)
+    ann = [p for p in np.ndindex(*([2 * math.floor(L) + 1] * (n - 1)))
+           if L / 2 <= math.dist(p, [math.floor(L)] * (n - 1)) <= L]
+    want = {(d, e, *(np.array(p) - math.floor(L)))
+            for d in (-1, 0, 1) for e in eta1 for p in ann}
+    assert len(SA) == len(want) and {tuple(row) for row in SA.tolist()} == want
+
+
+@pytest.mark.parametrize("n, L", [(2, 1), (2, 4), (2, 5.5), (2, 7.3), (2, 12), (3, 2), (3, 4),
+                                  (3, 5.5)])
+def test_vectorized_sets_equal_the_loops_row_for_row(n, L):
+    assert np.array_equal(probe._lattice_set_A(L, n), _loop_lattice_set_A(L, n))
+    assert np.array_equal(probe._lattice_set_B(L, n), _loop_lattice_set_B(L, n))
+
+
+@pytest.mark.parametrize("n, L", [(2, 6), (3, 4)])
+def test_light_cone_route_transforms_only_transverse_axes(n, L, monkeypatch):
+    calls = []
+
+    def spying(fft):
+        def spy(a, s=None, axes=None, **kw):
+            calls.append((fft.__name__, np.ndim(a), len(s), axes))
+            return fft(a, s, axes, **kw)
+        return spy
+
+    monkeypatch.setattr(np.fft, "rfftn", spying(np.fft.rfftn))
+    monkeypatch.setattr(np.fft, "irfftn", spying(np.fft.irfftn))
+    spec = _family_spec(n)
+    counterexample_lattice_ratio(spec, L)
+    assert calls
+    for _, ndim, lengths, axes in calls:
+        assert lengths == n - 1
+        # a sheared slab (xi_1 and the transverse axes) or the annulus alone
+        assert (ndim, axes) in ((n, tuple(range(1, n))), (n - 1, tuple(range(n - 1))))
+
+
+@pytest.mark.parametrize("scales", [[4, 6, math.inf], [4, 6, math.nan], [-4, 6, 8],
+                                    [0.5, 1, 2], [4, 6, 0.0]])
+def test_family_rejects_non_finite_or_small_scales_before_any_is_computed(scales,
+                                                                         monkeypatch):
+    monkeypatch.setattr(probe, "counterexample_lattice_ratio",
+                        lambda *a: pytest.fail("a scale was computed"))
+    spec = _family_spec(2)
+    bad = next(L for L in scales if not (math.isfinite(L) and L >= 1))
+    with pytest.raises(ValueError, match=f"got {bad!r}"):
+        probe_embedding(spec, "counterexample-family", 1, None, scales=scales)
+
+
+def test_lattice_ensembles_reject_scales(grid2d):
+    spec = EmbeddingSpec(left=SpaceIndex(1.2, 0.6), right=SpaceIndex(1.2, 0.6),
+                         target=SpaceIndex(1.2, 0.6), n=2)
+    for ensemble in ("random-gaussian", "cone-concentrated"):
+        with pytest.raises(ValueError, match="counterexample-family"):
+            probe_embedding(spec, ensemble, 1, grid2d, scales=[4, 6, 8])
+
+
+@pytest.mark.parametrize("L", [math.inf, math.nan, -math.inf])
+def test_counterexample_params_reject_non_finite_scale(L):
+    with pytest.raises(ValueError, match="finite"):
+        CounterexampleParams(L=L, s=0.4, theta=0.6, n=3)
 
 
 def test_counterexample_lattice_ratio_grows_in_failing_region():
