@@ -187,19 +187,21 @@ def spatial_hs_norm(coeffs: np.ndarray, grid: Grid, s: float) -> float:
 # admissibility and theorem-condition checkers
 #
 # Comparisons: when every input is rational (int or Fraction) the conditions
-# are decided exactly; float inputs use tolerance 1e-12 for equalities and
-# plain comparison for strict inequalities, so boundary equalities resolve
-# per the strict/non-strict form of each condition.
+# are decided exactly in Fractions; otherwise in floats, with slack 1e-12 on
+# equalities and non-strict inequalities and plain comparison for strict
+# ones, so boundary equalities resolve per the strict/non-strict form of each
+# condition.
 
 
-def _exactable(*xs) -> bool:
-    return all(isinstance(x, Rational) and not isinstance(x, float) for x in xs)
+def _arithmetic(*xs):
+    """xs as Fractions with slack 0 when every x is rational, else as floats with slack 1e-12."""
+    if all(isinstance(x, Rational) for x in xs):
+        return [Fraction(x) for x in xs], 0
+    return [float(x) for x in xs], _EQ_TOL
 
 
-def _eq(a, b, exact: bool) -> bool:
-    if exact:
-        return a == b
-    return abs(float(a) - float(b)) <= _EQ_TOL
+def _eq(a, b, tol) -> bool:
+    return abs(a - b) <= tol
 
 
 def is_wave_admissible(q, r, n) -> bool:
@@ -224,57 +226,23 @@ def check_thmB(q, r, n, sigma, s1, s2) -> bool:
     """Bilinear Strichartz region for D^{-sigma}(uv) in L^{q/2} L^{r/2}."""
     if not is_wave_admissible(q, r, n):
         return False
-    exact = _exactable(q, r, sigma, s1, s2)
-    if exact:
-        q, r, sigma, s1, s2 = map(Fraction, (q, r, sigma, s1, s2))
-        half, upper_gap = Fraction(1, 2), n - 2 * n / r - 4 / q
-        cap = Fraction(n, 2) - Fraction(n, 1) / r - 1 / q
-        total = n - 2 * n / r - 2 / q
-    else:
-        q, r, sigma, s1, s2 = map(float, (q, r, sigma, s1, s2))
-        inv_q = 0.0 if math.isinf(q) else 1.0 / q
-        inv_r = 1.0 / r
-        upper_gap = n - 2 * n * inv_r - 4 * inv_q
-        cap = n / 2.0 - n * inv_r - inv_q
-        total = n - 2 * n * inv_r - 2 * inv_q
-    if not (0 < sigma < upper_gap):
-        return False
-    if not (s1 < cap and s2 < cap):
-        return False
-    return _eq(s1 + s2 + sigma, total, exact)
+    (q, r, n, sigma, s1, s2), tol = _arithmetic(q, r, n, sigma, s1, s2)
+    inv_q, inv_r = 0 if math.isinf(q) else 1 / q, 1 / r
+    cap = n / 2 - n * inv_r - inv_q
+    return (0 < sigma < n - 2 * n * inv_r - 4 * inv_q and s1 < cap and s2 < cap
+            and _eq(s1 + s2 + sigma, n - 2 * n * inv_r - 2 * inv_q, tol))
 
 
 def check_thmC(n, gamma, gamma_plus, gamma_minus, s1, s2) -> bool:
     """Full condition list for the L^2 bilinear estimate with D, D_+, D_- weights."""
-    exact = _exactable(gamma, gamma_plus, gamma_minus, s1, s2)
-    if exact:
-        gamma, gamma_plus, gamma_minus, s1, s2 = map(
-            Fraction, (gamma, gamma_plus, gamma_minus, s1, s2))
-        nm1_2 = Fraction(n - 1, 2)
-        nm3_4 = Fraction(n - 3, 4)
-        np1_4 = Fraction(n + 1, 4)
-        half = Fraction(1, 2)
-    else:
-        gamma, gamma_plus, gamma_minus, s1, s2 = map(
-            float, (gamma, gamma_plus, gamma_minus, s1, s2))
-        nm1_2 = (n - 1) / 2.0
-        nm3_4 = (n - 3) / 4.0
-        np1_4 = (n + 1) / 4.0
-        half = 0.5
-    if not _eq(gamma + gamma_plus + gamma_minus, s1 + s2 - nm1_2, exact):
+    (n, half, gamma, gamma_plus, gamma_minus, s1, s2), tol = _arithmetic(
+        n, Fraction(1, 2), gamma, gamma_plus, gamma_minus, s1, s2)
+    nm1_2, nm3_4, np1_4 = (n - 1) / 2, (n - 3) / 4, (n + 1) / 4
+    if not (_eq(gamma + gamma_plus + gamma_minus, s1 + s2 - nm1_2, tol)
+            and gamma_minus >= -nm3_4 - tol and gamma > -nm1_2
+            and s1 <= gamma_minus + nm1_2 + tol and s2 <= gamma_minus + nm1_2 + tol
+            and s1 + s2 >= half - tol):
         return False
-    if not gamma_minus >= -nm3_4 - (0 if exact else _EQ_TOL):
-        return False
-    if not gamma > -nm1_2:
-        return False
-    if not (s1 <= gamma_minus + nm1_2 + (0 if exact else _EQ_TOL)
-            and s2 <= gamma_minus + nm1_2 + (0 if exact else _EQ_TOL)):
-        return False
-    if not s1 + s2 >= half - (0 if exact else _EQ_TOL):
-        return False
-    for si in (s1, s2):
-        if _eq(si, np1_4, exact) and _eq(gamma_minus, -nm3_4, exact):
-            return False
-    if _eq(s1 + s2, half, exact) and _eq(gamma_minus, -nm3_4, exact):
-        return False
-    return True
+    # the endpoint gamma_- = -(n-3)/4 excludes s_i = (n+1)/4 and s1 + s2 = 1/2
+    return not (_eq(gamma_minus, -nm3_4, tol)
+                and (_eq(s1, np1_4, tol) or _eq(s2, np1_4, tol) or _eq(s1 + s2, half, tol)))

@@ -18,9 +18,8 @@ and on space-time pairs ((tau,a), (lam,b)):
 
     ralpha  Delta_+(a,b)^alpha  if tau*lam >= 0,   Delta_-(a,b)^alpha  else
 
-so tau = 0 takes the Delta_+ branch.  ralpha convolves time on the 3/2
-lattice; spacetime splus/sminus multiply unpadded time slices, so their
-tau-sums wrap around the band.
+so tau = 0 takes the Delta_+ branch.  All three convolve time on the 3/2
+lattice, so their tau-sums on spacetime fields do not wrap around the band.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (SPACETIME, FineLattice, FrequencyPoint, Grid, SpectralField, _fine_shape,
-                      _measure, dealiased_product, from_time_spatial_rep, symbol_image,
-                      time_spatial_rep)
+                      _measure, dealiased_product, symbol_image)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
 from .multiplier import weight
@@ -211,14 +209,14 @@ def occupied_modes(u: SpectralField):
     return signed, c[sel]
 
 
-def _columns(X: np.ndarray, per_mode: bool = False):
+def _columns(X: np.ndarray):
     """Signed index rows (M, n) and samples (T, M) of the occupied spatial columns of X
-    (T, *spatial); per_mode zeroes their unoccupied entries, as occupied_modes does."""
+    (T, *spatial), their unoccupied entries zeroed as occupied_modes does."""
     flat = X.reshape(len(X), -1)
     mag = np.abs(flat)
     keep = mag > _OCCUPIED_REL_TOL * np.max(mag)
     cols = np.flatnonzero(keep.any(axis=0))
-    vals = np.where(keep[:, cols], flat[:, cols], 0.0) if per_mode else flat[:, cols]
+    vals = np.where(keep[:, cols], flat[:, cols], 0.0)
     shape = np.array(X.shape[1:])
     idx = np.array(np.unravel_index(cols, X.shape[1:])).T
     return np.where(idx >= shape // 2, idx - shape, idx), vals
@@ -262,7 +260,7 @@ def _pair_sum(spec: BilinearFormSpec, g: Grid, su, sv, U, V, opp=None):
 
 def _time_sign_parts(u: SpectralField, M: int):
     """Occupied columns of u and their samples U, U+, U- (tau>0, tau<0 parts) on M time points."""
-    su, A = _columns(u.coeffs, per_mode=True)
+    su, A = _columns(u.coeffs)
     h = len(A) // 2
     P = np.zeros((2, M, A.shape[1]), dtype=complex)
     P[0, 1:h], P[1, M - h:] = A[1:h], A[h:]
@@ -272,20 +270,17 @@ def _time_sign_parts(u: SpectralField, M: int):
 
 def _kernel_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
     g, real = u.grid, u.real_flag and v.real_flag
-    if spec.form == "ralpha":
+    if u.kind == SPACETIME:
         h, M = g.N_t // 2, _fine_shape((g.N_t,), 1.5)[0]
         (su, U, up, um), (sv, V, vp, vm) = _time_sign_parts(u, M), _time_sign_parts(v, M)
-        cols, W = _pair_sum(spec, g, su, sv, U, V, (up, um, vp, vm))
+        opp = (up, um, vp, vm) if spec.form == "ralpha" else None
+        cols, W = _pair_sum(spec, g, su, sv, U, V, opp)
         F = np.fft.fft(W, axis=0, norm="forward")
         W = np.concatenate([F[:h], F[M - h:]])
     else:
-        rep = time_spatial_rep if u.kind == SPACETIME else (lambda f: f.coeffs[None])
-        (su, U), (sv, V) = _columns(rep(u)), _columns(rep(v))
+        (su, U), (sv, V) = _columns(u.coeffs[None]), _columns(v.coeffs[None])
         cols, W = _pair_sum(spec, g, su, sv, U, V)
     out = np.zeros((len(W), math.prod(g.spatial_shape)), dtype=complex)
-    if spec.form != "ralpha" and u.kind == SPACETIME:
-        out[:, cols] = W
-        return from_time_spatial_rep(g, out.reshape(g.spacetime_shape), real_flag=real)
     out[:, cols] = W / math.sqrt(_measure(g, u.kind))
     return SpectralField(grid=g, kind=u.kind, coeffs=out.reshape(g.shape_for(u.kind)),
                          real_flag=real)

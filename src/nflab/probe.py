@@ -179,6 +179,12 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
     if trials < 1:
         raise ValueError("need at least one trial")
     if ensemble == "counterexample-family":
+        ignored = [name for name, used in (
+            ("form", spec.form is not None and spec.form.form != "product"),
+            ("unary", spec.unary), ("target_q/target_r", spec.target_mixed is not None)) if used]
+        if ignored:
+            raise ValueError(f"the counterexample-family ensemble probes the plain product into "
+                             f"a Sobolev target; it takes no {' or '.join(ignored)}")
         if scales is None:
             scales = [4, 6, 8, 12]
         _check_scales(scales)

@@ -96,13 +96,8 @@ def signed_times(grid: Grid) -> np.ndarray:
 def homogeneous_spacetime(data: CauchyData) -> np.ndarray:
     """Mixed representation a[j, xi] of the homogeneous solution on the signed window."""
     g = data.f.grid
-    A_f = plane_wave_coeffs(data.f)
-    A_g = plane_wave_coeffs(data.g)
-    out = np.empty((g.N_t,) + g.spatial_shape, dtype=complex)
-    for j, t in enumerate(signed_times(g)):
-        ax, zero, cos_t, sin_t = _mode_factors(g, t)
-        out[j] = cos_t * A_f + sin_t * A_g
-    return out
+    _, _, cos_t, sin_t = _mode_factors(g, signed_times(g).reshape((g.N_t,) + (1,) * g.n))
+    return cos_t * plane_wave_coeffs(data.f) + sin_t * plane_wave_coeffs(data.g)
 
 
 def duhamel_mixed(grid: Grid, a_F: np.ndarray) -> np.ndarray:
@@ -114,50 +109,25 @@ def duhamel_mixed(grid: Grid, a_F: np.ndarray) -> np.ndarray:
     ax = grid.abs_xi(SPATIAL)
     zero = ax == 0.0
     safe = np.where(zero, 1.0, ax)
-    ts = signed_times(grid)
+    tb = signed_times(grid).reshape((grid.N_t,) + (1,) * grid.n)
     half = grid.N_t // 2
 
-    def solve_branch(y):
-        # cumulative trapezoid from t = 0 along increasing time
-        inc = 0.5 * grid.dt * (y[1:] + y[:-1])
-        csum = np.zeros_like(y)
-        csum[1:] = np.cumsum(inc, axis=0)
+    def running(z, sign):
+        # cumulative trapezoid from t = 0 along an ordering; a backward step's sign is a
+        # negation (not a factor -dt), which keeps the signs of zeros
+        csum = np.zeros_like(z)
+        csum[1:] = sign(np.cumsum(0.5 * grid.dt * (z[1:] + z[:-1]), axis=0))
         return csum
-
-    tb = ts.reshape((grid.N_t,) + (1,) * grid.n)
-    cos_g = np.cos(safe * tb)
-    sin_g = np.sin(safe * tb)
 
     out = np.empty_like(a_F)
-    # positive branch: indices 0 .. half-1, times 0, dt, ...
-    pos = slice(0, half)
-    C = solve_branch(cos_g[pos] * a_F[pos])
-    S = solve_branch(sin_g[pos] * a_F[pos])
-    osc = -(sin_g[pos] * C - cos_g[pos] * S) / safe
-    A = solve_branch(a_F[pos])
-    B = solve_branch(tb[pos] * a_F[pos])
-    lin = -(tb[pos] * A - B)
-    out[pos] = np.where(zero, lin, osc)
-
-    # negative branch: order indices 0, N-1, N-2, ..., half (times 0, -dt, ...)
-    order = np.concatenate([[0], np.arange(grid.N_t - 1, half - 1, -1)])
-    yb = a_F[order]
-    tsb = tb[order]
-
-    def back_branch(y):
-        seg = 0.5 * grid.dt * (y[1:] + y[:-1])
-        csum = np.zeros_like(y)
-        csum[1:] = -np.cumsum(seg, axis=0)
-        return csum
-
-    Cb = back_branch(np.cos(safe * tsb) * yb)
-    Sb = back_branch(np.sin(safe * tsb) * yb)
-    oscb = -(np.sin(safe * tsb) * Cb - np.cos(safe * tsb) * Sb) / safe
-    Ab = back_branch(yb)
-    Bb = back_branch(tsb * yb)
-    linb = -(tsb * Ab - Bb)
-    branch = np.where(zero, linb, oscb)
-    out[order[1:]] = branch[1:]
+    # indices 0 .. half-1 (times 0, dt, ...), then 0, N-1, ..., half (times 0, -dt, ...)
+    for order, sign in ((np.arange(half), np.positive),
+                        (np.r_[0, grid.N_t - 1:half - 1:-1], np.negative)):
+        y, t = a_F[order], tb[order]
+        cos_t, sin_t = np.cos(safe * t), np.sin(safe * t)
+        osc = -(sin_t * running(cos_t * y, sign) - cos_t * running(sin_t * y, sign)) / safe
+        lin = -(t * running(y, sign) - running(t * y, sign))
+        out[order] = np.where(zero, lin, osc)
     return out
 
 

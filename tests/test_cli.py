@@ -369,6 +369,19 @@ def test_scales_with_a_lattice_ensemble_is_a_config_error(capsys):
     assert out.startswith("ERROR\tcode=2") and "counterexample-family" in out
 
 
+@pytest.mark.parametrize("flags, name", [(["--form", "q0"], "form"), (["--unary"], "unary"),
+                                         (["--target-q", "4", "--target-r", "4"],
+                                          "target_q/target_r")])
+def test_family_rejects_options_it_would_ignore(capsys, monkeypatch, flags, name):
+    monkeypatch.setattr(cli.pr, "counterexample_lattice_ratio",
+                        lambda *a: pytest.fail("a scale was computed"))
+    code = main(["probe-embedding", "--ensemble", "counterexample-family", "--n", "2",
+                 "--scales", "4,6,8"] + flags)
+    assert code == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and f"takes no {name}\n" in out
+
+
 @pytest.mark.parametrize("scales, bad", [("4,6,inf", "inf"), ("4,6,nan", "nan"),
                                          ("-4,6,8", "-4.0"), ("0.5,1,2", "0.5")])
 def test_family_scales_checked_before_any_is_computed(capsys, monkeypatch, scales, bad):

@@ -212,6 +212,101 @@ def test_checkers_exact_on_rationals():
                       Fraction(3, 8), Fraction(3, 8))
 
 
+def _split_arithmetic_thmB(q, r, n, sigma, s1, s2):
+    """Reference: each formula written once for Fractions and once for floats."""
+    if not is_wave_admissible(q, r, n):
+        return False
+    exact = all(isinstance(x, Fraction | int) for x in (q, r, sigma, s1, s2))
+    if exact:
+        q, r, sigma, s1, s2 = map(Fraction, (q, r, sigma, s1, s2))
+        upper_gap = n - 2 * n / r - 4 / q
+        cap = Fraction(n, 2) - Fraction(n, 1) / r - 1 / q
+        total = n - 2 * n / r - 2 / q
+        eq = (lambda a, b: a == b)
+    else:
+        q, r, sigma, s1, s2 = map(float, (q, r, sigma, s1, s2))
+        inv_q = 0.0 if math.isinf(q) else 1.0 / q
+        inv_r = 1.0 / r
+        upper_gap = n - 2 * n * inv_r - 4 * inv_q
+        cap = n / 2.0 - n * inv_r - inv_q
+        total = n - 2 * n * inv_r - 2 * inv_q
+        eq = (lambda a, b: abs(float(a) - float(b)) <= 1e-12)
+    if not (0 < sigma < upper_gap):
+        return False
+    if not (s1 < cap and s2 < cap):
+        return False
+    return eq(s1 + s2 + sigma, total)
+
+
+def _split_arithmetic_thmC(n, gamma, gamma_plus, gamma_minus, s1, s2):
+    """Reference: each formula written once for Fractions and once for floats."""
+    exact = all(isinstance(x, Fraction | int) for x in (gamma, gamma_plus, gamma_minus, s1, s2))
+    if exact:
+        gamma, gamma_plus, gamma_minus, s1, s2 = map(
+            Fraction, (gamma, gamma_plus, gamma_minus, s1, s2))
+        nm1_2, nm3_4, np1_4, half = (Fraction(n - 1, 2), Fraction(n - 3, 4),
+                                     Fraction(n + 1, 4), Fraction(1, 2))
+        eq, slack = (lambda a, b: a == b), 0
+    else:
+        gamma, gamma_plus, gamma_minus, s1, s2 = map(
+            float, (gamma, gamma_plus, gamma_minus, s1, s2))
+        nm1_2, nm3_4, np1_4, half = (n - 1) / 2.0, (n - 3) / 4.0, (n + 1) / 4.0, 0.5
+        eq, slack = (lambda a, b: abs(float(a) - float(b)) <= 1e-12), 1e-12
+    if not eq(gamma + gamma_plus + gamma_minus, s1 + s2 - nm1_2):
+        return False
+    if not gamma_minus >= -nm3_4 - slack:
+        return False
+    if not gamma > -nm1_2:
+        return False
+    if not (s1 <= gamma_minus + nm1_2 + slack and s2 <= gamma_minus + nm1_2 + slack):
+        return False
+    if not s1 + s2 >= half - slack:
+        return False
+    for si in (s1, s2):
+        if eq(si, np1_4) and eq(gamma_minus, -nm3_4):
+            return False
+    if eq(s1 + s2, half) and eq(gamma_minus, -nm3_4):
+        return False
+    return True
+
+
+# exact and float values on and next to the checkers' boundaries; each case is
+# completed so that the equality condition holds exactly, or misses it by 1e-13
+_VALUES = (0, Fraction(1, 4), Fraction(1, 2), 1, -0.25, 0.5, 1.0 + 1e-13, math.inf)
+_SHIFTS = (0, Fraction(1, 10**13), 1e-13, -1e-13)
+
+
+def test_thmB_matches_split_arithmetic_reference():
+    seen = set()
+    for q, r, n in itertools.product((2, 4, Fraction(7, 2), 4.0, math.inf),
+                                     (2, 4, Fraction(10, 3), 6.0), (1, 2, 3)):
+        total = n - Fraction(2 * n) / Fraction(r) - (0 if q == math.inf else Fraction(2) / Fraction(q))
+        for sigma, s1, shift in itertools.product((0, Fraction(1, 8), 0.125, 1),
+                                                  _VALUES + (None,), _SHIFTS):
+            s1 = (total - sigma) / 2 if s1 is None else s1  # s1 = s2 up to the shift
+            s2 = total - s1 - sigma + shift
+            if isinstance(q, float) or isinstance(r, float):
+                s2 = float(s2)
+            got = check_thmB(q, r, n, sigma, s1, s2)
+            assert got == _split_arithmetic_thmB(q, r, n, sigma, s1, s2), (q, r, n, sigma, s1, s2)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_thmC_matches_split_arithmetic_reference():
+    seen = set()
+    for n in (1, 2, 3):
+        for gamma, gamma_minus, s1, s2, shift in itertools.product(
+                (0, Fraction(-1, 4), 0.5), _VALUES[:4] + (-Fraction(n - 3, 4),), _VALUES,
+                _VALUES, _SHIFTS):
+            gamma_plus = s1 + s2 - Fraction(n - 1, 2) - gamma - gamma_minus + shift
+            got = check_thmC(n, gamma, gamma_plus, gamma_minus, s1, s2)
+            assert got == _split_arithmetic_thmC(n, gamma, gamma_plus, gamma_minus, s1, s2), \
+                (n, gamma, gamma_plus, gamma_minus, s1, s2)
+            seen.add(got)
+    assert seen == {True, False}
+
+
 def test_spatial_hs_norm_matches_ws_on_slices(grid2d):
     f = random_field(grid2d, SPATIAL, 9, real=False)
     direct = spatial_hs_norm(f.coeffs, grid2d, 1.1)

@@ -210,7 +210,8 @@ def _full_band_field(grid, kind, seed):
 
 @pytest.mark.parametrize("n, N", [(2, 8), (3, 4)])
 @pytest.mark.parametrize("form, kind", [("ralpha", SPACETIME), ("splus", SPATIAL),
-                                        ("sminus", SPATIAL)])
+                                        ("sminus", SPATIAL), ("splus", SPACETIME),
+                                        ("sminus", SPACETIME)])
 def test_kernel_forms_match_direct_double_sum(n, N, form, kind):
     g = make_grid(n, N, N, 5.0, 3.0)
     u, v = _full_band_field(g, kind, 31), _full_band_field(g, kind, 32)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from nflab.lattice import SPACETIME, SpectralField, make_grid, random_field
 from nflab.multiplier import SpaceIndex, ws_norm
+from nflab.nullform import BilinearFormSpec
 from nflab import probe
 from nflab.probe import (CounterexampleParams, EmbeddingSpec, KernelSpec, _smooth_length,
                          _sparse_ws_norm, counterexample_lattice_ratio, counterexample_norms,
@@ -514,6 +516,24 @@ def test_family_rejects_non_finite_or_small_scales_before_any_is_computed(scales
     bad = next(L for L in scales if not (math.isfinite(L) and L >= 1))
     with pytest.raises(ValueError, match=f"got {bad!r}"):
         probe_embedding(spec, "counterexample-family", 1, None, scales=scales)
+
+
+@pytest.mark.parametrize("change, name", [
+    ({"form": BilinearFormSpec("q0")}, "form"), ({"unary": True}, "unary"),
+    ({"target_mixed": (4.0, 4.0)}, "target_q/target_r")])
+def test_family_rejects_options_it_would_ignore(change, name, monkeypatch):
+    monkeypatch.setattr(probe, "counterexample_lattice_ratio",
+                        lambda *a: pytest.fail("a scale was computed"))
+    spec = dataclasses.replace(_family_spec(2), **change)
+    with pytest.raises(ValueError, match=f"takes no {name}$"):
+        probe_embedding(spec, "counterexample-family", 1, None, scales=[4, 6, 8])
+
+
+def test_family_takes_the_product_form_spec_as_the_plain_product():
+    plain = probe_embedding(_family_spec(2), "counterexample-family", 1, None, scales=[4, 6, 8])
+    spec = dataclasses.replace(_family_spec(2), form=BilinearFormSpec("product"))
+    assert probe_embedding(spec, "counterexample-family", 1, None,
+                           scales=[4, 6, 8]).values == plain.values
 
 
 def test_lattice_ensembles_reject_scales(grid2d):

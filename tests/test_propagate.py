@@ -154,6 +154,66 @@ def test_duhamel_linearity(grid2d):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(rhs)), 1e-300)
 
 
+def _loop_homogeneous_spacetime(data):
+    """Reference: one mode-factor evaluation per time slice."""
+    g = data.f.grid
+    A_f, A_g = data.f.coeffs / math.sqrt(g.spatial_volume), data.g.coeffs / math.sqrt(g.spatial_volume)
+    ax = g.abs_xi(SPATIAL)
+    zero = ax == 0.0
+    safe = np.where(zero, 1.0, ax)
+    out = np.empty((g.N_t,) + g.spatial_shape, dtype=complex)
+    for j, t in enumerate(signed_times(g)):
+        out[j] = np.cos(t * ax) * A_f + np.where(zero, t, np.sin(t * safe) / safe) * A_g
+    return out
+
+
+def _two_branch_duhamel_mixed(grid, a_F):
+    """Reference: separate forward and backward running sums."""
+    ax = grid.abs_xi(SPATIAL)
+    zero = ax == 0.0
+    safe = np.where(zero, 1.0, ax)
+    half = grid.N_t // 2
+    tb = signed_times(grid).reshape((grid.N_t,) + (1,) * grid.n)
+
+    def solve_branch(y):
+        csum = np.zeros_like(y)
+        csum[1:] = np.cumsum(0.5 * grid.dt * (y[1:] + y[:-1]), axis=0)
+        return csum
+
+    def back_branch(y):
+        csum = np.zeros_like(y)
+        csum[1:] = -np.cumsum(0.5 * grid.dt * (y[1:] + y[:-1]), axis=0)
+        return csum
+
+    out = np.empty_like(a_F)
+    pos = slice(0, half)
+    cos_g, sin_g = np.cos(safe * tb), np.sin(safe * tb)
+    C, S = solve_branch(cos_g[pos] * a_F[pos]), solve_branch(sin_g[pos] * a_F[pos])
+    osc = -(sin_g[pos] * C - cos_g[pos] * S) / safe
+    lin = -(tb[pos] * solve_branch(a_F[pos]) - solve_branch(tb[pos] * a_F[pos]))
+    out[pos] = np.where(zero, lin, osc)
+    order = np.concatenate([[0], np.arange(grid.N_t - 1, half - 1, -1)])
+    yb, tsb = a_F[order], tb[order]
+    Cb, Sb = back_branch(np.cos(safe * tsb) * yb), back_branch(np.sin(safe * tsb) * yb)
+    oscb = -(np.sin(safe * tsb) * Cb - np.cos(safe * tsb) * Sb) / safe
+    linb = -(tsb * back_branch(yb) - back_branch(tsb * yb))
+    out[order[1:]] = np.where(zero, linb, oscb)[1:]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N_t", [2, 4, 16])
+def test_propagators_match_their_slice_by_slice_references_bit_for_bit(n, N_t):
+    g = make_grid(n, N_t, 8, 1.3, TWO_PI)
+    for seed, real in ((n, True), (n + 10, False)):
+        F = random_field(g, SPACETIME, seed, max_freq=2, real=real)
+        for a_F in (time_spatial_rep(F), F.coeffs):  # band-limited samples and raw coefficients
+            got, want = duhamel_mixed(g, a_F), _two_branch_duhamel_mixed(g, a_F)
+            assert got.tobytes() == want.tobytes()
+        d = _data(g, seed)
+        assert homogeneous_spacetime(d).tobytes() == _loop_homogeneous_spacetime(d).tobytes()
+
+
 def test_pm_decompose_supports_and_pythagoras(grid2d):
     u = random_field(grid2d, SPACETIME, 9, real=False)
     up, um = pm_decompose(u)
