@@ -14,7 +14,7 @@ from .multiplier import (MultiplierSpec, SpaceIndex, StrichartzTriple, apply,
                          ws_norm, cal_norm, is_wave_admissible, strichartz_s,
                          check_thmB, check_thmC)
 from .nullform import (BilinearFormSpec, apply_form, kernel_value,
-                       check_symbol_inequality, INEQUALITY_REGISTRY,
+                       check_symbol_inequality, frequency_pairs, INEQUALITY_REGISTRY,
                        delta_plus, delta_minus)
 from .propagate import (CauchyData, half_wave, homogeneous, homogeneous_velocity,
                         duhamel, pm_decompose, step1_bound_check)

@@ -197,8 +197,9 @@ def cmd_symbol_check(cfg) -> int:
     for nm in names:
         if nm not in nf.INEQUALITY_REGISTRY:
             raise ConfigError(f"unknown inequality {nm!r}; known: {sorted(nf.INEQUALITY_REGISTRY)}")
-    reports = _sweep(lambda nm: nf.check_symbol_inequality(
-        nm, cfg["symbol.samples"], cfg["symbol.seed"]), names)
+    samples, seed = cfg["symbol.samples"], cfg["symbol.seed"]
+    pairs = nf.frequency_pairs(samples, seed)  # one draw, shared by every inequality
+    reports = _sweep(lambda nm: nf.check_symbol_inequality(nm, samples, seed, pairs=pairs), names)
     buf = [_header(cfg), "name,samples,violations,worst_margin,constant\n"]
     bad = 0
     for rep in reports:

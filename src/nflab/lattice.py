@@ -338,6 +338,15 @@ def _pairing_value(mod_u: np.ndarray, w_hat: np.ndarray, u: SpectralField, qd, r
     return pairing / denom
 
 
+def _holder_upper(u: SpectralField, q, r):
+    """Checked (q, r), mod = |hat u| and the Hoelder upper bound: the (q, r) mixed norm of mod."""
+    q, r = _check_exponent(q), _check_exponent(r)
+    if u.kind != SPACETIME:
+        raise ValueError("modified mixed norm needs a spacetime field")
+    mod = np.abs(u.coeffs)
+    return q, r, mod, mixed_norm(u.copy_with(mod.astype(complex), real_flag=False), q, r)
+
+
 def modified_mixed_norm_detailed(u: SpectralField, q, r, max_steps: int = 60):
     """All three surrogate modes of the |hat u|-only mixed norm.
 
@@ -346,13 +355,8 @@ def modified_mixed_norm_detailed(u: SpectralField, q, r, max_steps: int = 60):
     duality pairing via Hoelder, `lower` maximizes the pairing over a witness
     family, and `ascent` refines the best witness by monotone line search.
     """
-    q = _check_exponent(q)
-    r = _check_exponent(r)
-    if u.kind != SPACETIME:
-        raise ValueError("modified mixed norm needs a spacetime field")
+    q, r, mod, upper = _holder_upper(u, q, r)
     qd, rd = _dual(q), _dual(r)
-    mod = np.abs(u.coeffs)
-    upper = mixed_norm(u.copy_with(mod.astype(complex), real_flag=False), q, r)
 
     witnesses = _witness_dictionary(u.grid)
     witnesses.append(mod.copy())
@@ -384,14 +388,14 @@ def modified_mixed_norm_detailed(u: SpectralField, q, r, max_steps: int = 60):
 
 
 def modified_mixed_norm(u: SpectralField, q, r, mode: str = "upper") -> float:
-    lower, ascent, upper, _ = modified_mixed_norm_detailed(u, q, r)
+    """One mode of the |hat u|-only mixed norm.  "upper" is the Hoelder bound alone, one mixed
+    norm of |hat u| (bit for bit the `upper` of modified_mixed_norm_detailed); "lower" and
+    "ascent" run that function's witness search."""
     if mode == "upper":
-        return upper
-    if mode == "lower":
-        return lower
-    if mode == "ascent":
-        return ascent
-    raise ValueError(f"unknown mode {mode!r}")
+        return _holder_upper(u, q, r)[3]
+    if mode not in ("lower", "ascent"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return modified_mixed_norm_detailed(u, q, r)[0 if mode == "lower" else 1]
 
 
 # ---------------------------------------------------------------------------

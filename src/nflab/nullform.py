@@ -71,42 +71,49 @@ def _wedge_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(a.shape[:-1])
     if a.shape[-1] == 2:
         return (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]) ** 2
+    if a.shape[-1] > 3:
+        return sum((a[..., i] * b[..., j] - a[..., j] * b[..., i]) ** 2
+                   for i in range(a.shape[-1]) for j in range(i + 1, a.shape[-1]))
     cx = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
     cy = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     cz = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     return cx**2 + cy**2 + cz**2
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., k] b[..., k] added left to right: for n <= 3 the bits of np.sum(a * b, -1)
+    without the reduction's overhead, except that a sum of -0.0 terms stays -0.0."""
+    if a.shape[-1] > 3:
+        return np.sum(a * b, axis=-1)
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
 def _norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(a * a, axis=-1))
+    return np.sqrt(_dot(a, a))
+
+
+def _delta(a, b, plus: bool) -> np.ndarray:
+    """Delta_+ (plus) or Delta_-: one wedge rewrite, with a.b negated for Delta_-."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    na, nb, ns = _norm(a), _norm(b), _norm(a + b)
+    dot = _dot(a, b) if plus else -_dot(a, b)
+    prod = np.where(dot > 0, _wedge_sq(a, b) / np.maximum(na * nb + dot, 1e-300), na * nb - dot)
+    denom = np.maximum(na + nb + ns if plus else ns + np.abs(na - nb), 1e-300)
+    return np.where(na + nb == 0.0, 0.0, 2.0 * prod / denom)
 
 
 def delta_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a| + |b| - |a+b|, evaluated stably; inputs (..., n)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    na, nb, ns = _norm(a), _norm(b), _norm(a + b)
-    dot = np.sum(a * b, axis=-1)
-    prod_minus = np.where(dot > 0,
-                          _wedge_sq(a, b) / np.maximum(na * nb + dot, 1e-300),
-                          na * nb - dot)
-    denom = np.maximum(na + nb + ns, 1e-300)
-    out = 2.0 * prod_minus / denom
-    return np.where(na + nb == 0.0, 0.0, out)
+    return _delta(a, b, True)
 
 
 def delta_minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a+b| - ||a| - |b||, evaluated stably; inputs (..., n)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    na, nb, ns = _norm(a), _norm(b), _norm(a + b)
-    dot = np.sum(a * b, axis=-1)
-    prod_plus = np.where(dot < 0,
-                         _wedge_sq(a, b) / np.maximum(na * nb - dot, 1e-300),
-                         na * nb + dot)
-    denom = np.maximum(ns + np.abs(na - nb), 1e-300)
-    out = 2.0 * prod_plus / denom
-    return np.where(na + nb == 0.0, 0.0, out)
+    return _delta(a, b, False)
 
 
 def r_kernel(tau, a, lam, b) -> np.ndarray:
@@ -311,7 +318,8 @@ def apply_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> Sp
 # Every entry states a proven inequality with the explicit constant produced
 # by its proof, so a correct implementation sees zero violations; the fuzz
 # margin is measured against the inequality's natural magnitude to keep
-# cancellation noise from registering as a failure.
+# cancellation noise from registering as a failure.  One draw per seed,
+# frequency_pairs, is read-only and shared by every inequality checked on it.
 
 
 @dataclass
@@ -328,14 +336,14 @@ def _hyp(tau, xi):
 
 
 def _euclid(tau, xi):
-    return np.sqrt(tau**2 + np.sum(xi * xi, axis=-1))
+    return np.sqrt(tau**2 + _dot(xi, xi))
 
 
 def _ineq_delta(tau, lam, xi, eta):
     na, nb = _norm(xi), _norm(eta)
     mn = np.minimum(na, nb)
     prod = np.maximum(na * nb, 1e-300)
-    dot = np.sum(xi * eta, axis=-1)
+    dot = _dot(xi, eta)
     m_minus = np.where(dot > 0, _wedge_sq(xi, eta) / np.maximum(prod + dot, 1e-300), prod - dot)
     m_plus = np.where(dot < 0, _wedge_sq(xi, eta) / np.maximum(prod - dot, 1e-300), prod + dot)
     lhs = np.concatenate([mn * m_plus / prod, mn * m_minus / prod])
@@ -352,7 +360,7 @@ def _ineq_hyperbolic_triangle(tau, lam, xi, eta):
 
 
 def _ineq_q0(tau, lam, xi, eta, alpha=0.5):
-    inner = -tau * lam + np.sum(xi * eta, axis=-1)
+    inner = -tau * lam + _dot(xi, eta)
     lhs = np.abs(inner)
     A = np.abs(_norm(xi + eta) ** 2 - (tau + lam) ** 2)
     B = np.abs(_norm(xi) ** 2 - tau**2)
@@ -482,19 +490,36 @@ def _draw_frequency_pairs(rng, m: int, n: int):
     return tau, lam, xi, eta
 
 
+def frequency_pairs(samples: int, seed: int, dims=(2, 3)) -> list:
+    """The fuzz draw: per n in dims, samples // len(dims) (at least 1) read-only pairs
+    (tau, lam, xi, eta) with xi, eta of shape (m, n), all from one default_rng(seed)."""
+    if not samples >= 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if len(dims) == 0 or min(dims) < 1:
+        raise ValueError(f"dims must be a nonempty list of dimensions >= 1, got {dims!r}")
+    rng, per_dim = np.random.default_rng(seed), max(1, samples // len(dims))
+    draws = [_draw_frequency_pairs(rng, per_dim, n) for n in dims]
+    for x in (x for d in draws for x in d):
+        x.setflags(write=False)
+    return draws
+
+
 def check_symbol_inequality(name: str, samples: int, seed: int,
-                            dims=(2, 3)) -> ViolationReport:
-    """Fuzz a registered pointwise inequality; slack is 1e-9 of its natural scale."""
+                            dims=(2, 3), *, pairs=None) -> ViolationReport:
+    """Fuzz a registered pointwise inequality; slack is 1e-9 of its natural scale.
+
+    pairs, when given, is the draw frequency_pairs(samples, seed, dims), made once and shared
+    by every inequality checked at those arguments; it is used as it is.
+    """
     if name not in INEQUALITY_REGISTRY:
         raise KeyError(f"unknown inequality {name!r}; known: {sorted(INEQUALITY_REGISTRY)}")
     func, const = INEQUALITY_REGISTRY[name]
-    rng = np.random.default_rng(seed)
+    if pairs is None:
+        pairs = frequency_pairs(samples, seed, dims)
     total = 0
     violations = 0
     worst = -math.inf
-    per_dim = max(1, samples // len(dims))
-    for n in dims:
-        tau, lam, xi, eta = _draw_frequency_pairs(rng, per_dim, n)
+    for tau, lam, xi, eta in pairs:
         lhs, rhs, unit = func(tau, lam, xi, eta)
         scale = np.maximum(np.maximum(np.abs(rhs), 1e-3 * np.abs(unit)), 1e-300)
         margin = (lhs - rhs) / scale

@@ -34,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 from .lattice import (SPACETIME, Grid, SpectralField, modified_mixed_norm,
                       random_field)
 from .multiplier import SpaceIndex, weight, ws_norm
-from .nullform import BilinearFormSpec, apply_form, delta_minus, delta_plus
+from .nullform import BilinearFormSpec, _norm, apply_form, delta_minus, delta_plus
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,33 +137,33 @@ def _cone_concentrated(grid: Grid, seed: int, modes: int = 40) -> SpectralField:
         u = rng.uniform()
         radius = min(kx_max, max(1.0, (1.0 - u) ** (-0.75)))
         direction = rng.standard_normal(grid.n)
-        direction /= max(np.linalg.norm(direction), 1e-12)
-        k_xi = np.rint(radius * direction).astype(int)
-        k_xi = np.clip(k_xi, -kx_max, kx_max)
+        # scalar math in place of np.linalg.norm and np.clip, with the same bits
+        direction /= max(math.sqrt(direction.dot(direction)), 1e-12)
+        k_xi = np.minimum(np.maximum(np.rint(radius * direction).astype(int), -kx_max), kx_max)
         xi = k_xi * (TWO_PI / grid.L_per)
         sgn = rng.choice([-1.0, 1.0])
-        tau_target = sgn * np.linalg.norm(xi) + rng.uniform(-1.0, 1.0)
-        k_t = int(np.clip(np.rint(tau_target / dtau), -kt_max, kt_max))
+        tau_target = sgn * math.sqrt(xi.dot(xi)) + rng.uniform(-1.0, 1.0)
+        k_t = int(min(max(round(tau_target / dtau), -kt_max), kt_max))
         amp = rng.standard_normal() + 1j * rng.standard_normal()
         pos = (k_t % grid.N_t,) + tuple(k % grid.N_x for k in k_xi)
         c[pos] += amp
     return SpectralField(grid=grid, kind=SPACETIME, coeffs=c)
 
 
-def _draw_pair(grid: Grid, ensemble: str, seed: int):
+def _draw(grid: Grid, ensemble: str, seed: int) -> SpectralField:
     if ensemble == "random-gaussian":
-        u = random_field(grid, SPACETIME, seed, max_freq=grid.N_x // 4, real=False)
-        v = random_field(grid, SPACETIME, seed + 7_000_003, max_freq=grid.N_x // 4, real=False)
-        return u, v
+        return random_field(grid, SPACETIME, seed, max_freq=grid.N_x // 4, real=False)
     if ensemble == "cone-concentrated":
-        return _cone_concentrated(grid, seed), _cone_concentrated(grid, seed + 7_000_003)
+        return _cone_concentrated(grid, seed)
     raise ValueError(f"unknown ensemble {ensemble!r}")
 
 
 def _sup_ratio(spec: EmbeddingSpec, grid: Grid, ensemble: str, trials: int, seed: int):
     best, witness, excluded = 0.0, -1, 0
     for k in range(trials):
-        u, v = _draw_pair(grid, ensemble, seed + 1000 * k)
+        # v from its own seed; a unary probe draws none
+        u = _draw(grid, ensemble, seed + 1000 * k)
+        v = None if spec.unary else _draw(grid, ensemble, seed + 1000 * k + 7_000_003)
         r = embedding_ratio(spec, u, v)
         if r is None:
             excluded += 1
@@ -371,8 +371,7 @@ class KernelSpec:
 
 def kernel_eval(k: KernelSpec, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """K(xi, eta) on arrays of shape (..., n)."""
-    nx = np.sqrt(np.sum(np.atleast_2d(xi) ** 2, axis=-1))
-    ne = np.sqrt(np.sum(np.atleast_2d(eta) ** 2, axis=-1))
+    nx, ne = _norm(np.atleast_2d(xi)), _norm(np.atleast_2d(eta))
     delta = delta_plus(xi, eta) if k.sign == "plus" else delta_minus(xi, eta)
     if k.variant == "homogeneous":
         num = np.where(nx > 0, np.where(nx > 0, nx, 1.0) ** (-k.a), np.inf if k.a > 0 else 1.0)

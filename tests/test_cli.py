@@ -46,6 +46,19 @@ def test_symbol_check_writes_csv_and_passes(tmp_path):
     assert ",0," in lines[2]
 
 
+def test_symbol_check_draws_once_for_every_inequality(tmp_path, monkeypatch):
+    draws, shared = [], []
+    real_draw, real_check = cli.nf.frequency_pairs, cli.nf.check_symbol_inequality
+    monkeypatch.setattr(cli.nf, "frequency_pairs",
+                        lambda *a, **k: draws.append(a) or real_draw(*a, **k))
+    monkeypatch.setattr(cli.nf, "check_symbol_inequality",
+                        lambda *a, **k: shared.append(k["pairs"]) or real_check(*a, **k))
+    assert main(["symbol-check", "--name", "all", "--samples", "2000", "--seed", "3",
+                 "--out", str(tmp_path / "sym.csv")]) == EXIT_OK
+    assert draws == [(2000, 3)]
+    assert len(shared) == 10 and all(p is shared[0] for p in shared)
+
+
 def test_symbol_check_unknown_name_is_config_error(capsys):
     assert main(["symbol-check", "--name", "bogus", "--samples", "10"]) == EXIT_CONFIG
     assert "ERROR\tcode=2" in capsys.readouterr().out

@@ -156,6 +156,54 @@ def test_modified_norm_monotone_in_spectrum_order(grid2d):
                 assert x <= y * (1 + 1e-12)
 
 
+EXPONENTS = (1, 2, 4, math.inf)
+
+
+def _upper_test_fields():
+    for n, N in ((1, 8), (2, 8), (3, 4)):
+        g = make_grid(n, N, N, TWO_PI, 3.7)
+        yield random_field(g, SPACETIME, 40 + n, real=True)
+        yield random_field(g, SPACETIME, 50 + n, real=False)
+        yield SpectralField(grid=g, kind=SPACETIME, coeffs=np.zeros(g.spacetime_shape, complex))
+
+
+def test_modified_norm_upper_is_the_detailed_upper_bit_for_bit():
+    for u in _upper_test_fields():
+        for q in EXPONENTS:
+            for r in EXPONENTS:
+                upper = modified_mixed_norm_detailed(u, q, r)[2]
+                assert modified_mixed_norm(u, q, r, "upper") == upper
+
+
+def test_modified_norm_upper_is_one_mixed_norm_of_the_same_field(monkeypatch, grid2d):
+    import nflab.lattice as lat
+    seen, detailed = [], []
+    real_mixed, real_detailed = lat.mixed_norm, lat.modified_mixed_norm_detailed
+    monkeypatch.setattr(lat, "mixed_norm", lambda f, q, r: seen.append(f) or real_mixed(f, q, r))
+    monkeypatch.setattr(lat, "modified_mixed_norm_detailed",
+                        lambda *a: detailed.append(a) or real_detailed(*a))
+    u = random_field(grid2d, SPACETIME, 7, real=True)
+    modified_mixed_norm(u, 4, 2, "upper")
+    assert len(seen) == 1 and not detailed
+    real_detailed(u, 4, 2)
+    # the detailed upper is its first mixed norm: the same field, dtype and flags
+    mine, theirs = seen[0], seen[1]
+    assert mine.coeffs.dtype == theirs.coeffs.dtype == np.complex128
+    assert np.array_equal(mine.coeffs, theirs.coeffs)
+    assert (mine.real_flag, mine.zero_mode_projected) == (theirs.real_flag,
+                                                          theirs.zero_mode_projected)
+
+
+def test_modified_norm_unknown_mode_rejected_before_any_work(monkeypatch, grid2d):
+    import nflab.lattice as lat
+    calls = []
+    monkeypatch.setattr(lat, "inverse_transform", lambda f: calls.append(f))
+    u = random_field(grid2d, SPACETIME, 8, real=False)
+    with pytest.raises(ValueError, match="'uppr'"):
+        modified_mixed_norm(u, 2, 2, "uppr")
+    assert calls == []
+
+
 def test_time_cutoff_of_constant_is_the_bump(grid2d):
     u = transform(grid2d, np.ones(grid2d.spacetime_shape), SPACETIME)
     out = inverse_transform(time_cutoff(u, math.pi))

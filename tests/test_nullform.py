@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,86 @@ def test_delta_kernels_match_naive_formulas(a, b):
     assert abs(dp - (na + nb - ns)) <= 1e-9 * scale
     assert abs(dm - (ns - abs(na - nb))) <= 1e-9 * scale
     assert dp >= -1e-12 * scale and dm >= -1e-12 * scale
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def _reference_delta_plus(a, b):
+    """Delta_+ written with np.sum reductions: the bit-level reference for n <= 3."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    na, nb, ns = (np.sqrt(np.sum(x * x, axis=-1)) for x in (a, b, a + b))
+    dot = np.sum(a * b, axis=-1)
+    prod_minus = np.where(dot > 0,
+                          nullform._wedge_sq(a, b) / np.maximum(na * nb + dot, 1e-300),
+                          na * nb - dot)
+    out = 2.0 * prod_minus / np.maximum(na + nb + ns, 1e-300)
+    return np.where(na + nb == 0.0, 0.0, out)
+
+
+def _reference_delta_minus(a, b):
+    """Delta_- written with np.sum reductions: the bit-level reference for n <= 3."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    na, nb, ns = (np.sqrt(np.sum(x * x, axis=-1)) for x in (a, b, a + b))
+    dot = np.sum(a * b, axis=-1)
+    prod_plus = np.where(dot < 0,
+                         nullform._wedge_sq(a, b) / np.maximum(na * nb - dot, 1e-300),
+                         na * nb + dot)
+    out = 2.0 * prod_plus / np.maximum(ns + np.abs(na - nb), 1e-300)
+    return np.where(na + nb == 0.0, 0.0, out)
+
+
+def _spread(rng, shape):
+    """Signed components of magnitude 1e-8 .. 1e8, none of them zero."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dot_and_norm_are_numpy_sums_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for sa, sb in (((500, n), (500, n)), ((40, 1, n), (1, 30, n)), ((n,), (7, n))):
+        a, b = _spread(rng, sa), _spread(rng, sb)
+        assert _same_bits(nullform._dot(a, b), np.sum(a * b, axis=-1))
+        assert _same_bits(nullform._norm(a), np.sqrt(np.sum(a * a, axis=-1)))
+    # with zero components: the norm keeps its bits; a dot product of -0.0 terms
+    # stays -0.0 where numpy's reduction gives +0.0, a difference no caller sees
+    a = np.where(rng.uniform(size=(2000, n)) < 0.3, -0.0, _spread(rng, (2000, n)))
+    b = np.where(rng.uniform(size=(2000, n)) < 0.3, 0.0, _spread(rng, (2000, n)))
+    assert _same_bits(nullform._norm(a), np.sqrt(np.sum(a * a, axis=-1)))
+    assert np.array_equal(nullform._dot(a, b), np.sum(a * b, axis=-1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_delta_kernels_keep_the_bits_of_the_reduction_formulas(n):
+    rng = np.random.default_rng(10 + n)
+    _, _, xi, eta = nullform._draw_frequency_pairs(rng, 5000, n)
+    zeros = np.where(rng.uniform(size=(200, n)) < 0.5, -0.0, 0.0)
+    cases = [(xi, eta), (xi, -eta), (zeros, zeros), (zeros, eta[:200]), (-eta[:200], zeros),
+             (_spread(rng, (40, 1, n)), _spread(rng, (1, 30, n)))]
+    with np.errstate(all="ignore"):  # overflow in the np.where branch not taken
+        for a, b in cases:
+            assert _same_bits(delta_plus(a, b), _reference_delta_plus(a, b))
+            assert _same_bits(delta_minus(a, b), _reference_delta_minus(a, b))
+
+
+def test_delta_kernels_in_four_and_more_dimensions():
+    a, b = np.array([1.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.5])
+    assert float(delta_plus(a, b)[0]) == pytest.approx(
+        math.sqrt(2.0) + math.sqrt(1.25) - 2.5, rel=1e-12)
+    assert float(delta_minus(a, -b)[0]) == pytest.approx(
+        0.5 - (math.sqrt(2.0) - math.sqrt(1.25)), rel=1e-12)
+    rng = np.random.default_rng(4)
+    for n in (4, 5, 7):
+        a, b = rng.standard_normal((500, n)), rng.standard_normal((500, n))
+        na, nb, ns = (np.linalg.norm(x, axis=-1) for x in (a, b, a + b))
+        wedge = np.sum(a * a, -1) * np.sum(b * b, -1) - np.sum(a * b, -1) ** 2
+        assert np.allclose(nullform._wedge_sq(a, b), wedge, rtol=1e-10, atol=1e-12)
+        assert np.allclose(delta_plus(a, b), na + nb - ns, rtol=1e-9, atol=1e-12)
+        assert np.allclose(delta_minus(a, b), ns - np.abs(na - nb), rtol=1e-9, atol=1e-12)
 
 
 def test_exact_identity_part_a(grid2d):
@@ -297,6 +378,50 @@ def test_symbol_inequalities_fuzz_clean(name):
 def test_unknown_inequality_name():
     with pytest.raises(KeyError):
         check_symbol_inequality("not-a-lemma", 10, 0)
+
+
+def test_frequency_pairs_is_the_fuzzers_draw():
+    got = nullform.frequency_pairs(3001, 11, dims=(1, 2, 3))
+    rng = np.random.default_rng(11)
+    for n, arrays in zip((1, 2, 3), got):
+        want = nullform._draw_frequency_pairs(rng, 1000, n)
+        assert arrays[2].shape == (1000, n)
+        assert all(_same_bits(x, y) for x, y in zip(arrays, want))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (1, 4)])
+def test_shared_draw_reports_equal_fresh_draw_reports(dims):
+    pairs = nullform.frequency_pairs(20000, 13, dims)
+    for name in sorted(INEQUALITY_REGISTRY):
+        assert (check_symbol_inequality(name, 20000, 13, dims, pairs=pairs)
+                == check_symbol_inequality(name, 20000, 13, dims))
+
+
+def test_shared_draw_is_read_only(monkeypatch):
+    pairs = nullform.frequency_pairs(100, 0)
+    for x in (x for arrays in pairs for x in arrays):
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.0
+
+    def scaling_in_place(tau, lam, xi, eta):
+        xi *= 2.0
+        return tau, tau, tau
+
+    monkeypatch.setitem(INEQUALITY_REGISTRY, "in-place", (scaling_in_place, 1.0))
+    with pytest.raises(ValueError, match="read-only"):
+        check_symbol_inequality("in-place", 100, 0, pairs=pairs)
+    with pytest.raises(ValueError, match="read-only"):
+        check_symbol_inequality("in-place", 100, 0)
+
+
+@pytest.mark.parametrize("samples, dims, shown", [
+    (-5, (2, 3), "got -5"), (0, (2, 3), "got 0"), (10, (), "got ()"),
+    (10, (2, 0), "got (2, 0)"), (10, [-1], "got [-1]")])
+def test_fuzzer_rejects_bad_arguments_before_drawing(monkeypatch, samples, dims, shown):
+    monkeypatch.setattr(nullform, "_draw_frequency_pairs",
+                        lambda *a: pytest.fail("drew frequency pairs"))
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        check_symbol_inequality("delta", samples, 0, dims)
 
 
 def test_hyperbolic_triangle_degenerate_equality():

@@ -661,3 +661,65 @@ def test_first_iterate_example1_threshold_region():
 def test_first_iterate_kernel_unknown_preset():
     with pytest.raises(ValueError):
         first_iterate_kernel("example9", 1.0, "plus", np.ones(2), np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# ensemble draws
+
+
+def _cone_concentrated_loop(grid, seed, modes=40):
+    """Reference cone draw with np.linalg.norm, np.rint and np.clip per mode."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(grid.spacetime_shape, dtype=complex)
+    kt_max = grid.N_t // 2 - 1
+    kx_max = grid.N_x // 2 - 1
+    dtau = TWO_PI / grid.T_per
+    for _ in range(modes):
+        u = rng.uniform()
+        radius = min(kx_max, max(1.0, (1.0 - u) ** (-0.75)))
+        direction = rng.standard_normal(grid.n)
+        direction /= max(np.linalg.norm(direction), 1e-12)
+        k_xi = np.rint(radius * direction).astype(int)
+        k_xi = np.clip(k_xi, -kx_max, kx_max)
+        xi = k_xi * (TWO_PI / grid.L_per)
+        sgn = rng.choice([-1.0, 1.0])
+        tau_target = sgn * np.linalg.norm(xi) + rng.uniform(-1.0, 1.0)
+        k_t = int(np.clip(np.rint(tau_target / dtau), -kt_max, kt_max))
+        amp = rng.standard_normal() + 1j * rng.standard_normal()
+        pos = (k_t % grid.N_t,) + tuple(k % grid.N_x for k in k_xi)
+        c[pos] += amp
+    return c
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [8, 16, 32])
+@pytest.mark.parametrize("T_per, L_per", [(TWO_PI, TWO_PI), (8 * math.pi, 3.7), (1.3, 20.0)])
+def test_cone_draw_equals_the_per_mode_loop_bit_for_bit(n, N, T_per, L_per):
+    g = make_grid(n, N, N, T_per, L_per)
+    for seed in range(12 if N ** n < 2**12 else 3):
+        got = probe._cone_concentrated(g, 1000 * seed + 7).coeffs
+        want = _cone_concentrated_loop(g, 1000 * seed + 7)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_scalar_rounding_is_numpy_rint_on_ties():
+    for x in np.arange(-6.5, 7.0, 0.5):
+        assert round(x) == int(np.rint(x))
+
+
+@pytest.mark.parametrize("ensemble, drawer", [("cone-concentrated", "_cone_concentrated"),
+                                              ("random-gaussian", "random_field")])
+def test_unary_probe_draws_only_u(ensemble, drawer, monkeypatch):
+    g = make_grid(2, 8, 8, TWO_PI, TWO_PI)
+    draws = []
+    real = getattr(probe, drawer)
+    monkeypatch.setattr(probe, drawer, lambda *a, **k: draws.append(a) or real(*a, **k))
+    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=SpaceIndex(0.0, 0.6),
+                         target=SpaceIndex(0.0, 0.6), n=2, target_mixed=(math.inf, 2),
+                         unary=True)
+    trials = 3
+    probe_embedding(spec, ensemble, trials, g, seed=5)  # trials on g and on g.refined()
+    assert len(draws) == 2 * trials
+    draws.clear()
+    probe_embedding(dataclasses.replace(spec, unary=False), ensemble, trials, g, seed=5)
+    assert len(draws) == 4 * trials
