@@ -388,9 +388,8 @@ def modified_mixed_norm_detailed(u: SpectralField, q, r, max_steps: int = 60):
 
 
 def modified_mixed_norm(u: SpectralField, q, r, mode: str = "upper") -> float:
-    """One mode of the |hat u|-only mixed norm.  "upper" is the Hoelder bound alone, one mixed
-    norm of |hat u| (bit for bit the `upper` of modified_mixed_norm_detailed); "lower" and
-    "ascent" run that function's witness search."""
+    """One mode of the |hat u|-only mixed norm.  "upper" is the Hoelder bound alone: one mixed
+    norm of |hat u|, bit for bit the detailed upper; "lower" and "ascent" run the witness search."""
     if mode == "upper":
         return _holder_upper(u, q, r)[3]
     if mode not in ("lower", "ascent"):

@@ -83,8 +83,6 @@ def _wedge_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k a[..., k] b[..., k] added left to right: for n <= 3 the bits of np.sum(a * b, -1)
     without the reduction's overhead, except that a sum of -0.0 terms stays -0.0."""
-    if a.shape[-1] > 3:
-        return np.sum(a * b, axis=-1)
     out = a[..., 0] * b[..., 0]
     for k in range(1, a.shape[-1]):
         out += a[..., k] * b[..., k]
@@ -97,8 +95,7 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 def _delta(a, b, plus: bool) -> np.ndarray:
     """Delta_+ (plus) or Delta_-: one wedge rewrite, with a.b negated for Delta_-."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a, b = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (a, b))
     na, nb, ns = _norm(a), _norm(b), _norm(a + b)
     dot = _dot(a, b) if plus else -_dot(a, b)
     prod = np.where(dot > 0, _wedge_sq(a, b) / np.maximum(na * nb + dot, 1e-300), na * nb - dot)
@@ -490,15 +487,20 @@ def _draw_frequency_pairs(rng, m: int, n: int):
     return tau, lam, xi, eta
 
 
-def frequency_pairs(samples: int, seed: int, dims=(2, 3)) -> list:
-    """The fuzz draw: per n in dims, samples // len(dims) (at least 1) read-only pairs
-    (tau, lam, xi, eta) with xi, eta of shape (m, n), all from one default_rng(seed)."""
+def _pair_shapes(samples: int, dims) -> list:
+    """Checked samples and dims -> the shape (samples // len(dims) at least 1, n) of xi per n."""
     if not samples >= 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     if len(dims) == 0 or min(dims) < 1:
         raise ValueError(f"dims must be a nonempty list of dimensions >= 1, got {dims!r}")
-    rng, per_dim = np.random.default_rng(seed), max(1, samples // len(dims))
-    draws = [_draw_frequency_pairs(rng, per_dim, n) for n in dims]
+    return [(max(1, samples // len(dims)), n) for n in dims]
+
+
+def frequency_pairs(samples: int, seed: int, dims=(2, 3)) -> list:
+    """The fuzz draw: per n in dims, samples // len(dims) (at least 1) read-only pairs
+    (tau, lam, xi, eta) with xi, eta of shape (m, n), all from one default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    draws = [_draw_frequency_pairs(rng, m, n) for m, n in _pair_shapes(samples, dims)]
     for x in (x for d in draws for x in d):
         x.setflags(write=False)
     return draws
@@ -506,16 +508,15 @@ def frequency_pairs(samples: int, seed: int, dims=(2, 3)) -> list:
 
 def check_symbol_inequality(name: str, samples: int, seed: int,
                             dims=(2, 3), *, pairs=None) -> ViolationReport:
-    """Fuzz a registered pointwise inequality; slack is 1e-9 of its natural scale.
-
-    pairs, when given, is the draw frequency_pairs(samples, seed, dims), made once and shared
-    by every inequality checked at those arguments; it is used as it is.
-    """
+    """Fuzz a registered pointwise inequality; slack is 1e-9 of its natural scale.  pairs, when
+    given, is the shared draw frequency_pairs(samples, seed, dims), checked by its shapes."""
     if name not in INEQUALITY_REGISTRY:
         raise KeyError(f"unknown inequality {name!r}; known: {sorted(INEQUALITY_REGISTRY)}")
     func, const = INEQUALITY_REGISTRY[name]
     if pairs is None:
         pairs = frequency_pairs(samples, seed, dims)
+    elif [p[2].shape for p in pairs] != _pair_shapes(samples, dims):
+        raise ValueError(f"pairs is not a draw of frequency_pairs({samples!r}, seed, {dims!r})")
     total = 0
     violations = 0
     worst = -math.inf

@@ -414,6 +414,19 @@ def test_shared_draw_is_read_only(monkeypatch):
         check_symbol_inequality("in-place", 100, 0)
 
 
+@pytest.mark.parametrize("samples, dims", [(10**6, (2, 3)), (100, (3, 2)), (100, (2,)),
+                                           (101, (2, 3, 1)), (0, (2, 3)), (100, ())])
+def test_shared_draw_made_for_other_arguments_is_rejected(monkeypatch, samples, dims):
+    pairs = nullform.frequency_pairs(100, 0)
+    monkeypatch.setitem(INEQUALITY_REGISTRY, "never-run",
+                        (lambda *a: pytest.fail("checked a mismatched draw"), 1.0))
+    with pytest.raises(ValueError, match="pairs is not a draw|must be"):
+        check_symbol_inequality("never-run", samples, 0, dims, pairs=pairs)
+    # 101 samples over two dimensions make the same 50 pairs per dimension as 100
+    assert (check_symbol_inequality("delta", 101, 0, pairs=pairs)
+            == check_symbol_inequality("delta", 101, 0))
+
+
 @pytest.mark.parametrize("samples, dims, shown", [
     (-5, (2, 3), "got -5"), (0, (2, 3), "got 0"), (10, (), "got ()"),
     (10, (2, 0), "got (2, 0)"), (10, [-1], "got [-1]")])
