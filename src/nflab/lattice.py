@@ -14,7 +14,6 @@ convolution scaled by 1/sqrt(domain volume).
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -438,45 +437,54 @@ def time_cutoff(u: SpectralField, width: float) -> SpectralField:
 #
 # Products of band-limited fields are formed on a lattice refined by `factor`
 # per axis (3/2 keeps quadratics alias-free on the coarse band).  Pads and
-# crops copy the nonnegative and the negative frequencies of each axis by
-# slicing; real fields use a real FFT along the last axis.
+# crops go one axis at a time in ifftn's order, last axis first.  A pad
+# zero-pads only the axis it is about to transform, so rows that are still
+# all zero on the axes not yet padded are never transformed; a crop cuts an
+# axis to the band right after its forward transform, so later passes skip
+# the rows it drops.  Every row that is transformed holds the values it holds
+# in a full-box ifftn/fftn and goes through the same 1-D transform, so the
+# results keep their bits: the full-box route only adds transforms of zero
+# rows and of rows the crop discards.  In-place transforms act only on the
+# engine's own temporaries.  Real fields take an irfft/rfft along the last
+# axis and the same pruned passes on the leading axes.
 
 
 def _fine_shape(shape: tuple, factor: float) -> tuple:
+    if not (math.isfinite(factor) and factor >= 1.0):
+        raise ValueError(f"refinement factor must be finite and >= 1, got {factor!r}")
     return tuple(int(math.ceil(N * factor / 2.0)) * 2 for N in shape)
 
 
-def _band_blocks(coarse: tuple, fine: tuple) -> list:
-    """(coarse index, fine index) pairs of the blocks of the coarse band on the fine lattice."""
-    halves = [((slice(0, N // 2), slice(0, N // 2)), (slice(N // 2, N), slice(M - N // 2, M)))
-              for N, M in zip(coarse, fine)]
-    return [tuple(zip(*block)) for block in itertools.product(*halves)]
+def _ifft_padded(A: np.ndarray, ax: int, M: int) -> np.ndarray:
+    """Zero-pad axis ax of A to length M and inverse-transform it in place."""
+    lead, h = (slice(None),) * ax, A.shape[ax] // 2
+    B = np.empty(A.shape[:ax] + (M,) + A.shape[ax + 1:], dtype=complex)
+    B[lead + (slice(0, h),)] = A[lead + (slice(0, h),)]
+    B[lead + (slice(h, M - h),)] = 0.0
+    B[lead + (slice(M - h, M),)] = A[lead + (slice(h, None),)]
+    return np.fft.ifft(B, axis=ax, norm="forward", out=B)
 
 
-def _pad(A: np.ndarray, fine: tuple) -> np.ndarray:
-    out = np.zeros(fine, dtype=complex)
-    for src, dst in _band_blocks(A.shape, fine):
-        out[dst] = A[src]
-    return out
-
-
-def _crop(F: np.ndarray, coarse: tuple) -> np.ndarray:
-    out = np.empty(coarse, dtype=complex)
-    for dst, src in _band_blocks(coarse, F.shape):
-        out[dst] = F[src]
+def _cropped(F: np.ndarray, ax: int, N: int) -> np.ndarray:
+    """The length-N band of axis ax of F."""
+    lead, h, M = (slice(None),) * ax, N // 2, F.shape[ax]
+    out = np.empty(F.shape[:ax] + (N,) + F.shape[ax + 1:], dtype=complex)
+    out[lead + (slice(0, h),)] = F[lead + (slice(0, h),)]
+    out[lead + (slice(h, N),)] = F[lead + (slice(M - h, M),)]
     return out
 
 
 def fine_samples(fieldv: SpectralField, factor: float = 1.5) -> np.ndarray:
     """Values of the band-limited interpolant (real parts for a real field) on a lattice
     refined by `factor`."""
-    A = plane_wave_coeffs(fieldv)
-    fine = _fine_shape(A.shape, factor)
-    axes = tuple(range(A.ndim))
+    fine = _fine_shape(fieldv.coeffs.shape, factor)
+    Y = plane_wave_coeffs(fieldv)
+    d = Y.ndim - 1 if fieldv.real_flag else Y.ndim
+    for ax in reversed(range(d)):
+        Y = _ifft_padded(Y, ax, fine[ax])
     if not fieldv.real_flag:
-        return np.fft.ifftn(_pad(A, fine), axes=axes, norm="forward")
-    N, h = A.shape[-1], A.shape[-1] // 2
-    Y = np.fft.ifftn(_pad(A, fine[:-1] + (N,)), axes=axes[:-1], norm="forward")
+        return Y
+    h = Y.shape[-1] // 2
     # Hermitian half along the last axis, Z_k = (Y_k + conj Y_-k) / 2 for
     # 0 < k <= N/2: the coarse Nyquist column -N/2 splits into two halves
     Z = np.zeros(Y.shape[:-1] + (h + 1,), dtype=complex)
@@ -489,14 +497,14 @@ def field_from_fine_samples(grid: Grid, kind: str, P_fine: np.ndarray,
                             real_flag: bool = False) -> SpectralField:
     """Transform fine-lattice samples and truncate to the representable band."""
     shape = grid.shape_for(kind)
-    axes = tuple(range(P_fine.ndim))
     if np.iscomplexobj(P_fine):
-        A = _crop(np.fft.fftn(P_fine, axes=axes, norm="forward"), shape)
+        A = _cropped(np.fft.fft(P_fine, axis=-1, norm="forward"), P_fine.ndim - 1, shape[-1])
     else:
         h = shape[-1] // 2
         X = np.fft.rfft(P_fine, axis=-1, norm="forward")
-        Y = np.concatenate([X[..., :h], np.conj(X[..., h:0:-1])], axis=-1)
-        A = _crop(np.fft.fftn(Y, axes=axes[:-1], norm="forward"), shape)
+        A = np.concatenate([X[..., :h], np.conj(X[..., h:0:-1])], axis=-1)
+    for ax in reversed(range(P_fine.ndim - 1)):
+        A = _cropped(np.fft.fft(A, axis=ax, norm="forward", out=A), ax, shape[ax])
     return from_plane_wave_coeffs(grid, A, kind, real_flag=real_flag)
 
 

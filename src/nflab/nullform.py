@@ -96,9 +96,13 @@ def _norm(a: np.ndarray) -> np.ndarray:
 def _delta(a, b, plus: bool) -> np.ndarray:
     """Delta_+ (plus) or Delta_-: one wedge rewrite, with a.b negated for Delta_-."""
     a, b = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (a, b))
-    na, nb, ns = _norm(a), _norm(b), _norm(a + b)
-    dot = _dot(a, b) if plus else -_dot(a, b)
-    prod = np.where(dot > 0, _wedge_sq(a, b) / np.maximum(na * nb + dot, 1e-300), na * nb - dot)
+    return _delta_parts(_norm(a), _norm(b), _norm(a + b), _dot(a, b), _wedge_sq(a, b), plus)
+
+
+def _delta_parts(na, nb, ns, dot, wedge_sq, plus: bool) -> np.ndarray:
+    """_delta from |a|, |b|, |a+b|, a.b and |a ^ b|^2."""
+    dot = dot if plus else -dot
+    prod = np.where(dot > 0, wedge_sq / np.maximum(na * nb + dot, 1e-300), na * nb - dot)
     denom = np.maximum(na + nb + ns if plus else ns + np.abs(na - nb), 1e-300)
     return np.where(na + nb == 0.0, 0.0, 2.0 * prod / denom)
 
@@ -337,14 +341,14 @@ def _euclid(tau, xi):
 
 
 def _ineq_delta(tau, lam, xi, eta):
-    na, nb = _norm(xi), _norm(eta)
+    na, nb, ns, dot, w = _norm(xi), _norm(eta), _norm(xi + eta), _dot(xi, eta), _wedge_sq(xi, eta)
     mn = np.minimum(na, nb)
     prod = np.maximum(na * nb, 1e-300)
-    dot = _dot(xi, eta)
-    m_minus = np.where(dot > 0, _wedge_sq(xi, eta) / np.maximum(prod + dot, 1e-300), prod - dot)
-    m_plus = np.where(dot < 0, _wedge_sq(xi, eta) / np.maximum(prod - dot, 1e-300), prod + dot)
+    m_minus = np.where(dot > 0, w / np.maximum(prod + dot, 1e-300), prod - dot)
+    m_plus = np.where(dot < 0, w / np.maximum(prod - dot, 1e-300), prod + dot)
     lhs = np.concatenate([mn * m_plus / prod, mn * m_minus / prod])
-    rhs = np.concatenate([2.0 * delta_minus(xi, eta), 2.0 * delta_plus(xi, eta)])
+    rhs = np.concatenate([2.0 * _delta_parts(na, nb, ns, dot, w, False),
+                          2.0 * _delta_parts(na, nb, ns, dot, w, True)])
     unit = np.concatenate([mn, mn])
     return lhs, rhs, unit
 

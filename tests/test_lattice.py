@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from nflab.lattice import (SPACETIME, SPATIAL, SpectralField, cutoff_profile,
+from nflab.lattice import (SPACETIME, SPATIAL, FineLattice, SpectralField, cutoff_profile,
                            dealiased_product, field_from_fine_samples, fine_samples,
                            from_plane_wave_coeffs, inverse_transform, make_grid,
                            mixed_norm, modified_mixed_norm,
@@ -416,3 +418,83 @@ def test_real_fft_route_matches_complex_route(n, kind):
             back = field_from_fine_samples(g, kind, got, real_flag=u.real_flag).coeffs
             ref = _c2c_crop(g, kind, got)
             assert np.max(np.abs(back - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# full-box reference for the axis-by-axis pads and crops: the whole coarse band
+# scattered onto the fine lattice and one ifftn over it, one fftn over the fine
+# lattice and then the band cut out
+
+def _band_blocks(coarse, fine):
+    halves = [((slice(0, N // 2), slice(0, N // 2)), (slice(N // 2, N), slice(M - N // 2, M)))
+              for N, M in zip(coarse, fine)]
+    return [tuple(zip(*block)) for block in itertools.product(*halves)]
+
+
+def _full_box_fine_samples(u, factor):
+    A = plane_wave_coeffs(u)
+    fine = tuple(int(math.ceil(N * factor / 2.0)) * 2 for N in A.shape)
+    N, h = A.shape[-1], A.shape[-1] // 2
+    F = np.zeros(fine if not u.real_flag else fine[:-1] + (N,), dtype=complex)
+    for src, dst in _band_blocks(A.shape, F.shape):
+        F[dst] = A[src]
+    axes = tuple(range(A.ndim)) if not u.real_flag else tuple(range(A.ndim - 1))
+    Y = np.fft.ifftn(F, axes=axes, norm="forward")
+    if not u.real_flag:
+        return Y
+    Z = np.zeros(Y.shape[:-1] + (h + 1,), dtype=complex)
+    Z[..., :h] = Y[..., :h]
+    Z[..., 1:] = 0.5 * (Z[..., 1:] + np.conj(Y[..., :h - 1:-1]))
+    return np.fft.irfft(Z, n=fine[-1], axis=-1, norm="forward")
+
+
+def _full_box_crop(grid, kind, P):
+    shape = grid.shape_for(kind)
+    if np.iscomplexobj(P):
+        F = np.fft.fftn(P, axes=tuple(range(P.ndim)), norm="forward")
+    else:
+        h = shape[-1] // 2
+        X = np.fft.rfft(P, axis=-1, norm="forward")
+        Y = np.concatenate([X[..., :h], np.conj(X[..., h:0:-1])], axis=-1)
+        F = np.fft.fftn(Y, axes=tuple(range(P.ndim - 1)), norm="forward")
+    A = np.empty(shape, dtype=complex)
+    for dst, src in _band_blocks(shape, F.shape):
+        A[dst] = F[src]
+    return from_plane_wave_coeffs(grid, A, kind).coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", [SPATIAL, SPACETIME])
+def test_axis_by_axis_pads_and_crops_are_the_full_box_route_bit_for_bit(n, kind):
+    g = make_grid(n, 8, 8 if n == 3 else 16, 1.3, TWO_PI)
+    shape = g.shape_for(kind)
+    rng = np.random.default_rng(30 + n)
+    arbitrary = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fields = [random_field(g, kind, n, max_freq=g.N_x // 2),  # real, Nyquist planes filled
+              SpectralField(grid=g, kind=kind, coeffs=arbitrary, real_flag=True),
+              SpectralField(grid=g, kind=kind, coeffs=arbitrary, real_flag=False)]
+    for u in fields:
+        coeffs = u.coeffs.copy()
+        for factor in (1.5, 2.0, 2.5, 3.0, 3.5):
+            got, want = fine_samples(u, factor), _full_box_fine_samples(u, factor)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert u.coeffs.tobytes() == coeffs.tobytes()
+            for P in (got, got * (0.5 - 1.5j)):
+                P_in = P.copy()
+                back = field_from_fine_samples(g, kind, P, real_flag=u.real_flag).coeffs
+                assert np.array_equal(back, _full_box_crop(g, kind, P))
+                assert P.tobytes() == P_in.tobytes()
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.0, -1.5, math.inf, math.nan])
+def test_bad_refinement_factor_rejected_before_any_transform(monkeypatch, grid2d, factor):
+    u = random_field(grid2d, SPACETIME, 3)
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **k: pytest.fail("transformed"))
+    shown = re.escape(repr(factor))
+    with pytest.raises(ValueError, match=shown):
+        fine_samples(u, factor)
+    with pytest.raises(ValueError, match=shown):
+        FineLattice(grid2d, SPACETIME, factor)
+    with pytest.raises(ValueError, match=shown):
+        dealiased_product(u, u, factor=factor)

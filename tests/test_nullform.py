@@ -437,6 +437,41 @@ def test_fuzzer_rejects_bad_arguments_before_drawing(monkeypatch, samples, dims,
         check_symbol_inequality("delta", samples, 0, dims)
 
 
+def _composed_ineq_delta(tau, lam, xi, eta):
+    """The delta inequality as delta_minus and delta_plus compose it: the bit-level reference."""
+    na, nb = nullform._norm(xi), nullform._norm(eta)
+    mn = np.minimum(na, nb)
+    prod = np.maximum(na * nb, 1e-300)
+    dot = nullform._dot(xi, eta)
+    m_minus = np.where(dot > 0, nullform._wedge_sq(xi, eta) / np.maximum(prod + dot, 1e-300),
+                       prod - dot)
+    m_plus = np.where(dot < 0, nullform._wedge_sq(xi, eta) / np.maximum(prod - dot, 1e-300),
+                      prod + dot)
+    lhs = np.concatenate([mn * m_plus / prod, mn * m_minus / prod])
+    rhs = np.concatenate([2.0 * delta_minus(xi, eta), 2.0 * delta_plus(xi, eta)])
+    return lhs, rhs, np.concatenate([mn, mn])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_delta_inequality_keeps_the_bits_of_the_composed_kernels(monkeypatch, n):
+    rng = np.random.default_rng(20 + n)
+    xi = _spread(rng, (300, n))
+    signed_zeros = np.where(rng.uniform(size=(300, n)) < 0.5, -0.0, 0.0)
+    cases = [p[2:] for p in nullform.frequency_pairs(6000, 5, dims=(n,))]
+    cases += [(xi, xi), (xi, -xi), (xi, 3.0 * xi), (xi, -1e-7 * xi),
+              (signed_zeros, signed_zeros), (signed_zeros, xi), (-xi, signed_zeros)]
+    ineq = INEQUALITY_REGISTRY["delta"][0]
+    with np.errstate(all="ignore"):  # overflow in the np.where branch not taken
+        for a, b in cases:
+            t = np.ones(len(a))
+            for got, want in zip(ineq(t, t, a, b), _composed_ineq_delta(t, t, a, b)):
+                assert _same_bits(got, want)
+    pairs = nullform.frequency_pairs(20000, 9, dims=(n,))
+    fused = check_symbol_inequality("delta", 20000, 9, (n,), pairs=pairs)
+    monkeypatch.setitem(INEQUALITY_REGISTRY, "delta", (_composed_ineq_delta, 2.0))
+    assert fused == check_symbol_inequality("delta", 20000, 9, (n,), pairs=pairs)
+
+
 def test_hyperbolic_triangle_degenerate_equality():
     # colinear cone pair: both sides vanish
     tau = np.array([1.0])
