@@ -7,9 +7,9 @@ Three kinds of evidence are produced, none of which claims a proof:
 * schur_bound evaluates the boundedness certificate sup_xi int K^2 d(eta) in
   polar coordinates with a graded angular mesh, monotone in the truncation
   and in the angular refinement by construction; schur_ladder evaluates a
-  ladder of (R, h) rungs with one integrand per dyadic |xi|, built at the
-  finest angular cut any rung sampling that |xi| needs, whose column
-  prefixes give the coarser rungs bit for bit;
+  ladder of (R, h) rungs from one integrand per dyadic |xi| (|xi| = 1 alone
+  for a homogeneous kernel, by scaling), at the finest angular cut among the
+  rungs, whose column prefixes give the coarser rungs bit for bit;
 * trilinear_form and discrete_schur_constant share one pair table: the
   kernel on every (xi, eta) pair of a block of f-rows at once, and h(xi+eta)
   looked up by raveling the sums over h's bounding box and a searchsorted
@@ -34,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 from .lattice import (SPACETIME, Grid, SpectralField, modified_mixed_norm,
                       random_field)
 from .multiplier import SpaceIndex, weight, ws_norm
-from .nullform import BilinearFormSpec, _norm, apply_form, delta_minus, delta_plus
+from .nullform import BilinearFormSpec, _delta_parts, _norm, apply_form, delta_minus, delta_plus
 
 TWO_PI = 2.0 * math.pi
 
@@ -359,8 +359,9 @@ class KernelSpec:
     n: int = 3
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.c < 0:
-            raise ValueError("kernel exponents must be nonnegative")
+        for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"kernel exponent {name} must be finite and >= 0, got {v!r}")
         if self.sign not in ("plus", "minus"):
             raise ValueError("sign must be 'plus' or 'minus'")
         if self.variant not in ("homogeneous", "inhomogeneous"):
@@ -372,7 +373,11 @@ class KernelSpec:
 def kernel_eval(k: KernelSpec, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """K(xi, eta) on arrays of shape (..., n)."""
     nx, ne = _norm(np.atleast_2d(xi)), _norm(np.atleast_2d(eta))
-    delta = delta_plus(xi, eta) if k.sign == "plus" else delta_minus(xi, eta)
+    return _kernel(k, nx, ne, delta_plus(xi, eta) if k.sign == "plus" else delta_minus(xi, eta))
+
+
+def _kernel(k: KernelSpec, nx, ne, delta) -> np.ndarray:
+    """K from |xi|, |eta| and Delta."""
     if k.variant == "homogeneous":
         num = np.where(nx > 0, np.where(nx > 0, nx, 1.0) ** (-k.a), np.inf if k.a > 0 else 1.0)
         num = num * np.where(ne > 0, np.where(ne > 0, ne, 1.0) ** (-k.b), np.inf if k.b > 0 else 1.0)
@@ -426,26 +431,26 @@ def _schur_integrand(k: KernelSpec, xi_mag: float, bricks) -> np.ndarray:
     WR = rw.reshape(-1)[:, None]
     T = tg.reshape(-1)[None, :]
     WT = tw.reshape(-1)[None, :]
-    xi = np.zeros((R.shape[0], T.shape[1], n))
-    xi[..., 0] = xi_mag
-    eta = np.zeros_like(xi)
-    eta[..., 0] = R * np.cos(T)
-    if n >= 2:
-        eta[..., 1] = R * np.sin(T)
-    K = kernel_eval(k, xi, eta)
-    jac = R ** (n - 1) * (np.sin(T) ** (n - 2) if n >= 2 else 1.0) * sigma
+    # xi = (|xi|, 0, ...) and eta = (R cos T, R sin T, 0, ...) as scalars, with the bits of
+    # (rows, cols, n) vectors; |xi| is an array, as numpy's scalar power rounds differently
+    na, sin_t = np.full((1, 1), xi_mag), np.sin(T)
+    e0, e1 = R * np.cos(T), (R * sin_t if n >= 2 else 0.0)
+    nb, ns = np.sqrt(e0 * e0 + e1 * e1), np.sqrt((na + e0) ** 2 + e1 * e1)
+    K = _kernel(k, na, nb, _delta_parts(na, nb, ns, na * e0, (na * e1) ** 2, k.sign == "plus"))
+    jac = R ** (n - 1) * (sin_t ** (n - 2) if n >= 2 else 1.0) * sigma
     return K**2 * jac * WR * WT
 
 
 def schur_ladder(k: KernelSpec, rungs) -> list[float]:
     """schur_bound(k, R, h) for every (R, h) in `rungs`, each |xi| integrated once.
 
-    Every rung with R >= |xi| samples the same dyadic |xi|, and the angular
-    bricks of a cut are a prefix of those of any finer cut.  So one integrand
-    per |xi|, at the finest cut among the rungs that sample it, serves them
-    all: a rung's value at that |xi| is the sum of the integrand's first
-    8 * bricks(h) columns, the same numbers summed in the same order as in
-    the rung's own integrand.
+    The bricks of a cut are a prefix of those of any finer cut, so one integrand
+    per dyadic |xi|, at the finest cut among the rungs with R >= |xi|, serves
+    them all: a rung's value there sums its first 8 * bricks(h) columns, in its
+    own integrand's order.  A homogeneous kernel needs |xi| = 1 alone:
+    K(m xi, m eta) = m^-(a+b+c) K(xi, eta) and the polar nodes scale exactly, so
+    the integrand at |xi| = m is m^e times the one at 1, e = n - 2(a+b+c), and a
+    rung's value is S_1 max(1, M^e), S_1 its sum at 1, M the top dyadic |xi| <= R.
     """
     tops, cuts = [], []
     for R, h in rungs:
@@ -468,6 +473,10 @@ def schur_ladder(k: KernelSpec, rungs) -> list[float]:
         for i in active:
             cols = integrand[:, :_GAUSS_N * len(cuts[i])]
             best[i] = max(best[i], float(np.sum(np.ascontiguousarray(cols))))
+        if k.variant == "homogeneous":
+            with np.errstate(over="ignore"):  # M^e = 2^(j e), inf once it overflows
+                growth = np.exp2((np.frexp(tops)[1] - 1) * (k.n - 2.0 * (k.a + k.b + k.c)))
+            return [s * max(1.0, float(g)) for s, g in zip(best, growth)]
         mag *= 2.0
 
 
@@ -478,7 +487,8 @@ def schur_bound(k: KernelSpec, R: float, h: float) -> float:
     complementary region is the same bound with the roles of a and b swapped).
     The angular mesh excludes a window theta < pi (h/pi)^4 around the singular
     directions; both the xi samples and the angular bricks are nested under
-    R-doubling and h-halving, so the value is exactly monotone in R and 1/h.
+    R-doubling and h-halving, so the value is exactly monotone in R and 1/h, also
+    as S_1 max(1, M^e) (inf on overflow) for a homogeneous kernel (schur_ladder).
     R and h must be finite, R >= 1, and the window pi (h/pi)^4 must be > 0.
     """
     return schur_ladder(k, [(R, h)])[0]

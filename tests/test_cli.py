@@ -170,6 +170,17 @@ def test_probe_kernel_rejects_bad_truncation_or_step(flag, value, capsys):
     assert "ERROR\tcode=2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--a", "--b", "--c"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_probe_kernel_rejects_non_finite_exponents(flag, value, capsys, tmp_path):
+    out = tmp_path / "kernel.csv"
+    code = main(["probe-kernel", flag, value, "--R", "4", "--h", "0.2", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    msg = capsys.readouterr().out
+    assert msg.startswith("ERROR\tcode=2") and f"exponent {flag[2:]} must be finite" in msg
+    assert f"got {value}" in msg and not out.exists()
+
+
 def test_thread_cap_keeps_output_deterministic(tmp_path, monkeypatch):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

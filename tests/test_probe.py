@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,21 +110,138 @@ def test_schur_ladder_any_rung_order():
 
 
 def test_schur_ladder_evaluates_each_xi_once(monkeypatch):
-    # the default probe-kernel ladder samples |xi| = 1..16 at R = 16 and
+    # a homogeneous ladder builds one integrand, at |xi| = 1, whatever R is;
+    # the inhomogeneous default ladder samples |xi| = 1..16 at R = 16 and
     # 1..32 at 2R: one integrand per |xi| at the finest cut (52 bricks up to
     # 16, 36 at 32) of 352 x 8 nodes per brick, not one per (rung, |xi|)
     calls = []
+    real = probe._schur_integrand
 
-    def counting(k, xi, eta):
-        out = kernel_eval(k, xi, eta)
-        calls.append(out.size)
+    def counting(k, xi_mag, bricks):
+        out = real(k, xi_mag, bricks)
+        calls.append((xi_mag, out.size))
         return out
 
-    monkeypatch.setattr(probe, "kernel_eval", counting)
+    monkeypatch.setattr(probe, "_schur_integrand", counting)
+    for R in (16.0, 2.0**20):
+        calls.clear()
+        schur_ladder(KernelSpec(a=1.2, b=0.2, c=0.3, variant="homogeneous", n=3),
+                     _probe_kernel_ladder(R=R))
+        assert calls == [(1.0, 52 * 2816)]
+    calls.clear()
+    schur_ladder(KernelSpec(a=1.2, b=0.2, c=0.3, variant="inhomogeneous", n=3),
+                 _probe_kernel_ladder())
+    assert [m for m, _ in calls] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+    assert sum(size for _, size in calls) == 296 * 2816
+
+
+def test_readme_probe_kernel_ladder_values():
     k = KernelSpec(a=1.2, b=0.2, c=0.3, variant="homogeneous", n=3)
-    schur_ladder(k, _probe_kernel_ladder())
-    assert len(calls) == 6
-    assert sum(calls) == 296 * 2816
+    assert [repr(v) for v in schur_ladder(k, _probe_kernel_ladder())] == [
+        "13.323824234014412", "13.324301453359794", "13.324353383802144", "13.323824234014412"]
+
+
+def _schur_ladder_loop(k, rungs):
+    """One integrand per dyadic |xi| <= R for every variant: the reference for
+    the scaled homogeneous ladder."""
+    tops, cuts = [], []
+    for R, h in rungs:
+        tops.append(R * (1.0 + 1e-12))
+        cuts.append(probe._theta_bricks(math.pi * (min(h, math.pi) / math.pi) ** 4))
+    best = [0.0] * len(cuts)
+    mag = 1.0
+    while True:
+        active = [i for i, top in enumerate(tops) if mag <= top]
+        if not active:
+            return best
+        integrand = probe._schur_integrand(k, mag, max((cuts[i] for i in active), key=len))
+        for i in active:
+            cols = integrand[:, :8 * len(cuts[i])]
+            best[i] = max(best[i], float(np.sum(np.ascontiguousarray(cols))))
+        mag *= 2.0
+
+
+def _scaling_cases():
+    """(a, b, c, n) with e = n - 2(a+b+c) < 0, = 0 and > 0 for n = 1..4, exact in binary."""
+    cases = [(1.2, 0.2, 0.3, 3), (0.5, 0.5, 0.5, 3), (0.3, 0.3, 0.3, 3)]
+    for n in (1, 2, 3, 4):
+        cases += [(n / 2 - 0.5, 0.25, c, n) for c in (0.5, 0.25, 0.0)]
+    return cases
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("a, b, c, n", _scaling_cases())
+def test_scaled_ladder_is_the_per_xi_loop(a, b, c, n, sign):
+    ladder = [(8.0, 0.05), (5.0, 0.2), (1.0, 4.0), (32.0, 0.1), (12.0, 0.025), (16.0, 0.1)]
+    for variant in ("homogeneous", "inhomogeneous"):
+        k = KernelSpec(a=a, b=b, c=c, sign=sign, variant=variant, n=n)
+        got, want = schur_ladder(k, ladder), _schur_ladder_loop(k, ladder)
+        if variant == "inhomogeneous" or n - 2 * (a + b + c) < 0:
+            assert got == want
+        else:
+            assert all(math.isclose(g, w, rel_tol=1e-12) for g, w in zip(got, want))
+        assert schur_ladder(k, []) == []
+
+
+def test_scaled_ladder_far_out(monkeypatch):
+    calls = []
+    real = probe._schur_integrand
+    monkeypatch.setattr(probe, "_schur_integrand",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    k = KernelSpec(a=0.3, b=0.3, c=0.3, variant="homogeneous", n=3)  # e = 1.2
+    e = 3 - 2 * (0.3 + 0.3 + 0.3)
+    s1, far = schur_ladder(k, [(1.0, 0.1), (2.0**40 * 1.5, 0.1)])
+    assert calls == [1.0]
+    assert abs(far - s1 * 2.0 ** (40 * e)) <= 1e-14 * far
+    # a = b = c = 0, e = 3: S_1 is about the unit ball's volume 4 pi / 3, so
+    # S_1 M^3 overflows at M = 2^341 (M^3 = 2^1023 is finite) and M^3 at 2^400
+    flat = KernelSpec(a=0.0, b=0.0, c=0.0, variant="homogeneous", n=3)
+    s1, edge, over, pow_over = schur_bound(flat, 1.0, 0.1), *schur_ladder(
+        flat, [(2.0**340, 0.1), (2.0**341, 0.1), (2.0**400, 0.1)])
+    assert 4.0 < s1 < 4.2 and edge == s1 * 2.0**1020
+    assert over == math.inf and pow_over == math.inf
+
+
+def _schur_integrand_vectors(k, xi_mag, bricks):
+    """The integrand through kernel_eval on (rows, cols, n) xi and eta vectors:
+    the reference for the scalar route of _schur_integrand."""
+    n = k.n
+    sigma = probe._sphere_area(n - 2) if n >= 2 else 1.0
+    gx, gw = leggauss(8)
+    t_lo = np.array([b[0] for b in bricks])
+    t_hi = np.array([b[1] for b in bricks])
+    r_hi = xi_mag * 2.0 ** (-np.arange(44, dtype=float))
+    r_lo = r_hi / 2.0
+    rg = 0.5 * (r_hi + r_lo)[:, None] + 0.5 * (r_hi - r_lo)[:, None] * gx[None, :]
+    rw = 0.5 * (r_hi - r_lo)[:, None] * gw[None, :]
+    tg = 0.5 * (t_hi + t_lo)[:, None] + 0.5 * (t_hi - t_lo)[:, None] * gx[None, :]
+    tw = 0.5 * (t_hi - t_lo)[:, None] * gw[None, :]
+    R = rg.reshape(-1)[:, None]
+    WR = rw.reshape(-1)[:, None]
+    T = tg.reshape(-1)[None, :]
+    WT = tw.reshape(-1)[None, :]
+    xi = np.zeros((R.shape[0], T.shape[1], n))
+    xi[..., 0] = xi_mag
+    eta = np.zeros_like(xi)
+    eta[..., 0] = R * np.cos(T)
+    if n >= 2:
+        eta[..., 1] = R * np.sin(T)
+    K = kernel_eval(k, xi, eta)
+    jac = R ** (n - 1) * (np.sin(T) ** (n - 2) if n >= 2 else 1.0) * sigma
+    return K**2 * jac * WR * WT
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous"])
+def test_schur_integrand_scalar_route_keeps_the_vector_bits(n, sign, variant):
+    bricks = probe._theta_bricks(math.pi * (0.05 / math.pi) ** 4)
+    # (1 + 1)^-0.3: numpy's scalar and array powers can round it differently
+    for a, b, c in ((1.2, 0.2, 0.3), (0.0, 0.5, 0.6), (0.3, 0.3, 0.3)):
+        k = KernelSpec(a=a, b=b, c=c, sign=sign, variant=variant, n=n)
+        for xi_mag in (1.0, 2.0, 3.0, 32.0):
+            assert np.array_equal(probe._schur_integrand(k, xi_mag, bricks),
+                                  _schur_integrand_vectors(k, xi_mag, bricks))
 
 
 @pytest.mark.parametrize("R, h", [(math.nan, 0.1), (16.0, math.nan), (math.inf, 0.1),
@@ -141,6 +259,14 @@ def test_schur_rejects_non_finite_or_vanishing_cut(R, h):
 def test_kernel_spec_rejects_dimension_below_one(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
         KernelSpec(a=1.2, b=0.2, c=0.3, n=n)
+
+
+@pytest.mark.parametrize("name", ["a", "b", "c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_kernel_spec_rejects_non_finite_exponents(name, value):
+    exps = {"a": 1.2, "b": 0.2, "c": 0.3, name: value}
+    with pytest.raises(ValueError, match=f"exponent {name} must be finite.*got {value!r}"):
+        KernelSpec(**exps, variant="homogeneous")
 
 
 def test_kernel_spec_validation():
