@@ -10,6 +10,10 @@ measure-weighted inner products, so the sum of squared coefficients equals
 the measure-weighted L^2 norm of the samples (Plancherel as a plain sum).
 With this choice a product of two fields corresponds to a plain coefficient
 convolution scaled by 1/sqrt(domain volume).
+
+The mixed representation (time slice x spatial mode) is one time FFT of the
+plane-wave coefficients; the real part of a real field's samples is taken as
+the Hermitian projection (c + conj c(-Xi)) / 2 of its coefficients.
 """
 
 from __future__ import annotations
@@ -175,11 +179,17 @@ class SpectralField:
 
     def hermitian_error(self) -> float:
         """Max deviation from coeffs(-Xi) = conj(coeffs(Xi))."""
-        c = self.coeffs
-        flipped = c
-        for ax in range(c.ndim):
-            flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-        return float(np.max(np.abs(c - np.conj(flipped))))
+        return float(np.max(np.abs(self.coeffs - _conj_reflected(self.coeffs))))
+
+
+def _conj_reflected(c: np.ndarray) -> np.ndarray:
+    """conj c(-Xi): index k goes to -k mod N on every axis (reverse all axes, shift by one)."""
+    return np.conj(np.roll(np.flip(c), 1, axis=tuple(range(c.ndim))))
+
+
+def _hermitian_part(c: np.ndarray) -> np.ndarray:
+    """(c + conj c(-Xi)) / 2, the real part of the samples; exactly Hermitian."""
+    return 0.5 * (c + _conj_reflected(c))
 
 
 def _measure(grid: Grid, kind: str) -> float:
@@ -222,21 +232,22 @@ def from_plane_wave_coeffs(grid: Grid, A: np.ndarray, kind: str, real_flag=False
 def time_spatial_rep(fieldv: SpectralField) -> np.ndarray:
     """Mixed representation a[j, xi]: per-time-slice plane-wave amplitudes.
 
-    u(t_j, x) = sum_xi a[j, xi] exp(i xi . x).
+    u(t_j, x) = sum_xi a[j, xi] exp(i xi . x): one inverse time FFT of the plane-wave
+    coefficients, Hermitian-projected first for a real field (the real part of its samples).
     """
     if fieldv.kind != SPACETIME:
         raise ValueError("mixed representation needs a spacetime field")
-    P = inverse_transform(fieldv)
-    spatial_axes = tuple(range(1, fieldv.grid.n + 1))
-    return np.fft.fftn(P, axes=spatial_axes) / fieldv.grid.N_x**fieldv.grid.n
+    A = plane_wave_coeffs(fieldv)
+    return np.fft.ifft(_hermitian_part(A) if fieldv.real_flag else A, axis=0, norm="forward")
 
 
 def from_time_spatial_rep(grid: Grid, a: np.ndarray, real_flag=False) -> SpectralField:
-    spatial_axes = tuple(range(1, grid.n + 1))
-    P = np.fft.ifftn(a * grid.N_x**grid.n, axes=spatial_axes)
-    if real_flag:
-        P = P.real
-    return transform(grid, P, SPACETIME)
+    """Spacetime field of a mixed representation: one time FFT, Hermitian-projected after it
+    if real_flag, so the field is then exactly Hermitian.  The caller's real_flag is kept, as
+    in from_plane_wave_coeffs: no sample-space check runs."""
+    A = np.fft.fft(a, axis=0, norm="forward")
+    return from_plane_wave_coeffs(grid, _hermitian_part(A) if real_flag else A, SPACETIME,
+                                  real_flag=real_flag)
 
 
 def random_field(grid: Grid, kind: str, seed: int, max_freq: int | None = None,
@@ -425,11 +436,8 @@ def time_cutoff(u: SpectralField, width: float) -> SpectralField:
     if u.kind != SPACETIME:
         raise ValueError("time_cutoff needs a spacetime field")
     phi = cutoff_profile(u.grid, width).reshape((u.grid.N_t,) + (1,) * u.grid.n)
-    P = inverse_transform(u) * phi
-    out = transform(u.grid, P, SPACETIME)
-    out.real_flag = u.real_flag
-    out.zero_mode_projected = u.zero_mode_projected
-    return out
+    a = phi * time_spatial_rep(u)
+    return u.copy_with(from_time_spatial_rep(u.grid, a, real_flag=u.real_flag).coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ keeps the cost at O(N_t) per mode.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +46,7 @@ def half_wave(sign: int, t: float, f: SpectralField) -> SpectralField:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     phase = np.exp(sign * 1j * t * f.grid.abs_xi(SPATIAL))
-    out = f.copy_with(f.coeffs * phase)
-    out.real_flag = f.real_flag and t == 0.0
-    return out
+    return f.copy_with(f.coeffs * phase, real_flag=f.real_flag and t == 0.0)
 
 
 def _mode_factors(grid: Grid, t: float):
@@ -67,19 +65,13 @@ def homogeneous(data: CauchyData, t: float) -> SpectralField:
     evolving as f_hat + t g_hat.
     """
     ax, zero, cos_t, sin_t = _mode_factors(data.f.grid, t)
-    c = cos_t * data.f.coeffs + sin_t * data.g.coeffs
-    out = data.f.copy_with(c)
-    out.real_flag = data.f.real_flag
-    return out
+    return data.f.copy_with(cos_t * data.f.coeffs + sin_t * data.g.coeffs)
 
 
 def homogeneous_velocity(data: CauchyData, t: float) -> SpectralField:
     """Time derivative of the homogeneous solution (analytic per mode)."""
     ax, zero, cos_t, _ = _mode_factors(data.f.grid, t)
-    c = -ax * np.sin(t * ax) * data.f.coeffs + cos_t * data.g.coeffs
-    out = data.f.copy_with(c)
-    out.real_flag = data.f.real_flag
-    return out
+    return data.f.copy_with(-ax * np.sin(t * ax) * data.f.coeffs + cos_t * data.g.coeffs)
 
 
 def signed_times(grid: Grid) -> np.ndarray:
@@ -100,17 +92,31 @@ def homogeneous_spacetime(data: CauchyData) -> np.ndarray:
     return cos_t * plane_wave_coeffs(data.f) + sin_t * plane_wave_coeffs(data.g)
 
 
+@functools.lru_cache(maxsize=8)
+def _duhamel_tables(grid: Grid):
+    """Read-only tables of duhamel_mixed per grid: safe |xi| (1 at xi = 0) and, for each
+    signed-time order, (order, t, cos(|xi| t), sin(|xi| t))."""
+    ax = grid.abs_xi(SPATIAL)
+    safe = np.where(ax == 0.0, 1.0, ax)
+    tb = signed_times(grid).reshape((grid.N_t,) + (1,) * grid.n)
+    half = grid.N_t // 2
+    # indices 0 .. half-1 (times 0, dt, ...), then 0, N-1, ..., half (times 0, -dt, ...)
+    legs = tuple((o, tb[o], np.cos(safe * tb[o]), np.sin(safe * tb[o]))
+                 for o in (np.arange(half), np.r_[0, grid.N_t - 1:half - 1:-1]))
+    for arr in (safe,) + sum(legs, ()):
+        arr.setflags(write=False)
+    return safe, legs
+
+
 def duhamel_mixed(grid: Grid, a_F: np.ndarray) -> np.ndarray:
     """Zero-data solution in mixed representation, trapezoid running sums.
 
     Works on the signed time window: forward accumulation from t = 0 on the
-    first half of the axis, backward accumulation on the negative half.
+    first half of the axis, backward accumulation on the negative half.  The
+    cos/sin tables are built once per grid (`_duhamel_tables`, cached).
     """
-    ax = grid.abs_xi(SPATIAL)
-    zero = ax == 0.0
-    safe = np.where(zero, 1.0, ax)
-    tb = signed_times(grid).reshape((grid.N_t,) + (1,) * grid.n)
-    half = grid.N_t // 2
+    safe, legs = _duhamel_tables(grid)
+    zero = (slice(None),) + (0,) * grid.n
 
     def running(z, sign):
         # cumulative trapezoid from t = 0 along an ordering; a backward step's sign is a
@@ -120,14 +126,12 @@ def duhamel_mixed(grid: Grid, a_F: np.ndarray) -> np.ndarray:
         return csum
 
     out = np.empty_like(a_F)
-    # indices 0 .. half-1 (times 0, dt, ...), then 0, N-1, ..., half (times 0, -dt, ...)
-    for order, sign in ((np.arange(half), np.positive),
-                        (np.r_[0, grid.N_t - 1:half - 1:-1], np.negative)):
-        y, t = a_F[order], tb[order]
-        cos_t, sin_t = np.cos(safe * t), np.sin(safe * t)
+    for (order, t, cos_t, sin_t), sign in zip(legs, (np.positive, np.negative)):
+        y = a_F[order]
         osc = -(sin_t * running(cos_t * y, sign) - cos_t * running(sin_t * y, sign)) / safe
-        lin = -(t * running(y, sign) - running(t * y, sign))
-        out[order] = np.where(zero, lin, osc)
+        # the xi = 0 mode has kernel (t - t'): computed on its own column only
+        osc[zero] = -(t[zero] * running(y[zero], sign) - running(t[zero] * y[zero], sign))
+        out[order] = osc
     return out
 
 
@@ -135,8 +139,7 @@ def duhamel(F: SpectralField) -> SpectralField:
     """Solution of (wave operator) v = F with vanishing data at t = 0."""
     if F.kind != SPACETIME:
         raise ValueError("duhamel needs a spacetime field")
-    a_F = time_spatial_rep(F)
-    a_u = duhamel_mixed(F.grid, a_F)
+    a_u = duhamel_mixed(F.grid, time_spatial_rep(F))
     return from_time_spatial_rep(F.grid, a_u, real_flag=F.real_flag)
 
 
@@ -177,15 +180,14 @@ def step1_bound_check(F: SpectralField, t: float, cutoff_width: float | None = N
     if cutoff_width is None:
         cutoff_width = g.T_per / 2.0
     Fw = time_cutoff(F, cutoff_width)
-    a_F = time_spatial_rep(Fw)
-    a_u = duhamel_mixed(g, a_F)
+    a_u = duhamel_mixed(g, time_spatial_rep(Fw))
     j = int(round(t / g.dt))
     j = min(max(j, 0), g.N_t - 1)
     t_j = g.times()[j]
     lhs = np.abs(a_u[j])
 
-    # tau-resolved transform of each mode's time signal, plain DFT over axis 0
-    A = np.fft.fft(a_F, axis=0) / g.N_t
+    # tau-resolved amplitudes of each mode's time signal: the cut field's coefficients
+    A = plane_wave_coeffs(Fw)
     ax = g.abs_xi(SPATIAL)
     hyp = weight("d_minus", 1.0, g.tau_broadcast(), ax)
     int_weighted = np.sum(np.abs(A) / (1.0 + hyp), axis=0)

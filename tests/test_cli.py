@@ -434,3 +434,24 @@ def test_dimension_below_one_is_a_config_error(capsys, command, key, n):
     assert main([command, "--n", n]) == EXIT_CONFIG
     out = capsys.readouterr().out
     assert out.startswith("ERROR\tcode=2") and f"{key} = '{n}'" in out
+
+
+def test_readme_iterate_golden(tmp_path):
+    """The README `nflab iterate` run: sup_Hs and the flag exactly, d_1 and d_2 to 1e-12
+    relative, and every d_j to 1e-15 sup_Hs[0] absolute (the later d_j are rounding noise)."""
+    out = tmp_path / "trace.csv"
+    assert main(["iterate", "--system", "scalarQ0", "--J", "8", "--n", "2", "--nt", "32",
+                 "--nx", "32", "--t-per", "1.0", "--out", str(out)]) == EXIT_OK
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+    sup0 = 0.2080522968107578
+    assert [r[1] for r in rows] == [repr(sup0)] * 9
+    assert [r[4] for r in rows] == [""] * 8 + ["converged"]
+    pinned = [0.00029352998976638105, 1.7428988224576195e-07, 1.9279576463924503e-10,
+              7.716387934763581e-13, 2.3687292752696785e-14, 2.837342214464849e-16,
+              8.689996738299142e-18, 7.596868648120013e-18]
+    d = [float(r[2]) for r in rows[1:]]
+    assert len(d) == len(pinned)
+    for got, want in zip(d[:2], pinned[:2]):
+        assert abs(got - want) <= 1e-12 * want
+    for got, want in zip(d, pinned):
+        assert abs(got - want) <= 1e-15 * sup0

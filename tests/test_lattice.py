@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from nflab.lattice import (SPACETIME, SPATIAL, FineLattice, SpectralField, cutoff_profile,
                            dealiased_product, field_from_fine_samples, fine_samples,
-                           from_plane_wave_coeffs, inverse_transform, make_grid,
+                           from_plane_wave_coeffs, from_time_spatial_rep,
+                           inverse_transform, make_grid,
                            mixed_norm, modified_mixed_norm,
                            modified_mixed_norm_detailed, plane_wave_coeffs,
-                           random_field, read_field, time_cutoff, transform,
+                           random_field, read_field, time_cutoff, time_spatial_rep,
+                           transform,
                            write_field)
 
 TWO_PI = 2.0 * math.pi
@@ -498,3 +500,61 @@ def test_bad_refinement_factor_rejected_before_any_transform(monkeypatch, grid2d
         FineLattice(grid2d, SPACETIME, factor)
     with pytest.raises(ValueError, match=shown):
         dealiased_product(u, u, factor=factor)
+
+
+def _full_box_time_spatial_rep(fieldv):
+    """The full-box route: every sample by a spacetime inverse FFT, then a spatial FFT."""
+    P = inverse_transform(fieldv)
+    spatial_axes = tuple(range(1, fieldv.grid.n + 1))
+    return np.fft.fftn(P, axes=spatial_axes) / fieldv.grid.N_x**fieldv.grid.n
+
+
+def _full_box_from_time_spatial_rep(grid, a, real_flag=False):
+    spatial_axes = tuple(range(1, grid.n + 1))
+    P = np.fft.ifftn(a * grid.N_x**grid.n, axes=spatial_axes)
+    if real_flag:
+        P = P.real
+    return transform(grid, P, SPACETIME)
+
+
+def _full_band(rng, shape, real):
+    """Random values on every lattice point: Nyquist planes, tau = 0 and the zero mode."""
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c[(0,) * len(shape)] = 3.0 - 2.0j
+    return c.real if real else c
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixed_representation_is_the_full_box_route(n):
+    g = make_grid(n, 8, 8, 1.7, 2.3)
+    rng = np.random.default_rng(n)
+    for real in (True, False):
+        # a real field from real samples, and real_flag on non-Hermitian coefficients
+        fields = [transform(g, _full_band(rng, g.spacetime_shape, real), SPACETIME),
+                  SpectralField(g, SPACETIME, _full_band(rng, g.spacetime_shape, False),
+                                real_flag=real)]
+        for u in fields:
+            want = _full_box_time_spatial_rep(u)
+            got = time_spatial_rep(u)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        a = _full_band(rng, g.spacetime_shape, False)
+        for real_flag in (True, False):
+            want = _full_box_from_time_spatial_rep(g, a, real_flag=real_flag).coeffs
+            out = from_time_spatial_rep(g, a, real_flag=real_flag)
+            assert np.max(np.abs(out.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
+            assert out.real_flag is real_flag
+        assert from_time_spatial_rep(g, a, real_flag=True).hermitian_error() == 0.0
+
+
+def test_time_cutoff_agrees_with_the_sample_route():
+    g = make_grid(2, 16, 8, 1.0, TWO_PI)
+    phi = cutoff_profile(g, 0.5).reshape((g.N_t, 1, 1))
+    for real in (True, False):
+        u = random_field(g, SPACETIME, 4, max_freq=8, real=real)
+        u.zero_mode_projected = True
+        want = transform(g, inverse_transform(u) * phi, SPACETIME).coeffs
+        out = time_cutoff(u, 0.5)
+        assert np.max(np.abs(out.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
+        assert out.real_flag is real and out.zero_mode_projected
+        if real:
+            assert out.hermitian_error() == 0.0

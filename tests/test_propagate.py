@@ -6,8 +6,8 @@ import pytest
 from nflab.lattice import (SPACETIME, SPATIAL, SpectralField, inverse_transform,
                            make_grid, random_field, time_spatial_rep, transform)
 from nflab.multiplier import SpaceIndex, spatial_hs_norm, ws_norm
-from nflab.propagate import (CauchyData, Step1Report, duhamel, duhamel_mixed,
-                             half_wave, homogeneous, homogeneous_spacetime,
+from nflab.propagate import (CauchyData, Step1Report, _duhamel_tables, duhamel,
+                             duhamel_mixed, half_wave, homogeneous, homogeneous_spacetime,
                              homogeneous_velocity, pm_decompose, signed_times,
                              step1_bound_check)
 
@@ -281,3 +281,58 @@ def test_step1_ensemble_t2_bound_never_violated(grid2d):
         F = random_field(grid2d, SPACETIME, 100 + seed, max_freq=3, real=False)
         rep = step1_bound_check(F, 1.2)
         assert rep.bound2_violations == 0
+
+
+def _uncached_duhamel_mixed(grid, a_F):
+    """Reference: tables rebuilt on every call, the xi = 0 branch run on the whole lattice."""
+    ax = grid.abs_xi(SPATIAL)
+    zero = ax == 0.0
+    safe = np.where(zero, 1.0, ax)
+    tb = signed_times(grid).reshape((grid.N_t,) + (1,) * grid.n)
+    half = grid.N_t // 2
+
+    def running(z, sign):
+        csum = np.zeros_like(z)
+        csum[1:] = sign(np.cumsum(0.5 * grid.dt * (z[1:] + z[:-1]), axis=0))
+        return csum
+
+    out = np.empty_like(a_F)
+    for order, sign in ((np.arange(half), np.positive),
+                        (np.r_[0, grid.N_t - 1:half - 1:-1], np.negative)):
+        y, t = a_F[order], tb[order]
+        cos_t, sin_t = np.cos(safe * t), np.sin(safe * t)
+        osc = -(sin_t * running(cos_t * y, sign) - cos_t * running(sin_t * y, sign)) / safe
+        lin = -(t * running(y, sign) - running(t * y, sign))
+        out[order] = np.where(zero, lin, osc)
+    return out
+
+
+def _complex_mixed_input(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = grid.spacetime_shape
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a[(slice(None),) + (0,) * grid.n] = 1.5 + rng.standard_normal(grid.N_t) - 0.5j
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N_t", [2, 4, 16, 32])
+def test_duhamel_mixed_is_the_uncached_route_bit_for_bit(n, N_t):
+    g = make_grid(n, N_t, 8, 1.3, TWO_PI)
+    a = _complex_mixed_input(g, 10 * n + N_t)
+    assert np.array_equal(duhamel_mixed(g, a), _uncached_duhamel_mixed(g, a))
+
+
+def test_duhamel_tables_are_per_grid_and_read_only():
+    # one lattice shape, two periods: only the times and phases tell the grids apart
+    g1, g2 = make_grid(2, 16, 8, 1.3, TWO_PI), make_grid(2, 16, 8, 2.6, TWO_PI)
+    a = _complex_mixed_input(g1, 7)
+    fresh = [_uncached_duhamel_mixed(g, a) for g in (g1, g2)]
+    for _ in range(2):
+        for g, want in zip((g1, g2), fresh):
+            assert np.array_equal(duhamel_mixed(g, a), want)
+    safe, legs = _duhamel_tables(g1)
+    for arr in (safe,) + sum(legs, ()):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        legs[0][2][0] = 0.0
