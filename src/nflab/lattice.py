@@ -18,6 +18,8 @@ the Hermitian projection (c + conj c(-Xi)) / 2 of its coefficients.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -187,9 +189,10 @@ def _conj_reflected(c: np.ndarray) -> np.ndarray:
     return np.conj(np.roll(np.flip(c), 1, axis=tuple(range(c.ndim))))
 
 
-def _hermitian_part(c: np.ndarray) -> np.ndarray:
-    """(c + conj c(-Xi)) / 2, the real part of the samples; exactly Hermitian."""
-    return 0.5 * (c + _conj_reflected(c))
+def _hermitian_part(c: np.ndarray) -> None:
+    """c <- (c + conj c(-Xi)) / 2 in place, the real part of the samples; exactly Hermitian."""
+    c += _conj_reflected(c)
+    c *= 0.5
 
 
 def _measure(grid: Grid, kind: str) -> float:
@@ -221,7 +224,7 @@ def inverse_transform(fieldv: SpectralField) -> np.ndarray:
 
 def plane_wave_coeffs(fieldv: SpectralField) -> np.ndarray:
     """Amplitudes A_k with u(x) = sum_k A_k exp(i Xi_k . x); A = c / sqrt(volume)."""
-    return fieldv.coeffs / math.sqrt(_measure(fieldv.grid, fieldv.kind))
+    return fieldv.coeffs * (1.0 / math.sqrt(_measure(fieldv.grid, fieldv.kind)))
 
 
 def from_plane_wave_coeffs(grid: Grid, A: np.ndarray, kind: str, real_flag=False) -> SpectralField:
@@ -237,8 +240,10 @@ def time_spatial_rep(fieldv: SpectralField) -> np.ndarray:
     """
     if fieldv.kind != SPACETIME:
         raise ValueError("mixed representation needs a spacetime field")
-    A = plane_wave_coeffs(fieldv)
-    return np.fft.ifft(_hermitian_part(A) if fieldv.real_flag else A, axis=0, norm="forward")
+    A = plane_wave_coeffs(fieldv).astype(complex, copy=False)  # a fresh temporary
+    if fieldv.real_flag:
+        _hermitian_part(A)
+    return np.fft.ifft(A, axis=0, norm="forward", out=A)
 
 
 def from_time_spatial_rep(grid: Grid, a: np.ndarray, real_flag=False) -> SpectralField:
@@ -246,8 +251,9 @@ def from_time_spatial_rep(grid: Grid, a: np.ndarray, real_flag=False) -> Spectra
     if real_flag, so the field is then exactly Hermitian.  The caller's real_flag is kept, as
     in from_plane_wave_coeffs: no sample-space check runs."""
     A = np.fft.fft(a, axis=0, norm="forward")
-    return from_plane_wave_coeffs(grid, _hermitian_part(A) if real_flag else A, SPACETIME,
-                                  real_flag=real_flag)
+    if real_flag:
+        _hermitian_part(A)
+    return from_plane_wave_coeffs(grid, A, SPACETIME, real_flag=real_flag)
 
 
 def random_field(grid: Grid, kind: str, seed: int, max_freq: int | None = None,
@@ -450,11 +456,19 @@ def time_cutoff(u: SpectralField, width: float) -> SpectralField:
 # all zero on the axes not yet padded are never transformed; a crop cuts an
 # axis to the band right after its forward transform, so later passes skip
 # the rows it drops.  Every row that is transformed holds the values it holds
-# in a full-box ifftn/fftn and goes through the same 1-D transform, so the
-# results keep their bits: the full-box route only adds transforms of zero
-# rows and of rows the crop discards.  In-place transforms act only on the
-# engine's own temporaries.  Real fields take an irfft/rfft along the last
-# axis and the same pruned passes on the leading axes.
+# in a full-box ifftn/fftn of the same band and goes through the same 1-D
+# transform, so the pruned passes keep the full-box bits.  In-place transforms
+# act only on the engine's own temporaries.
+#
+# A real field's fine samples are the real part of its interpolant, whose
+# coefficients are the Hermitian fold W = (Y + conj Y(-Xi)) / 2.  The fold is
+# taken on the coarse lattice, before any transform: each leading axis holds
+# the N + 1 frequencies -N/2..N/2 (the reflected partner of the coarse -N/2
+# row lands on +N/2), stored centred, and the last axis only the columns
+# 0..N/2 that the closing irfft reads.  At factor 1 the -N/2 and +N/2 halves
+# fall on one fine row and add.  A crop of real samples mirrors the pad: an
+# rfft, the columns 0..N/2 cut to the same centred bands B, and the coarse
+# column -k taken as conj B(-j, k).
 
 
 def _fine_shape(shape: tuple, factor: float) -> tuple:
@@ -482,37 +496,97 @@ def _cropped(F: np.ndarray, ax: int, N: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _centred_blocks(shape: tuple) -> tuple:
+    """Block pairs (centred, FFT order) of index tuples that carry rows -N/2..N/2-1 of every
+    axis of `shape` between FFT order and the centred band -N/2..N/2 (whose +N/2 row is in no
+    block)."""
+    halves = [((slice(h, 2 * h), slice(0, h)), (slice(0, h), slice(h, 2 * h)))
+              for h in (N // 2 for N in shape)]
+    return tuple((tuple(b for b, _ in block), tuple(f for _, f in block))
+                 for block in itertools.product(*halves))
+
+
+def _ifft_band_padded(A: np.ndarray, ax: int, M: int) -> np.ndarray:
+    """Inverse transform of the centred band -h..h on axis ax, zero-padded to length M >= 2h.
+    At M = 2h the -h and +h rows fall on one fine row and add."""
+    lead, h = (slice(None),) * ax, A.shape[ax] // 2
+    B = np.empty(A.shape[:ax] + (M,) + A.shape[ax + 1:], dtype=complex)
+    B[lead + (slice(0, h + 1),)] = A[lead + (slice(h, None),)]
+    if M > 2 * h:
+        B[lead + (slice(h + 1, M - h),)] = 0.0
+        B[lead + (slice(M - h, M),)] = A[lead + (slice(0, h),)]
+    else:
+        B[lead + (slice(h + 1, M),)] = A[lead + (slice(1, h),)]
+        B[lead + (h,)] += A[lead + (0,)]
+    return np.fft.ifft(B, axis=ax, norm="forward", out=B)
+
+
+def _band_cropped(F: np.ndarray, ax: int, N: int) -> np.ndarray:
+    """The centred band -N/2..N/2 of axis ax of F."""
+    lead, h, M = (slice(None),) * ax, N // 2, F.shape[ax]
+    out = np.empty(F.shape[:ax] + (N + 1,) + F.shape[ax + 1:], dtype=complex)
+    out[lead + (slice(0, h),)] = F[lead + (slice(M - h, M),)]
+    out[lead + (slice(h, N + 1),)] = F[lead + (slice(0, h + 1),)]
+    return out
+
+
+def _folded_half_spectrum(Y: np.ndarray) -> np.ndarray:
+    """W = (Y + conj Y(-Xi)) / 2 on the centred bands -N/2..N/2 of the leading axes and the
+    columns 0..N/2 of the last axis; Y is zero outside its band."""
+    lead, h = Y.shape[:-1], Y.shape[-1] // 2
+    W = np.zeros(tuple(N + 1 for N in lead) + (h + 1,), dtype=complex)
+    R = np.zeros_like(W)  # R(j, k) = Y(j, -k), reflected on the leading axes below
+    for band, fft in _centred_blocks(lead):
+        W[band + (slice(0, h),)] = Y[fft + (slice(0, h),)]
+        R[band + (slice(0, 1),)] = Y[fft + (slice(0, 1),)]
+        R[band + (slice(1, h + 1),)] = Y[fft + (slice(None, h - 1, -1),)]
+    W += np.conjugate(R, out=R)[(slice(None, None, -1),) * len(lead)]
+    W *= 0.5
+    return W
+
+
 def fine_samples(fieldv: SpectralField, factor: float = 1.5) -> np.ndarray:
-    """Values of the band-limited interpolant (real parts for a real field) on a lattice
-    refined by `factor`."""
+    """Values of the band-limited interpolant on a lattice refined by `factor`.
+
+    A complex field is zero-padded and inverse-transformed axis by axis.  A real-flagged
+    field gives the real part of its interpolant: the Hermitian fold of its coefficients on
+    the non-negative half-spectrum of the last axis (`_folded_half_spectrum`), padded on the
+    leading axes and closed by an irfft.
+    """
     fine = _fine_shape(fieldv.coeffs.shape, factor)
     Y = plane_wave_coeffs(fieldv)
-    d = Y.ndim - 1 if fieldv.real_flag else Y.ndim
-    for ax in reversed(range(d)):
-        Y = _ifft_padded(Y, ax, fine[ax])
     if not fieldv.real_flag:
+        for ax in reversed(range(Y.ndim)):
+            Y = _ifft_padded(Y, ax, fine[ax])
         return Y
-    h = Y.shape[-1] // 2
-    # Hermitian half along the last axis, Z_k = (Y_k + conj Y_-k) / 2 for
-    # 0 < k <= N/2: the coarse Nyquist column -N/2 splits into two halves
-    Z = np.zeros(Y.shape[:-1] + (h + 1,), dtype=complex)
-    Z[..., :h] = Y[..., :h]
-    Z[..., 1:] = 0.5 * (Z[..., 1:] + np.conj(Y[..., :h - 1:-1]))
-    return np.fft.irfft(Z, n=fine[-1], axis=-1, norm="forward")
+    W = _folded_half_spectrum(Y)
+    if fine[-1] == Y.shape[-1]:
+        W[..., -1] *= 2.0  # factor 1: the irfft's Nyquist column holds both N/2 halves
+    for ax in reversed(range(W.ndim - 1)):
+        W = _ifft_band_padded(W, ax, fine[ax])
+    return np.fft.irfft(W, n=fine[-1], axis=-1, norm="forward")
 
 
 def field_from_fine_samples(grid: Grid, kind: str, P_fine: np.ndarray,
                             real_flag: bool = False) -> SpectralField:
     """Transform fine-lattice samples and truncate to the representable band."""
     shape = grid.shape_for(kind)
+    d = P_fine.ndim - 1
     if np.iscomplexobj(P_fine):
-        A = _cropped(np.fft.fft(P_fine, axis=-1, norm="forward"), P_fine.ndim - 1, shape[-1])
-    else:
-        h = shape[-1] // 2
-        X = np.fft.rfft(P_fine, axis=-1, norm="forward")
-        A = np.concatenate([X[..., :h], np.conj(X[..., h:0:-1])], axis=-1)
-    for ax in reversed(range(P_fine.ndim - 1)):
-        A = _cropped(np.fft.fft(A, axis=ax, norm="forward", out=A), ax, shape[ax])
+        A = _cropped(np.fft.fft(P_fine, axis=-1, norm="forward"), d, shape[-1])
+        for ax in reversed(range(d)):
+            A = _cropped(np.fft.fft(A, axis=ax, norm="forward", out=A), ax, shape[ax])
+        return from_plane_wave_coeffs(grid, A, kind, real_flag=real_flag)
+    h = shape[-1] // 2
+    B = np.fft.rfft(P_fine, axis=-1, norm="forward")[..., :h + 1]
+    for ax in reversed(range(d)):
+        B = _band_cropped(np.fft.fft(B, axis=ax, norm="forward", out=B), ax, shape[ax])
+    A = np.empty(shape, dtype=complex)
+    B_reflected = B[(slice(None, None, -1),) * d]
+    for band, fft in _centred_blocks(shape[:-1]):
+        A[fft + (slice(0, h),)] = B[band + (slice(0, h),)]
+        np.conjugate(B_reflected[band + (slice(h, 0, -1),)], out=A[fft + (slice(h, None),)])
     return from_plane_wave_coeffs(grid, A, kind, real_flag=real_flag)
 
 

@@ -463,6 +463,10 @@ def schur_ladder(k: KernelSpec, rungs) -> list[float]:
                              f"pi (h/pi)^{_ANGLE_GRADE} underflows to 0")
         tops.append(R * (1.0 + 1e-12))
         cuts.append(_theta_bricks(theta_min))
+        if not cuts[-1]:
+            raise ValueError(f"angular step h={h!r} leaves no angular brick: its cut "
+                             f"pi (h/pi)^{_ANGLE_GRADE} exceeds pi/4; need h < pi/sqrt(2) "
+                             f"(about {math.pi / math.sqrt(2.0):.6f})")
     best = [0.0] * len(cuts)
     mag = 1.0
     while True:
@@ -489,7 +493,8 @@ def schur_bound(k: KernelSpec, R: float, h: float) -> float:
     directions; both the xi samples and the angular bricks are nested under
     R-doubling and h-halving, so the value is exactly monotone in R and 1/h, also
     as S_1 max(1, M^e) (inf on overflow) for a homogeneous kernel (schur_ladder).
-    R and h must be finite, R >= 1, and the window pi (h/pi)^4 must be > 0.
+    R and h must be finite, R >= 1, and the window pi (h/pi)^4 must be > 0 and at most
+    pi/4 (h < pi/sqrt(2)), so that at least one angular brick is left.
     """
     return schur_ladder(k, [(R, h)])[0]
 

@@ -170,6 +170,15 @@ def test_probe_kernel_rejects_bad_truncation_or_step(flag, value, capsys):
     assert "ERROR\tcode=2" in capsys.readouterr().out
 
 
+def test_probe_kernel_rejects_a_step_with_no_angular_brick(capsys, tmp_path):
+    out = tmp_path / "kernel.csv"
+    code = main(["probe-kernel", "--h", "3", "--halvings", "0", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    msg = capsys.readouterr().out
+    assert msg.startswith("ERROR\tcode=2") and "h=3.0 leaves no angular brick" in msg
+    assert "pi/sqrt(2)" in msg and not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--a", "--b", "--c"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_probe_kernel_rejects_non_finite_exponents(flag, value, capsys, tmp_path):

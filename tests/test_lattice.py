@@ -422,9 +422,96 @@ def test_real_fft_route_matches_complex_route(n, kind):
             assert np.max(np.abs(back - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-# full-box reference for the axis-by-axis pads and crops: the whole coarse band
-# scattered onto the fine lattice and one ifftn over it, one fftn over the fine
-# lattice and then the band cut out
+def _pad_crop_field(rng, g, kind, which):
+    """A real field from real samples (every mode filled: Nyquist planes, the zero mode),
+    non-Hermitian coefficients flagged real, or a complex field."""
+    shape = g.shape_for(kind)
+    if which == "real":
+        return transform(g, rng.standard_normal(shape), kind)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralField(grid=g, kind=kind, coeffs=c, real_flag=which == "real_flag")
+
+
+@given(data=st.data(), n=st.integers(1, 3), kind=st.sampled_from([SPATIAL, SPACETIME]),
+       which=st.sampled_from(["real", "real_flag", "complex"]),
+       factor=st.sampled_from([1.0, 1.5, 2.0, 2.5]), seed=st.integers(0, 2**16))
+@settings(max_examples=80, deadline=None)
+def test_pads_and_crops_match_the_complex_full_lattice_route(data, n, kind, which, factor,
+                                                            seed):
+    N_x = data.draw(st.sampled_from([2, 4, 8] if n == 3 else [2, 4, 8, 16]))
+    N_t = data.draw(st.sampled_from([m for m in (2, 4, 8, 16) if m != N_x]))
+    g = make_grid(n, N_t, N_x, 1.3, 2.9)
+    rng = np.random.default_rng(seed)
+    u = _pad_crop_field(rng, g, kind, which)
+    assert u.real_flag is (which != "complex")
+    want = _c2c_fine_samples(u, factor)
+    got = fine_samples(u, factor)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a band-limited product's samples and arbitrary samples of the same dtype
+    noise = rng.standard_normal(got.shape)
+    for P in (got, noise if which != "complex" else noise + 1j * got.imag):
+        back = field_from_fine_samples(g, kind, P, real_flag=u.real_flag).coeffs
+        ref = _c2c_crop(g, kind, P)
+        assert np.max(np.abs(back - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_plane_wave_coeffs_is_the_division_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n, T_per, L_per in ((1, 1.3, TWO_PI), (2, 0.7, 2.3), (3, 5.0, 1.1), (2, 1.0, 3.0)):
+        g = make_grid(n, 8, 8, T_per, L_per)
+        for kind in (SPATIAL, SPACETIME):
+            u = _pad_crop_field(rng, g, kind, "complex")
+            u.coeffs[(0,) * u.coeffs.ndim] = 0.0
+            u.coeffs[(1,) * u.coeffs.ndim] *= 1e-300
+            vol = g.volume if kind == SPACETIME else g.spatial_volume
+            assert np.array_equal(plane_wave_coeffs(u), u.coeffs / math.sqrt(vol))
+
+
+def _out_of_place_time_spatial_rep(fieldv):
+    """The projection and time FFT on fresh arrays, with the division by sqrt(volume)."""
+    A = fieldv.coeffs / math.sqrt(fieldv.grid.volume)
+    if fieldv.real_flag:
+        A = 0.5 * (A + np.conj(np.roll(np.flip(A), 1, axis=tuple(range(A.ndim)))))
+    return np.fft.ifft(A, axis=0, norm="forward")
+
+
+def _out_of_place_from_time_spatial_rep(grid, a, real_flag):
+    A = np.fft.fft(a, axis=0, norm="forward")
+    if real_flag:
+        A = 0.5 * (A + np.conj(np.roll(np.flip(A), 1, axis=tuple(range(A.ndim)))))
+    return np.asarray(A, dtype=complex) * math.sqrt(grid.volume)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixed_representation_in_place_keeps_the_bits(n):
+    g = make_grid(n, 8, 4, 1.7, 2.3)
+    rng = np.random.default_rng(40 + n)
+    shape = g.spacetime_shape
+    full = _full_band(rng, shape, False)
+    tau0, zero = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    tau0[0] = full[0]
+    zero[(0,) * len(shape)] = 3.0 - 2.0j
+    for c in (full, tau0, zero):
+        for real_flag in (True, False):
+            u = SpectralField(g, SPACETIME, c.copy(), real_flag=real_flag)
+            assert np.array_equal(time_spatial_rep(u), _out_of_place_time_spatial_rep(u))
+            assert np.array_equal(u.coeffs, c)
+            # c read as a mixed representation: every time slice, the zero mode
+            a = c.copy()
+            back = from_time_spatial_rep(g, a, real_flag=real_flag).coeffs
+            assert np.array_equal(back, _out_of_place_from_time_spatial_rep(g, c, real_flag))
+            assert np.array_equal(a, c)
+
+
+# full-box reference for the axis-by-axis pads and crops.  A complex field: the
+# whole coarse band scattered onto the fine lattice and one ifftn over it, one
+# fftn over the fine lattice and then the band cut out.  A real field: the
+# Hermitian fold (E + conj E(-Xi)) / 2 of the coefficients on the symmetric box
+# -N/2..N/2 of every axis, its columns 0..N/2 scattered by signed leading index
+# onto the fine leading lattice (factor > 1, so no two land on one row), one
+# ifftn over the leading axes and an irfft; a crop is an rfft, one fftn over the
+# leading axes of its columns 0..N/2, and A(j, -k) = conj B(-j, k).
 
 def _band_blocks(coarse, fine):
     halves = [((slice(0, N // 2), slice(0, N // 2)), (slice(N // 2, N), slice(M - N // 2, M)))
@@ -432,35 +519,42 @@ def _band_blocks(coarse, fine):
     return [tuple(zip(*block)) for block in itertools.product(*halves)]
 
 
+def _signed_rows(shape, fine, sign=1):
+    return np.ix_(*[(sign * np.round(np.fft.fftfreq(N) * N).astype(int)) % M
+                    for N, M in zip(shape, fine)])
+
+
 def _full_box_fine_samples(u, factor):
     A = plane_wave_coeffs(u)
     fine = tuple(int(math.ceil(N * factor / 2.0)) * 2 for N in A.shape)
-    N, h = A.shape[-1], A.shape[-1] // 2
-    F = np.zeros(fine if not u.real_flag else fine[:-1] + (N,), dtype=complex)
-    for src, dst in _band_blocks(A.shape, F.shape):
-        F[dst] = A[src]
-    axes = tuple(range(A.ndim)) if not u.real_flag else tuple(range(A.ndim - 1))
-    Y = np.fft.ifftn(F, axes=axes, norm="forward")
     if not u.real_flag:
-        return Y
-    Z = np.zeros(Y.shape[:-1] + (h + 1,), dtype=complex)
-    Z[..., :h] = Y[..., :h]
-    Z[..., 1:] = 0.5 * (Z[..., 1:] + np.conj(Y[..., :h - 1:-1]))
-    return np.fft.irfft(Z, n=fine[-1], axis=-1, norm="forward")
+        F = np.zeros(fine, dtype=complex)
+        for src, dst in _band_blocks(A.shape, fine):
+            F[dst] = A[src]
+        return np.fft.ifftn(F, axes=tuple(range(A.ndim)), norm="forward")
+    E = np.zeros(tuple(N + 1 for N in A.shape), dtype=complex)
+    E[tuple(slice(0, N) for N in A.shape)] = np.fft.fftshift(A)
+    W = (0.5 * (E + np.conj(E[(slice(None, None, -1),) * A.ndim])))[..., A.shape[-1] // 2:]
+    lead = A.shape[:-1]
+    F = np.zeros(fine[:-1] + W.shape[-1:], dtype=complex)
+    F[np.ix_(*[np.arange(-(N // 2), N // 2 + 1) % M for N, M in zip(lead, fine)])] = W
+    Y = np.fft.ifftn(F, axes=tuple(range(len(lead))), norm="forward")
+    return np.fft.irfft(Y, n=fine[-1], axis=-1, norm="forward")
 
 
 def _full_box_crop(grid, kind, P):
     shape = grid.shape_for(kind)
+    A = np.empty(shape, dtype=complex)
     if np.iscomplexobj(P):
         F = np.fft.fftn(P, axes=tuple(range(P.ndim)), norm="forward")
+        for dst, src in _band_blocks(shape, F.shape):
+            A[dst] = F[src]
     else:
         h = shape[-1] // 2
-        X = np.fft.rfft(P, axis=-1, norm="forward")
-        Y = np.concatenate([X[..., :h], np.conj(X[..., h:0:-1])], axis=-1)
-        F = np.fft.fftn(Y, axes=tuple(range(P.ndim - 1)), norm="forward")
-    A = np.empty(shape, dtype=complex)
-    for dst, src in _band_blocks(shape, F.shape):
-        A[dst] = F[src]
+        X = np.fft.rfft(P, axis=-1, norm="forward")[..., :h + 1]
+        B = np.fft.fftn(X, axes=tuple(range(P.ndim - 1)), norm="forward")
+        A[..., :h] = B[_signed_rows(shape[:-1], P.shape) + (slice(0, h),)]
+        A[..., h:] = np.conj(B[_signed_rows(shape[:-1], P.shape, -1) + (slice(h, 0, -1),)])
     return from_plane_wave_coeffs(grid, A, kind).coeffs
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,9 +105,23 @@ def test_schur_ladder_equals_bound_per_rung(sign, variant):
 
 def test_schur_ladder_any_rung_order():
     k = KernelSpec(a=0.5, b=0.4, c=0.3, variant="homogeneous", n=2)
-    ladder = [(8.0, 0.05), (32.0, 0.2), (4.0, 0.025), (16.0, 0.1), (1.0, 4.0)]
+    ladder = [(8.0, 0.05), (32.0, 0.2), (4.0, 0.025), (16.0, 0.1), (1.0, 2.0)]
     assert schur_ladder(k, ladder) == [schur_bound(k, R, h) for R, h in ladder]
     assert schur_ladder(k, []) == []
+
+
+@pytest.mark.parametrize("h", [3.0, 4.0, math.pi, 100.0,
+                               math.nextafter(math.pi / math.sqrt(2.0), 3.0)])
+def test_schur_ladder_rejects_a_rung_with_no_angular_brick(monkeypatch, h):
+    # past h = pi/sqrt(2) the cut pi (h/pi)^4 exceeds pi/4 and no brick is left:
+    # the rung would be an empty sum, a certificate of 0 for any kernel
+    monkeypatch.setattr(probe, "_schur_integrand", lambda *a: pytest.fail("integrated"))
+    k = KernelSpec(a=1.2, b=0.2, c=0.3, variant="homogeneous", n=3)
+    for ladder in ([(16.0, h)], [(16.0, 0.1), (32.0, h)]):
+        shown = re.escape(f"h={h!r}") + ".*pi/sqrt.2. .about 2.221441"
+        with pytest.raises(ValueError, match=shown):
+            schur_ladder(k, ladder)
+    assert len(probe._theta_bricks(math.pi * (2.2214 / math.pi) ** 4)) == 2
 
 
 def test_schur_ladder_evaluates_each_xi_once(monkeypatch):
@@ -172,7 +187,7 @@ def _scaling_cases():
 @pytest.mark.parametrize("sign", ["plus", "minus"])
 @pytest.mark.parametrize("a, b, c, n", _scaling_cases())
 def test_scaled_ladder_is_the_per_xi_loop(a, b, c, n, sign):
-    ladder = [(8.0, 0.05), (5.0, 0.2), (1.0, 4.0), (32.0, 0.1), (12.0, 0.025), (16.0, 0.1)]
+    ladder = [(8.0, 0.05), (5.0, 0.2), (1.0, 2.0), (32.0, 0.1), (12.0, 0.025), (16.0, 0.1)]
     for variant in ("homogeneous", "inhomogeneous"):
         k = KernelSpec(a=a, b=b, c=c, sign=sign, variant=variant, n=n)
         got, want = schur_ladder(k, ladder), _schur_ladder_loop(k, ladder)
