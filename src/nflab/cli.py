@@ -154,6 +154,11 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _write_plot(cfg: dict, out, points) -> None:
+    """`<out>.plot` of a scaling study: the header, then one `x y` line per point."""
+    _write(str(out) + ".plot", _header(cfg) + "".join(f"{x!r} {y!r}\n" for x, y in points))
+
+
 def _threads() -> int:
     env = os.environ.get("NFLAB_THREADS", "")
     try:
@@ -319,10 +324,7 @@ def cmd_probe_embedding(cfg) -> int:
                     f"{report.verdict}\n")
     _write(cfg["probe.out"], "".join(rows))
     if cfg["probe.out"] and report.scales:
-        with open(str(cfg["probe.out"]) + ".plot", "w") as fh:
-            fh.write(_header(cfg))
-            for L, v in zip(report.scales, report.values):
-                fh.write(f"{L!r} {v!r}\n")
+        _write_plot(cfg, cfg["probe.out"], zip(report.scales, report.values))
     return EXIT_OK
 
 
@@ -370,10 +372,7 @@ def cmd_counterexample(cfg) -> int:
         rows.append(f"# membership_failures={failures}\n")
     _write(cfg["ce.out"], "".join(rows))
     if cfg["ce.out"]:
-        with open(str(cfg["ce.out"]) + ".plot", "w") as fh:
-            fh.write(_header(cfg))
-            for r in recs:
-                fh.write(f"{r.L!r} {r.ratio!r}\n")
+        _write_plot(cfg, cfg["ce.out"], [(r.L, r.ratio) for r in recs])
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 

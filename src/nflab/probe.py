@@ -6,7 +6,8 @@ Three kinds of evidence are produced, none of which claims a proof:
   seeded ensembles and reports a fixed-rule verdict;
 * schur_bound evaluates the boundedness certificate sup_xi int K^2 d(eta) in
   polar coordinates with a graded angular mesh, monotone in the truncation
-  and in the angular refinement by construction; schur_ladder evaluates a
+  and in the angular refinement by construction, for n >= 2 (the mesh is
+  in the polar angle of eta, which S^0 lacks); schur_ladder evaluates a
   ladder of (R, h) rungs from one integrand per dyadic |xi| (|xi| = 1 alone
   for a homogeneous kernel, by scaling), at the finest angular cut among the
   rungs, whose column prefixes give the coarser rungs bit for bit;
@@ -15,8 +16,10 @@ Three kinds of evidence are produced, none of which claims a proof:
   looked up by raveling the sums over h's bounding box and a searchsorted
   into h's sorted keys;
 * counterexample_norms integrates the slab/shell indicator family over its
-  explicit sets by product quadrature, for scaling-law regression in the
-  family scale L; counterexample_lattice_ratio convolves the family's
+  explicit sets by product quadrature (one shell integrator serves the sets
+  B and C), for scaling-law regression in the family scale L; both
+  quadratures take every node and weight from one Gauss-Legendre rule,
+  _gauss_nodes; counterexample_lattice_ratio convolves the family's
   lattice indicators in light-cone coordinates (tau - xi_1, xi_1, xi'),
   where the slab A is the product {-1, 0, 1} x [ceil(L/2), floor(L)] x
   Ann_L: two running sums along the first two axes and one FFT over the
@@ -390,6 +393,15 @@ def _kernel(k: KernelSpec, nx, ne, delta) -> np.ndarray:
 _GAUSS_N = 8
 _ANGLE_GRADE = 4
 _RADIAL_LEVELS = 44
+_CE_GAUSS = 32
+
+
+def _gauss_nodes(lo, hi, m=_CE_GAUSS):
+    """Gauss-Legendre nodes and weights of order m on [lo, hi], broadcast over lo and hi:
+    the one quadrature rule of the Schur certificate and the counterexample norms."""
+    x, w = leggauss(m)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return mid + half * x, half * w
 
 
 def _sphere_area(d: int) -> float:
@@ -414,31 +426,19 @@ def _schur_integrand(k: KernelSpec, xi_mag: float, bricks) -> np.ndarray:
     integrand of a prefix of `bricks` is a prefix of the columns.
     """
     n = k.n
-    sigma = _sphere_area(n - 2) if n >= 2 else 1.0
-    gx, gw = leggauss(_GAUSS_N)
-    t_lo = np.array([b[0] for b in bricks])
-    t_hi = np.array([b[1] for b in bricks])
-    r_hi = xi_mag * 2.0 ** (-np.arange(_RADIAL_LEVELS, dtype=float))
-    r_lo = r_hi / 2.0
-
-    # Gauss nodes per radial brick (nr, G) and per angular brick (nt, G)
-    rg = 0.5 * (r_hi + r_lo)[:, None] + 0.5 * (r_hi - r_lo)[:, None] * gx[None, :]
-    rw = 0.5 * (r_hi - r_lo)[:, None] * gw[None, :]
-    tg = 0.5 * (t_hi + t_lo)[:, None] + 0.5 * (t_hi - t_lo)[:, None] * gx[None, :]
-    tw = 0.5 * (t_hi - t_lo)[:, None] * gw[None, :]
-
-    R = rg.reshape(-1)[:, None]
-    WR = rw.reshape(-1)[:, None]
-    T = tg.reshape(-1)[None, :]
-    WT = tw.reshape(-1)[None, :]
+    r_hi = xi_mag * 2.0 ** (-np.arange(_RADIAL_LEVELS, dtype=float))[:, None]
+    rg, rw = _gauss_nodes(r_hi / 2.0, r_hi, _GAUSS_N)  # (radial bricks, G)
+    t = np.array(bricks)
+    tg, tw = _gauss_nodes(t[:, :1], t[:, 1:], _GAUSS_N)  # (angular bricks, G)
+    R, WR = rg.reshape(-1)[:, None], rw.reshape(-1)[:, None]
+    T, WT = tg.reshape(-1)[None, :], tw.reshape(-1)[None, :]
     # xi = (|xi|, 0, ...) and eta = (R cos T, R sin T, 0, ...) as scalars, with the bits of
     # (rows, cols, n) vectors; |xi| is an array, as numpy's scalar power rounds differently
     na, sin_t = np.full((1, 1), xi_mag), np.sin(T)
-    e0, e1 = R * np.cos(T), (R * sin_t if n >= 2 else 0.0)
+    e0, e1 = R * np.cos(T), R * sin_t
     nb, ns = np.sqrt(e0 * e0 + e1 * e1), np.sqrt((na + e0) ** 2 + e1 * e1)
     K = _kernel(k, na, nb, _delta_parts(na, nb, ns, na * e0, (na * e1) ** 2, k.sign == "plus"))
-    jac = R ** (n - 1) * (sin_t ** (n - 2) if n >= 2 else 1.0) * sigma
-    return K**2 * jac * WR * WT
+    return K**2 * (R ** (n - 1) * sin_t ** (n - 2) * _sphere_area(n - 2)) * WR * WT
 
 
 def schur_ladder(k: KernelSpec, rungs) -> list[float]:
@@ -452,6 +452,9 @@ def schur_ladder(k: KernelSpec, rungs) -> list[float]:
     the integrand at |xi| = m is m^e times the one at 1, e = n - 2(a+b+c), and a
     rung's value is S_1 max(1, M^e), S_1 its sum at 1, M the top dyadic |xi| <= R.
     """
+    if k.n < 2:
+        raise ValueError(f"the Schur certificate needs n >= 2, got n={k.n!r}: it integrates "
+                         "over the polar angle of eta, and S^0 has none")
     tops, cuts = [], []
     for R, h in rungs:
         if not (math.isfinite(R) and math.isfinite(h)) or R < 1.0 or h <= 0:
@@ -493,6 +496,8 @@ def schur_bound(k: KernelSpec, R: float, h: float) -> float:
     directions; both the xi samples and the angular bricks are nested under
     R-doubling and h-halving, so the value is exactly monotone in R and 1/h, also
     as S_1 max(1, M^e) (inf on overflow) for a homogeneous kernel (schur_ladder).
+    Each radial and angular brick takes the 8 Gauss-Legendre nodes of _gauss_nodes.
+    The kernel needs n >= 2: the angle is the polar angle of eta, and S^0 has none.
     R and h must be finite, R >= 1, and the window pi (h/pi)^4 must be > 0 and at most
     pi/4 (h < pi/sqrt(2)), so that at least one angular brick is left.
     """
@@ -603,15 +608,6 @@ class CounterexampleRecord:
     measure_C: float
 
 
-_CE_GAUSS = 32
-
-
-def _gauss_nodes(lo, hi, m=_CE_GAUSS):
-    x, w = leggauss(m)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
-
-
 def _cal_weight(tau, abs_xi, euclid, s, theta):
     """Scale-homogeneous representative |xi|^(s-1) |Xi| (||tau|-|xi||)^theta
     of the second-order wave-Sobolev weight.
@@ -621,6 +617,27 @@ def _cal_weight(tau, abs_xi, euclid, s, theta):
     keeps desk-scale log-log fits on the asymptotic exponent.
     """
     return weight("d", s - 1.0, tau, abs_xi) * euclid * weight("d_minus", theta, tau, abs_xi)
+
+
+def _shell_quadrature(n, x_lo, x_hi, rho_hi, tau_half, integrand):
+    """(value, measure): the sums of integrand^2 and of 1 over x_1 in [x_lo, x_hi],
+    rho' = |x'| <= rho_hi and an offset o in [-tau_half, tau_half], with the
+    measure sigma rho'^(n-2).  The offset panel is split at o = 0, so a kink
+    there is resolved; integrand(o, x_1, rho', |x|) is called once per offset node.
+    """
+    x1, wx1 = _gauss_nodes(x_lo, x_hi)
+    rp, wrp = _gauss_nodes(0.0, rho_hi)
+    X1, RP = np.meshgrid(x1, rp, indexing="ij")
+    WXR = np.outer(wx1, wrp)
+    abs_xi = np.sqrt(X1**2 + RP**2)
+    surf_x = _sphere_area(n - 2) * RP ** (n - 2)
+    cell = float(np.sum(surf_x * WXR))
+    val = meas = 0.0
+    for lo, hi in ((-tau_half, 0.0), (0.0, tau_half)):
+        for o, w in zip(*_gauss_nodes(lo, hi)):
+            val += float(np.sum(integrand(o, X1, RP, abs_xi) ** 2 * surf_x * WXR)) * w
+            meas += cell * w
+    return val, meas
 
 
 def counterexample_norms(p: CounterexampleParams) -> CounterexampleRecord:
@@ -634,7 +651,6 @@ def counterexample_norms(p: CounterexampleParams) -> CounterexampleRecord:
     factor).  ratio = lhs_lower / (norm_u norm_v).
     """
     L, s, th, n = p.L, p.s, p.theta, p.n
-    sigma = _sphere_area(n - 2) if n >= 2 else 2.0
 
     # --- A: eta_1 in [L/2, L], rho = |eta'| in [L/2, L], lam in [eta1-1, eta1+1]
     e1, we1 = _gauss_nodes(L / 2.0, L)
@@ -645,62 +661,26 @@ def counterexample_norms(p: CounterexampleParams) -> CounterexampleRecord:
     LAM = E1 + OFF
     abs_eta = np.sqrt(E1**2 + RHO**2)
     euclid = np.sqrt(LAM**2 + abs_eta**2)
-    surf = sigma * RHO ** (n - 2)
+    surf = _sphere_area(n - 2) * RHO ** (n - 2)
     w_u = _cal_weight(LAM, abs_eta, euclid, s, th)
     norm_u = math.sqrt(float(np.sum(w_u**2 * surf * WA)))
     measure_A = float(np.sum(surf * WA))
 
-    # --- B: xi_1 in [L^2/2, 4 L^2], rho' = |xi'| <= 2L, tau in [|xi|-8, |xi|+8]
-    def shell_norm_sq(x_lo, x_hi, rho_hi, tau_half, weight_fn):
-        x1, wx1 = _gauss_nodes(x_lo, x_hi)
-        rp, wrp = _gauss_nodes(0.0, rho_hi)
-        val = 0.0
-        meas = 0.0
-        X1, RP = np.meshgrid(x1, rp, indexing="ij")
-        WXR = np.outer(wx1, wrp)
-        abs_xi = np.sqrt(X1**2 + RP**2)
-        surf_x = sigma * RP ** (n - 2)
-        # split the tau panel at tau = |xi| so the |tau - |xi|| kink is resolved
-        off_lo, w_lo = _gauss_nodes(-tau_half, 0.0)
-        off_hi, w_hi = _gauss_nodes(0.0, tau_half)
-        for offs, wts in ((off_lo, w_lo), (off_hi, w_hi)):
-            for o, w in zip(offs, wts):
-                tau = abs_xi + o
-                euc = np.sqrt(tau**2 + abs_xi**2)
-                f = weight_fn(tau, abs_xi, euc)
-                val += float(np.sum(f**2 * surf_x * WXR)) * w
-                meas += float(np.sum(surf_x * WXR)) * w
-        return val, meas
-
-    val_v, _ = shell_norm_sq(L * L / 2.0, 4.0 * L * L, 2.0 * L, 8.0,
-                             lambda tau, ax, euc: _cal_weight(tau, ax, euc, s, th))
+    # --- B: xi_1 in [L^2/2, 4 L^2], rho' = |xi'| <= 2L, tau = |xi| + o, |o| <= 8
+    val_v, _ = _shell_quadrature(n, L * L / 2.0, 4.0 * L * L, 2.0 * L, 8.0, lambda o, x1, rp, ax:
+                                 _cal_weight(ax + o, ax, np.sqrt((ax + o) ** 2 + ax**2), s, th))
     norm_v = math.sqrt(val_v)
 
-    # --- C with the product-lower-bound integrand; the null symbol
-    # (eta_j xi_1 - eta_1 xi_j)/|eta| is evaluated at the center of A with
-    # |xi_j| replaced by its maximum rho' (a genuine lower bound, ~ L^2)
+    # --- C: xi_1 in [L^2, 2 L^2], rho' <= L, |o| <= 1, with the product-lower-bound
+    # integrand; the null symbol (eta_j xi_1 - eta_1 xi_j)/|eta| is evaluated at the
+    # center of A with |xi_j| replaced by its maximum rho' (a genuine lower bound, ~ L^2)
     eta_center = np.zeros(n)
     eta_center[0] = 0.75 * L
     eta_center[p.j - 1] = 0.75 * L
     ec_norm = float(np.linalg.norm(eta_center))
-    x1, wx1 = _gauss_nodes(L * L, 2.0 * L * L)
-    rp, wrp = _gauss_nodes(0.0, L)
-    X1, RP = np.meshgrid(x1, rp, indexing="ij")
-    WXR = np.outer(wx1, wrp)
-    abs_xi = np.sqrt(X1**2 + RP**2)
-    surf_x = sigma * RP ** (n - 2)
-    qsym = (0.75 * L * X1 - 0.75 * L * RP) / ec_norm
-    qsym = np.maximum(qsym, 0.0)
-    val_c = 0.0
-    measure_C = 0.0
-    off_lo, w_lo = _gauss_nodes(-1.0, 0.0)
-    off_hi, w_hi = _gauss_nodes(0.0, 1.0)
-    for offs, wts in ((off_lo, w_lo), (off_hi, w_hi)):
-        for o, w in zip(offs, wts):
-            hyp = abs(o)
-            f = weight("d", s - 1.0, None, abs_xi) * hyp ** (th - 1.0) * qsym * measure_A
-            val_c += float(np.sum(f**2 * surf_x * WXR)) * w
-            measure_C += float(np.sum(surf_x * WXR)) * w
+    val_c, measure_C = _shell_quadrature(n, L * L, 2.0 * L * L, L, 1.0, lambda o, x1, rp, ax: (
+        weight("d", s - 1.0, None, ax) * abs(o) ** (th - 1.0)
+        * np.maximum((0.75 * L * x1 - 0.75 * L * rp) / ec_norm, 0.0) * measure_A))
     lhs_lower = math.sqrt(val_c)
     return CounterexampleRecord(L=L, norm_u=norm_u, norm_v=norm_v,
                                 lhs_lower=lhs_lower,

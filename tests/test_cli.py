@@ -179,6 +179,17 @@ def test_probe_kernel_rejects_a_step_with_no_angular_brick(capsys, tmp_path):
     assert "pi/sqrt(2)" in msg and not out.exists()
 
 
+def test_probe_kernel_rejects_dimension_one(capsys, tmp_path):
+    # S^0 has no polar angle, so the Schur certificate needs n >= 2
+    out = tmp_path / "kernel.csv"
+    code = main(["probe-kernel", "--n", "1", "--a", "0.2", "--b", "0.1", "--c", "0.1",
+                 "--halvings", "0", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    msg = capsys.readouterr().out
+    assert msg.startswith("ERROR\tcode=2") and "needs n >= 2, got n=1" in msg
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--a", "--b", "--c"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_probe_kernel_rejects_non_finite_exponents(flag, value, capsys, tmp_path):
@@ -229,6 +240,19 @@ def test_probe_embedding_family_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1] == "probe_id,param_json,scale,value,slope,residual,verdict"
     assert len(lines) == 5
+
+
+def test_probe_embedding_family_plot(tmp_path):
+    out = tmp_path / "probe.csv"
+    code = main(["probe-embedding", "--ensemble", "counterexample-family", "--n", "2",
+                 "--scales", "4,6,8", "--out", str(out)])
+    assert code == EXIT_OK
+    header, _, *rows = out.read_text().splitlines()
+    # one `L value` line per scale, as in the CSV's scale and value columns
+    points = [" ".join(row.split(",")[-5:-3]) for row in rows]
+    assert (tmp_path / "probe.csv.plot").read_text().splitlines() == [header] + points
+    assert [p.split()[0] for p in points] == ["4.0", "6.0", "8.0"]
+    assert header.startswith("# config:") and "probe.scales='4,6,8'" in header
 
 
 def test_probe_embedding_unary_mixed_target(tmp_path):

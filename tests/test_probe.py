@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nflab.lattice import SPACETIME, SpectralField, make_grid, random_field
-from nflab.multiplier import SpaceIndex, ws_norm
+from nflab.multiplier import SpaceIndex, weight, ws_norm
 from nflab.nullform import BilinearFormSpec
 from nflab import probe
 from nflab.probe import (CounterexampleParams, EmbeddingSpec, KernelSpec, _smooth_length,
@@ -177,9 +177,9 @@ def _schur_ladder_loop(k, rungs):
 
 
 def _scaling_cases():
-    """(a, b, c, n) with e = n - 2(a+b+c) < 0, = 0 and > 0 for n = 1..4, exact in binary."""
+    """(a, b, c, n) with e = n - 2(a+b+c) < 0, = 0 and > 0 for n = 2..4, exact in binary."""
     cases = [(1.2, 0.2, 0.3, 3), (0.5, 0.5, 0.5, 3), (0.3, 0.3, 0.3, 3)]
-    for n in (1, 2, 3, 4):
+    for n in (2, 3, 4):
         cases += [(n / 2 - 0.5, 0.25, c, n) for c in (0.5, 0.25, 0.0)]
     return cases
 
@@ -246,7 +246,7 @@ def _schur_integrand_vectors(k, xi_mag, bricks):
     return K**2 * jac * WR * WT
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("sign", ["plus", "minus"])
 @pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous"])
 def test_schur_integrand_scalar_route_keeps_the_vector_bits(n, sign, variant):
@@ -257,6 +257,23 @@ def test_schur_integrand_scalar_route_keeps_the_vector_bits(n, sign, variant):
         for xi_mag in (1.0, 2.0, 3.0, 32.0):
             assert np.array_equal(probe._schur_integrand(k, xi_mag, bricks),
                                   _schur_integrand_vectors(k, xi_mag, bricks))
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("variant", ["homogeneous", "inhomogeneous"])
+def test_schur_needs_a_polar_angle(monkeypatch, sign, variant):
+    # S^0 has no polar angle: n = 1 is rejected before any integrand is built,
+    # and the empty ladder too; the lattice forms still take n = 1
+    monkeypatch.setattr(probe, "_schur_integrand", lambda *a: pytest.fail("integrated"))
+    k = KernelSpec(a=0.2, b=0.1, c=0.1, sign=sign, variant=variant, n=1)
+    for ladder in ([(16.0, 0.1), (32.0, 0.1)], []):
+        with pytest.raises(ValueError, match=r"needs n >= 2, got n=1"):
+            schur_ladder(k, ladder)
+    with pytest.raises(ValueError, match=r"needs n >= 2"):
+        schur_bound(k, 16.0, 0.1)
+    f, g, h = {(1,): 1.0, (2,): 0.5}, {(-3,): 2.0}, {(-2,): 1.0, (-1,): 1.0}
+    assert trilinear_form(k, f, g, h) > 0.0
+    assert discrete_schur_constant(k, f, g, h) > 0.0
 
 
 @pytest.mark.parametrize("R, h", [(math.nan, 0.1), (16.0, math.nan), (math.inf, 0.1),
@@ -451,6 +468,92 @@ def test_counterexample_norm_slopes():
     fv = scaling_fit([(r.L, r.norm_v) for r in recs])
     assert abs(fu.slope - (s + th + 1.5)) <= 0.1
     assert abs(fv.slope - (2 * s + 2.0)) <= 0.1
+
+
+def test_readme_counterexample_golden():
+    # `nflab counterexample --n 3 --s 0.4 --theta 0.6 --L 8,16,32,64`: every
+    # record field and the three slopes, by repr
+    recs = [counterexample_norms(CounterexampleParams(L=L, s=0.4, theta=0.6, n=3))
+            for L in (8.0, 16.0, 32.0, 64.0)]
+    assert [tuple(map(repr, dataclasses.astuple(r))) for r in recs] == [
+        ("8.0", "182.3201529213828", "40882.79857140817", "1609133.5722289742",
+         "0.21588218363976042", "1206.3715789784803", "25735.927018207574"),
+        ("16.0", "1033.7660848469718", "284177.01651559677", "92363151.77385391",
+         "0.31440360263177336", "9650.972631827843", "411774.8322913212"),
+        ("32.0", "5851.378156893396", "1978367.8506159724", "5220904333.783793",
+         "0.45100413461395755", "77207.78105462274", "6588397.316661139"),
+        ("64.0", "33105.39754201728", "13776925.43307886", "292959481148.7307",
+         "0.6423273915492435", "617662.2484369819", "105414357.06657822")]
+    slopes = [repr(scaling_fit([(r.L, getattr(r, f)) for r in recs]).slope)
+              for f in ("norm_u", "norm_v", "ratio")]
+    assert slopes == ["2.501421249563959", "2.798908178228924", "0.5239716815741464"]
+
+
+def _counterexample_norms_loops(p):
+    """The family norms with the B and C shell integrals written out as two
+    separate offset loops: the reference for the shared shell quadrature."""
+    gauss = probe._gauss_nodes
+    L, s, th, n = p.L, p.s, p.theta, p.n
+    sigma = probe._sphere_area(n - 2)
+    e1, we1 = gauss(L / 2.0, L)
+    rho, wrho = gauss(L / 2.0, L)
+    lam_off, wlam = gauss(-1.0, 1.0)
+    E1, RHO, OFF = np.meshgrid(e1, rho, lam_off, indexing="ij")
+    WA = we1[:, None, None] * wrho[None, :, None] * wlam[None, None, :]
+    LAM = E1 + OFF
+    abs_eta = np.sqrt(E1**2 + RHO**2)
+    euclid = np.sqrt(LAM**2 + abs_eta**2)
+    surf = sigma * RHO ** (n - 2)
+    w_u = probe._cal_weight(LAM, abs_eta, euclid, s, th)
+    norm_u = math.sqrt(float(np.sum(w_u**2 * surf * WA)))
+    measure_A = float(np.sum(surf * WA))
+
+    x1, wx1 = gauss(L * L / 2.0, 4.0 * L * L)
+    rp, wrp = gauss(0.0, 2.0 * L)
+    X1, RP = np.meshgrid(x1, rp, indexing="ij")
+    WXR = np.outer(wx1, wrp)
+    abs_xi = np.sqrt(X1**2 + RP**2)
+    surf_x = sigma * RP ** (n - 2)
+    val_v = 0.0
+    for offs, wts in (gauss(-8.0, 0.0), gauss(0.0, 8.0)):
+        for o, w in zip(offs, wts):
+            tau = abs_xi + o
+            f = probe._cal_weight(tau, abs_xi, np.sqrt(tau**2 + abs_xi**2), s, th)
+            val_v += float(np.sum(f**2 * surf_x * WXR)) * w
+
+    eta_center = np.zeros(n)
+    eta_center[0] = 0.75 * L
+    eta_center[p.j - 1] = 0.75 * L
+    ec_norm = float(np.linalg.norm(eta_center))
+    x1, wx1 = gauss(L * L, 2.0 * L * L)
+    rp, wrp = gauss(0.0, L)
+    X1, RP = np.meshgrid(x1, rp, indexing="ij")
+    WXR = np.outer(wx1, wrp)
+    abs_xi = np.sqrt(X1**2 + RP**2)
+    surf_x = sigma * RP ** (n - 2)
+    qsym = np.maximum((0.75 * L * X1 - 0.75 * L * RP) / ec_norm, 0.0)
+    val_c = measure_C = 0.0
+    for offs, wts in (gauss(-1.0, 0.0), gauss(0.0, 1.0)):
+        for o, w in zip(offs, wts):
+            f = weight("d", s - 1.0, None, abs_xi) * abs(o) ** (th - 1.0) * qsym * measure_A
+            val_c += float(np.sum(f**2 * surf_x * WXR)) * w
+            measure_C += float(np.sum(surf_x * WXR)) * w
+    lhs_lower, norm_v = math.sqrt(val_c), math.sqrt(val_v)
+    return probe.CounterexampleRecord(L=L, norm_u=norm_u, norm_v=norm_v, lhs_lower=lhs_lower,
+                                      ratio=lhs_lower / (norm_u * norm_v),
+                                      measure_A=measure_A, measure_C=float(measure_C))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("L", [4.0, 6.5, 12.5, 33.3])
+@pytest.mark.parametrize("s, theta", [(0.4, 0.6), (-0.3, 0.25), (0.95, 0.05), (1.5, 1.25)])
+def test_shell_quadrature_is_the_offset_loops_bit_for_bit(n, L, s, theta):
+    # s - 1 < 0 and theta - 1 < 0 (|o|^(theta-1) singular at the panel split) and
+    # both >= 0; every second null-form axis j
+    for j in range(2, n + 1):
+        p = CounterexampleParams(L=L, s=s, theta=theta, n=n, j=j)
+        assert dataclasses.astuple(counterexample_norms(p)) == dataclasses.astuple(
+            _counterexample_norms_loops(p))
 
 
 def test_counterexample_membership_chain():
