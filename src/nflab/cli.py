@@ -21,6 +21,7 @@ MKGmodel needs components >= 3, so that v (the second half) has two or more.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -451,6 +452,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Flags from the option tables; each stores its text under the option's key."""
     ap = argparse.ArgumentParser(prog="nflab")

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -488,3 +489,25 @@ def test_readme_iterate_golden(tmp_path):
         assert abs(got - want) <= 1e-12 * want
     for got, want in zip(d, pinned):
         assert abs(got - want) <= 1e-15 * sup0
+
+
+@pytest.mark.parametrize("argv, row", [
+    (["--trials", "40", "--left-s", "1.2", "--left-theta", "0.6", "--right-s", "1.2",
+      "--right-theta", "0.6", "--target-s", "1.2", "--target-theta", "0.6"],
+     ["embedding", '{"left":[1.2,0.6],"right":[1.2,0.6],"target":[1.2,0.6]}', "",
+      "0.041108011283445524", "", "0.003138226748080775", "bounded-consistent"]),
+    (["--trials", "20", "--unary", "--left-s", "0.0", "--left-theta", "0.6",
+      "--target-q", "inf", "--target-r", "2"],
+     ["embedding", '{"left":[0.0,0.6],"target_mixed":["inf",2.0]}', "",
+      "0.5080546540648575", "", "0.001024706069278164", "bounded-consistent"]),
+])
+def test_readme_cone_probes_are_golden(tmp_path, argv, row):
+    # the two cone-concentrated probe-embedding commands of the README, every
+    # CSV field as written (floats by repr)
+    out = tmp_path / "probe.csv"
+    assert main(["probe-embedding", "--ensemble", "cone-concentrated", *argv,
+                 "--out", str(out)]) == EXIT_OK
+    header, columns, line = out.read_text().splitlines()
+    assert header.startswith("# config:")
+    assert columns == "probe_id,param_json,scale,value,slope,residual,verdict"
+    assert next(csv.reader([line], quotechar="'")) == row

@@ -522,8 +522,7 @@ def _counterexample_norms_loops(p):
             val_v += float(np.sum(f**2 * surf_x * WXR)) * w
 
     eta_center = np.zeros(n)
-    eta_center[0] = 0.75 * L
-    eta_center[p.j - 1] = 0.75 * L
+    eta_center[0] = eta_center[1] = 0.75 * L
     ec_norm = float(np.linalg.norm(eta_center))
     x1, wx1 = gauss(L * L, 2.0 * L * L)
     rp, wrp = gauss(0.0, L)
@@ -549,16 +548,30 @@ def _counterexample_norms_loops(p):
 @pytest.mark.parametrize("s, theta", [(0.4, 0.6), (-0.3, 0.25), (0.95, 0.05), (1.5, 1.25)])
 def test_shell_quadrature_is_the_offset_loops_bit_for_bit(n, L, s, theta):
     # s - 1 < 0 and theta - 1 < 0 (|o|^(theta-1) singular at the panel split) and
-    # both >= 0; every second null-form axis j
-    for j in range(2, n + 1):
-        p = CounterexampleParams(L=L, s=s, theta=theta, n=n, j=j)
-        assert dataclasses.astuple(counterexample_norms(p)) == dataclasses.astuple(
-            _counterexample_norms_loops(p))
+    # both >= 0
+    p = CounterexampleParams(L=L, s=s, theta=theta, n=n)
+    assert dataclasses.astuple(counterexample_norms(p)) == dataclasses.astuple(
+        _counterexample_norms_loops(p))
 
 
 def test_counterexample_membership_chain():
     p = CounterexampleParams(L=8, s=0.4, theta=0.6, n=3)
     assert membership_check(p, 200000, seed=3) == 0
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_shell_draw_is_the_row_norm_route_bit_for_bit(d):
+    # the membership draw column by column against the (m, d) row reductions,
+    # kept here as the reference: same stream, same bits, for d = n - 1 < 8
+    lo, hi, m = 2.5, 7.0, 5000
+    r, cols = probe._shell_draw(np.random.default_rng(d), lo, hi, m, d)
+    rng = np.random.default_rng(d)
+    want_r = rng.uniform(lo, hi, m)
+    dirs = rng.standard_normal((m, d))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
+    want = want_r[:, None] * dirs
+    assert np.array_equal(r, want_r) and np.array_equal(np.column_stack(cols), want)
+    assert np.array_equal(probe._sum_sq(list(want.T)), np.sum(want**2, axis=1))
 
 
 def test_counterexample_rejects_small_dimension_and_scale():
@@ -946,24 +959,59 @@ def test_cone_draw_equals_the_per_mode_loop_bit_for_bit(n, N, T_per, L_per):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("seed, report", [
+    (0, (0.03973855853192607, 2, "cone-concentrated", 0.007092977134486433,
+         "bounded-consistent", None, None, [], [], 0)),
+    (5, (0.038413612526945175, 1, "cone-concentrated", 0.006646360648913546,
+         "bounded-consistent", None, None, [], [], 0)),
+])
+def test_ralpha_cone_probe_is_golden(seed, report):
+    # R^alpha (alpha = 0.7) from H^{1.2,0.6} x H^{1.2,0.6} into H^{0.8,0.6} on the
+    # (2, 16, 16) lattice, 10 cone-concentrated trials: every ProbeReport field
+    g = make_grid(2, 16, 16, TWO_PI, TWO_PI)
+    spec = EmbeddingSpec(left=SpaceIndex(1.2, 0.6), right=SpaceIndex(1.2, 0.6),
+                         target=SpaceIndex(0.8, 0.6), n=2,
+                         form=BilinearFormSpec("ralpha", alpha=0.7))
+    got = dataclasses.astuple(probe_embedding(spec, "cone-concentrated", 10, g, seed=seed))
+    assert [repr(x) for x in got] == [repr(x) for x in report]
+
+
+def test_probe_counts_exclusions_and_witness_on_the_first_lattice(monkeypatch):
+    # the refined lattice only sets the drift: a 0/0 trial there is not excluded
+    # and its larger ratio is no witness
+    g = make_grid(2, 8, 8, TWO_PI, TWO_PI)
+    trial_of = {probe._cone_concentrated(grid, 1 + 1000 * k).coeffs.tobytes(): k
+                for k in range(3) for grid in (g, g.refined())}
+    table = {(8, 0): None, (8, 1): 2.0, (8, 2): 3.0, (16, 0): 5.0, (16, 1): None, (16, 2): 4.0}
+    monkeypatch.setattr(probe, "embedding_ratio", lambda spec, u, v: table[
+        u.grid.N_x, trial_of[u.coeffs.tobytes()]])
+    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=SpaceIndex(0.0, 0.6),
+                         target=SpaceIndex(0.0, 0.6), n=2, unary=True)
+    rep = probe_embedding(spec, "cone-concentrated", 3, g, seed=1)
+    assert (rep.sup_ratio, rep.witness, rep.excluded) == (3.0, 2, 1)
+    assert rep.refinement_drift == abs(5.0 - 3.0) / 3.0
+
+
 def test_scalar_rounding_is_numpy_rint_on_ties():
     for x in np.arange(-6.5, 7.0, 0.5):
         assert round(x) == int(np.rint(x))
 
 
-@pytest.mark.parametrize("ensemble, drawer", [("cone-concentrated", "_cone_concentrated"),
-                                              ("random-gaussian", "random_field")])
-def test_unary_probe_draws_only_u(ensemble, drawer, monkeypatch):
+@pytest.mark.parametrize("ensemble, drawer, seed_arg, per_field", [
+    ("cone-concentrated", "_cone_modes", 1, 1),  # one grid-free draw serves g and g.refined()
+    ("random-gaussian", "random_field", 2, 2)])  # one draw per grid
+def test_unary_probe_draws_only_u(ensemble, drawer, seed_arg, per_field, monkeypatch):
     g = make_grid(2, 8, 8, TWO_PI, TWO_PI)
-    draws = []
+    seeds = []
     real = getattr(probe, drawer)
-    monkeypatch.setattr(probe, drawer, lambda *a, **k: draws.append(a) or real(*a, **k))
+    monkeypatch.setattr(probe, drawer, lambda *a, **k: seeds.append(a[seed_arg]) or real(*a, **k))
     spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=SpaceIndex(0.0, 0.6),
                          target=SpaceIndex(0.0, 0.6), n=2, target_mixed=(math.inf, 2),
                          unary=True)
     trials = 3
     probe_embedding(spec, ensemble, trials, g, seed=5)  # trials on g and on g.refined()
-    assert len(draws) == 2 * trials
-    draws.clear()
+    assert len(seeds) == per_field * trials
+    assert set(seeds) == {5 + 1000 * k for k in range(trials)}  # no v seed
+    seeds.clear()
     probe_embedding(dataclasses.replace(spec, unary=False), ensemble, trials, g, seed=5)
-    assert len(draws) == 4 * trials
+    assert len(seeds) == 2 * per_field * trials
