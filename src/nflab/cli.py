@@ -105,6 +105,13 @@ def _count(lo: int, hi: int | None = None):
     return count
 
 
+def _finite_nonneg(text: str) -> float:
+    v = float(text)
+    if not 0.0 <= v < math.inf:
+        raise ValueError("must be a finite number >= 0")
+    return v
+
+
 def _bool(text: str) -> bool:
     if text.lower() not in ("true", "false"):
         raise ValueError("must be true or false")
@@ -425,7 +432,7 @@ COMMANDS = {
         Opt("iterate.system", str, "scalarQ0"), Opt("iterate.J", int, 8),
         Opt("iterate.components", _count(1), 1), Opt("iterate.s", float, 1.2),
         Opt("iterate.theta", float, 0.6), Opt("iterate.cutoff_width", float),
-        Opt("iterate.data_scale", float, 0.05), Opt("iterate.max_freq", _count(0), 2),
+        Opt("iterate.data_scale", _finite_nonneg, 0.05), Opt("iterate.max_freq", _count(0), 2),
         Opt("iterate.seed", int, 0), Opt("iterate.out", str))),
     "probe-embedding": (cmd_probe_embedding, "worst-case ratio study", GRID + (
         Opt("probe.ensemble", str, "random-gaussian"), Opt("probe.trials", int, 20),

@@ -33,6 +33,8 @@ SPATIAL = "spatial"
 
 MAGIC = b"NFLB1"
 
+MAX_ASCENT_STEPS = 60  # line-search steps of the modified norm's ascent mode
+
 
 def _is_pow2(m: int) -> bool:
     return m >= 2 and (m & (m - 1)) == 0
@@ -104,8 +106,9 @@ class Grid:
     def shape_for(self, kind: str) -> tuple:
         return self.spacetime_shape if kind == SPACETIME else self.spatial_shape
 
-    def refined(self, factor: int = 2) -> "Grid":
-        return replace(self, N_t=self.N_t * factor, N_x=self.N_x * factor)
+    def refined(self) -> "Grid":
+        """The lattice with N_t and N_x doubled, on the same periods."""
+        return replace(self, N_t=2 * self.N_t, N_x=2 * self.N_x)
 
 
 def make_grid(n: int, N_t: int, N_x: int, T_per: float, L_per: float) -> Grid:
@@ -133,25 +136,6 @@ class FrequencyPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-
-    @property
-    def abs_xi(self) -> float:
-        return float(np.linalg.norm(self.xi))
-
-    @property
-    def euclid(self) -> float:
-        """Euclidean norm |Xi| of the full space-time frequency."""
-        return math.hypot(self.tau, self.abs_xi)
-
-    @property
-    def lorentz(self) -> float:
-        """Lorentzian form <Xi,Xi> = -tau^2 + |xi|^2 (signature -,+,..,+)."""
-        return self.abs_xi**2 - self.tau**2
-
-    @property
-    def hyperbolic(self) -> float:
-        """Distance to the light cone, ||tau| - |xi||."""
-        return abs(abs(self.tau) - self.abs_xi)
 
 
 @dataclass
@@ -256,6 +240,11 @@ def from_time_spatial_rep(grid: Grid, a: np.ndarray, real_flag=False) -> Spectra
     return from_plane_wave_coeffs(grid, A, SPACETIME, real_flag=real_flag)
 
 
+def _index_axes(shape: tuple) -> list:
+    """Signed indices -N/2..N/2-1 of each axis of `shape`, in FFT order and broadcastable."""
+    return np.meshgrid(*(np.fft.fftfreq(N) * N for N in shape), indexing="ij", sparse=True)
+
+
 def random_field(grid: Grid, kind: str, seed: int, max_freq: int | None = None,
                  real: bool = True, decay: float = 1.0) -> SpectralField:
     """Seeded random band-limited field; spectrum supported on |k_axis| <= max_freq."""
@@ -265,23 +254,11 @@ def random_field(grid: Grid, kind: str, seed: int, max_freq: int | None = None,
     if not real:
         P = P + 1j * rng.standard_normal(shape)
     f = transform(grid, P, kind)
-    c = f.coeffs
     if max_freq is None:
         max_freq = (grid.N_x // 4)
-    idx_axes = []
-    if kind == SPACETIME:
-        idx_axes.append(np.fft.fftfreq(grid.N_t) * grid.N_t)
-    for _ in range(grid.n):
-        idx_axes.append(np.fft.fftfreq(grid.N_x) * grid.N_x)
-    mask = np.ones(shape, dtype=bool)
-    weight = np.zeros(shape)
-    for ax, kvals in enumerate(idx_axes):
-        sh = [1] * len(shape)
-        sh[ax] = len(kvals)
-        kk = np.abs(kvals.reshape(sh))
-        mask &= kk <= max_freq
-        weight = weight + kk**2
-    c = np.where(mask, c, 0.0) / (1.0 + weight) ** (decay / 2.0)
+    kk = [np.abs(k) for k in _index_axes(shape)]
+    inband = functools.reduce(np.maximum, kk) <= max_freq
+    c = np.where(inband, f.coeffs, 0.0) / (1.0 + sum(k**2 for k in kk)) ** (decay / 2.0)
     return SpectralField(grid=grid, kind=kind, coeffs=c, real_flag=not np.iscomplexobj(P))
 
 
@@ -328,12 +305,8 @@ def _dual(p: float) -> float:
 def _witness_dictionary(grid: Grid) -> list:
     """Fixed family of nonnegative-spectrum witnesses (frequency-index Gaussians)."""
     shape = grid.spacetime_shape
-    kt = np.abs(np.fft.fftfreq(grid.N_t) * grid.N_t).reshape((grid.N_t,) + (1,) * grid.n)
-    k2 = np.zeros(shape)
-    for j in range(grid.n):
-        sh = [1] * (grid.n + 1)
-        sh[j + 1] = grid.N_x
-        k2 = k2 + (np.abs(np.fft.fftfreq(grid.N_x) * grid.N_x).reshape(sh)) ** 2
+    kt, *kx = (np.abs(k) for k in _index_axes(shape))
+    k2 = sum(k**2 for k in kx)
     out = []
     dc = np.zeros(shape)
     dc[(0,) * (grid.n + 1)] = 1.0
@@ -363,13 +336,15 @@ def _holder_upper(u: SpectralField, q, r):
     return q, r, mod, mixed_norm(u.copy_with(mod.astype(complex), real_flag=False), q, r)
 
 
-def modified_mixed_norm_detailed(u: SpectralField, q, r, max_steps: int = 60):
+def modified_mixed_norm_detailed(u: SpectralField, q, r):
     """All three surrogate modes of the |hat u|-only mixed norm.
 
     Returns (lower, ascent, upper, ascent_converged).  The chain
     lower <= ascent <= upper holds by construction: `upper` dominates the
     duality pairing via Hoelder, `lower` maximizes the pairing over a witness
-    family, and `ascent` refines the best witness by monotone line search.
+    family, and `ascent` refines the best witness by monotone line search of at
+    most MAX_ASCENT_STEPS (60) steps; ascent_converged is False when the last
+    step still improved.
     """
     q, r, mod, upper = _holder_upper(u, q, r)
     qd, rd = _dual(q), _dual(r)
@@ -386,7 +361,7 @@ def modified_mixed_norm_detailed(u: SpectralField, q, r, max_steps: int = 60):
     converged = gnorm == 0.0
     if not converged:
         g = mod / gnorm
-        for _ in range(max_steps):
+        for _ in range(MAX_ASCENT_STEPS):
             improved = False
             scale = w.max() if w.max() > 0 else 1.0
             for sigma in (1.0, 0.3, 0.1, 0.03, 0.01):

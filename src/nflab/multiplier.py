@@ -36,7 +36,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .lattice import SPACETIME, SPATIAL, Grid, SpectralField, symbol_image
+from .lattice import SPACETIME, SPATIAL, Grid, SpectralField
 
 HOMOGENEOUS = ("d", "d_plus", "d_minus")
 FAMILIES = ("identity", "lambda", "lambda_plus", "lambda_minus") + HOMOGENEOUS + ("riesz",)
@@ -168,13 +168,6 @@ def cal_norm(u: SpectralField, idx: SpaceIndex, du_dt: SpectralField | None = No
         return single
     two_term = ws_norm(u, idx) + ws_norm(du_dt, SpaceIndex(idx.s - 1.0, idx.theta))
     return single, two_term
-
-
-def time_derivative(u: SpectralField) -> SpectralField:
-    """Spectral d/dt (multiplication by i*tau)."""
-    if u.kind != SPACETIME:
-        raise ValueError("time derivative needs a spacetime field")
-    return symbol_image(u, ("d", 0))
 
 
 def spatial_hs_norm(coeffs: np.ndarray, grid: Grid, s: float) -> float:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (SPACETIME, FineLattice, FrequencyPoint, Grid, SpectralField, _fine_shape,
-                      _measure, dealiased_product, symbol_image)
+from .lattice import (SPACETIME, FineLattice, FrequencyPoint, Grid, SpectralField, _cropped,
+                      _fine_shape, _measure, dealiased_product, symbol_image)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
 from .multiplier import weight
@@ -69,9 +69,7 @@ class BilinearFormSpec:
 def _wedge_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-1] == 1:
         return np.zeros(a.shape[:-1])
-    if a.shape[-1] == 2:
-        return (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]) ** 2
-    if a.shape[-1] > 3:
+    if a.shape[-1] != 3:
         return sum((a[..., i] * b[..., j] - a[..., j] * b[..., i]) ** 2
                    for i in range(a.shape[-1]) for j in range(i + 1, a.shape[-1]))
     cx = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
@@ -279,12 +277,11 @@ def _time_sign_parts(u: SpectralField, M: int):
 def _kernel_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
     g, real = u.grid, u.real_flag and v.real_flag
     if u.kind == SPACETIME:
-        h, M = g.N_t // 2, _fine_shape((g.N_t,), 1.5)[0]
+        M = _fine_shape((g.N_t,), 1.5)[0]
         (su, U, up, um), (sv, V, vp, vm) = _time_sign_parts(u, M), _time_sign_parts(v, M)
         opp = (up, um, vp, vm) if spec.form == "ralpha" else None
         cols, W = _pair_sum(spec, g, su, sv, U, V, opp)
-        F = np.fft.fft(W, axis=0, norm="forward")
-        W = np.concatenate([F[:h], F[M - h:]])
+        W = _cropped(np.fft.fft(W, axis=0, norm="forward"), 0, g.N_t)
     else:
         (su, U), (sv, V) = _columns(u.coeffs[None]), _columns(v.coeffs[None])
         cols, W = _pair_sum(spec, g, su, sv, U, V)
@@ -360,13 +357,13 @@ def _ineq_hyperbolic_triangle(tau, lam, xi, eta):
     return lhs, rhs, unit
 
 
-def _ineq_q0(tau, lam, xi, eta, alpha=0.5):
+def _ineq_q0(tau, lam, xi, eta):
     inner = -tau * lam + _dot(xi, eta)
     lhs = np.abs(inner)
     A = np.abs(_norm(xi + eta) ** 2 - (tau + lam) ** 2)
     B = np.abs(_norm(xi) ** 2 - tau**2)
     C = np.abs(_norm(eta) ** 2 - lam**2)
-    rhs = (0.5 * (A + B + C)) ** (1.0 - alpha) * (_euclid(tau, xi) * _euclid(lam, eta)) ** alpha
+    rhs = (0.5 * (A + B + C)) ** 0.5 * (_euclid(tau, xi) * _euclid(lam, eta)) ** 0.5
     unit = _euclid(tau, xi) * _euclid(lam, eta)
     return lhs, rhs, unit
 

@@ -55,7 +55,7 @@ def _mode_factors(grid: Grid, t: float):
     safe = np.where(zero, 1.0, ax)
     cos_t = np.cos(t * ax)
     sin_t = np.where(zero, t, np.sin(t * safe) / safe)
-    return ax, zero, cos_t, sin_t
+    return ax, cos_t, sin_t
 
 
 def homogeneous(data: CauchyData, t: float) -> SpectralField:
@@ -64,13 +64,13 @@ def homogeneous(data: CauchyData, t: float) -> SpectralField:
     Per mode: cos(t|xi|) f_hat + sin(t|xi|)/|xi| g_hat, with the xi = 0 mode
     evolving as f_hat + t g_hat.
     """
-    ax, zero, cos_t, sin_t = _mode_factors(data.f.grid, t)
+    _, cos_t, sin_t = _mode_factors(data.f.grid, t)
     return data.f.copy_with(cos_t * data.f.coeffs + sin_t * data.g.coeffs)
 
 
 def homogeneous_velocity(data: CauchyData, t: float) -> SpectralField:
     """Time derivative of the homogeneous solution (analytic per mode)."""
-    ax, zero, cos_t, _ = _mode_factors(data.f.grid, t)
+    ax, cos_t, _ = _mode_factors(data.f.grid, t)
     return data.f.copy_with(-ax * np.sin(t * ax) * data.f.coeffs + cos_t * data.g.coeffs)
 
 
@@ -88,7 +88,7 @@ def signed_times(grid: Grid) -> np.ndarray:
 def homogeneous_spacetime(data: CauchyData) -> np.ndarray:
     """Mixed representation a[j, xi] of the homogeneous solution on the signed window."""
     g = data.f.grid
-    _, _, cos_t, sin_t = _mode_factors(g, signed_times(g).reshape((g.N_t,) + (1,) * g.n))
+    _, cos_t, sin_t = _mode_factors(g, signed_times(g).reshape((g.N_t,) + (1,) * g.n))
     return cos_t * plane_wave_coeffs(data.f) + sin_t * plane_wave_coeffs(data.g)
 
 
@@ -162,14 +162,14 @@ class Step1Report:
 
     time: float
     fitted_C: float          # max over modes of lhs * |xi| / integral (first bound)
-    bound1_max_ratio: float
     bound2_max_ratio: float
     bound2_violations: int
 
 
-def step1_bound_check(F: SpectralField, t: float, cutoff_width: float | None = None) -> Step1Report:
-    """Evaluate both pointwise bounds on |u_hat(t)(xi)| for u = duhamel(F).
+def step1_bound_check(F: SpectralField, t: float) -> Step1Report:
+    """Evaluate both pointwise bounds on |u_hat(t)(xi)| for u = duhamel(F cut in time).
 
+    F is first multiplied by the temporal cutoff of width T_per/2 (`time_cutoff`).
     First bound: C_t/|xi| times the tau-integral of |F_hat| / (1 + ||tau|-|xi||);
     the constant is fitted (reported), not asserted.  Second bound: t^2 times
     the tau-integral of |F_hat|, which is constant-free on the lattice.
@@ -177,9 +177,7 @@ def step1_bound_check(F: SpectralField, t: float, cutoff_width: float | None = N
     if F.kind != SPACETIME:
         raise ValueError("step1_bound_check needs a spacetime field")
     g = F.grid
-    if cutoff_width is None:
-        cutoff_width = g.T_per / 2.0
-    Fw = time_cutoff(F, cutoff_width)
+    Fw = time_cutoff(F, g.T_per / 2.0)
     a_u = duhamel_mixed(g, time_spatial_rep(Fw))
     j = int(round(t / g.dt))
     j = min(max(j, 0), g.N_t - 1)
@@ -203,6 +201,5 @@ def step1_bound_check(F: SpectralField, t: float, cutoff_width: float | None = N
     ratio2 = np.where(rhs2 > 0, lhs / np.where(rhs2 > 0, rhs2, 1.0), 0.0)
     viol = int(np.sum(lhs > rhs2 * (1.0 + 1e-9) + 1e-300))
     return Step1Report(time=float(t_j), fitted_C=fitted_C,
-                       bound1_max_ratio=fitted_C,
                        bound2_max_ratio=float(np.max(ratio2)),
                        bound2_violations=viol)

@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +128,23 @@ def test_iterate_zero_data_trace(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1] == "j,sup_Hs,d_j,ratio_j,flag"
     assert lines[2] == "0,0.0,,,"
+
+
+@pytest.mark.parametrize("via", ["file", "flag"])
+@pytest.mark.parametrize("text", ["-0.1", "nan", "Infinity", "-1e-300"])
+def test_iterate_data_scale_must_be_finite_and_non_negative(tmp_path, capsys, monkeypatch,
+                                                            via, text):
+    monkeypatch.setattr(cli.it, "picard_run", lambda *a: pytest.fail("a Picard run started"))
+    if via == "file":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[iterate]\ndata_scale = {text}\n")
+        argv = ["--config", str(cfg), "iterate"]
+    else:
+        argv = ["iterate", f"--data-scale={text}"]
+    assert main(argv + ["--out", str(tmp_path / "trace.csv")]) == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and f"iterate.data_scale = '{text}'" in out
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_iterate_divergence_exit_code(tmp_path):
@@ -511,3 +529,33 @@ def test_readme_cone_probes_are_golden(tmp_path, argv, row):
     assert header.startswith("# config:")
     assert columns == "probe_id,param_json,scale,value,slope,residual,verdict"
     assert next(csv.reader([line], quotechar="'")) == row
+
+
+README_GOLDEN = Path(__file__).parent / "data" / "readme"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("admissible", ["admissible", "--q", "4", "--r", "4", "--n", "3"]),
+    # the README runs 10^6 samples; 10^5 keeps the test fast on the same code path
+    ("symbol-check", ["symbol-check", "--name", "all", "--samples", "100000", "--seed", "0",
+                      "--out", "sym.csv"]),
+    ("norms", ["norms", "--n", "2", "--nt", "16", "--nx", "16", "--s", "0.5", "--theta", "0.6",
+               "--q", "1", "--r", "2", "--seed", "0"]),
+    ("probe-kernel", ["probe-kernel", "--a", "1.2", "--b", "0.2", "--c", "0.3", "--variant",
+                      "homogeneous", "--n", "3", "--R", "16", "--h", "0.1", "--halvings", "2",
+                      "--out", "kernel.csv"]),
+    ("counterexample", ["counterexample", "--n", "3", "--s", "0.4", "--theta", "0.6",
+                        "--L", "8,16,32,64", "--membership-samples", "1000000",
+                        "--out", "ce.csv"]),
+    ("selftest", ["selftest"]),
+])
+def test_readme_commands_are_golden(tmp_path, monkeypatch, capsys, name, argv):
+    # stdout and every file a README command writes, byte for byte
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_OK
+    want = README_GOLDEN / name
+    assert capsys.readouterr().out.encode() == (want / "stdout").read_bytes()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in want.iterdir() if p.name != "stdout")
+    for f in written:
+        assert (tmp_path / f).read_bytes() == (want / f).read_bytes(), f

@@ -198,6 +198,19 @@ def test_modified_norm_upper_is_one_mixed_norm_of_the_same_field(monkeypatch, gr
                                                           theirs.zero_mode_projected)
 
 
+def test_ascent_stops_after_sixty_steps_unconverged(monkeypatch, grid2d):
+    # a pairing that improves on every call: the dictionary (and |hat u|) is scored once,
+    # then each of the 60 steps takes its first line-search candidate
+    import nflab.lattice as lat
+    calls = []
+    monkeypatch.setattr(lat, "_pairing_value", lambda *a: calls.append(a) or float(len(calls)))
+    u = random_field(grid2d, SPACETIME, 9, real=True)
+    lower, ascent, upper, converged = modified_mixed_norm_detailed(u, 1, 2)
+    start = len(lat._witness_dictionary(grid2d)) + 1
+    assert not converged and len(calls) == start + 60
+    assert lower == float(start) and ascent == min(float(start + 60), upper)
+
+
 def test_modified_norm_unknown_mode_rejected_before_any_work(monkeypatch, grid2d):
     import nflab.lattice as lat
     calls = []
@@ -652,3 +665,64 @@ def test_time_cutoff_agrees_with_the_sample_route():
         assert out.real_flag is real and out.zero_mode_projected
         if real:
             assert out.hermitian_error() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# signed index axes: the per-axis loops random_field and the witness dictionary
+# were written with, kept as the reference for lattice._index_axes
+
+
+def _random_field_loops(grid, kind, seed, max_freq=None, real=True, decay=1.0):
+    rng = np.random.default_rng(seed)
+    shape = grid.shape_for(kind)
+    P = rng.standard_normal(shape)
+    if not real:
+        P = P + 1j * rng.standard_normal(shape)
+    c = transform(grid, P, kind).coeffs
+    if max_freq is None:
+        max_freq = grid.N_x // 4
+    idx_axes = []
+    if kind == SPACETIME:
+        idx_axes.append(np.fft.fftfreq(grid.N_t) * grid.N_t)
+    for _ in range(grid.n):
+        idx_axes.append(np.fft.fftfreq(grid.N_x) * grid.N_x)
+    mask = np.ones(shape, dtype=bool)
+    weight = np.zeros(shape)
+    for ax, kvals in enumerate(idx_axes):
+        sh = [1] * len(shape)
+        sh[ax] = len(kvals)
+        kk = np.abs(kvals.reshape(sh))
+        mask &= kk <= max_freq
+        weight = weight + kk**2
+    return np.where(mask, c, 0.0) / (1.0 + weight) ** (decay / 2.0)
+
+
+def _witness_dictionary_loops(grid):
+    shape = grid.spacetime_shape
+    kt = np.abs(np.fft.fftfreq(grid.N_t) * grid.N_t).reshape((grid.N_t,) + (1,) * grid.n)
+    k2 = np.zeros(shape)
+    for j in range(grid.n):
+        sh = [1] * (grid.n + 1)
+        sh[j + 1] = grid.N_x
+        k2 = k2 + (np.abs(np.fft.fftfreq(grid.N_x) * grid.N_x).reshape(sh)) ** 2
+    dc = np.zeros(shape)
+    dc[(0,) * (grid.n + 1)] = 1.0
+    return [dc] + [np.exp(-((kt / st) ** 2) - k2 / sx**2)
+                   for st in (0.5, 2.0, 8.0) for sx in (0.5, 2.0, 8.0)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n, N_t, N_x", [(1, 16, 8), (2, 8, 16), (3, 4, 8)])
+def test_index_axes_keep_the_per_axis_loops_bit_for_bit(n, N_t, N_x):
+    import nflab.lattice as lat
+    g = make_grid(n, N_t, N_x, 2.3, 5.1)
+    got, want = lat._witness_dictionary(g), _witness_dictionary_loops(g)
+    assert len(got) == len(want) and all(_same_bits(x, y) for x, y in zip(got, want))
+    for seed, (kind, real, max_freq, decay) in enumerate(itertools.product(
+            (SPACETIME, SPATIAL), (True, False), (None, 2, N_x // 2), (1.0, 2.0))):
+        f = random_field(g, kind, seed, max_freq=max_freq, real=real, decay=decay)
+        assert f.real_flag == real
+        assert _same_bits(f.coeffs, _random_field_loops(g, kind, seed, max_freq, real, decay))

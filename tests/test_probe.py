@@ -954,7 +954,7 @@ def _cone_concentrated_loop(grid, seed, modes=40):
 def test_cone_draw_equals_the_per_mode_loop_bit_for_bit(n, N, T_per, L_per):
     g = make_grid(n, N, N, T_per, L_per)
     for seed in range(12 if N ** n < 2**12 else 3):
-        got = probe._cone_concentrated(g, 1000 * seed + 7).coeffs
+        got = probe._cone_field(g, probe._cone_modes(n, 1000 * seed + 7)).coeffs
         want = _cone_concentrated_loop(g, 1000 * seed + 7)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -980,7 +980,7 @@ def test_probe_counts_exclusions_and_witness_on_the_first_lattice(monkeypatch):
     # the refined lattice only sets the drift: a 0/0 trial there is not excluded
     # and its larger ratio is no witness
     g = make_grid(2, 8, 8, TWO_PI, TWO_PI)
-    trial_of = {probe._cone_concentrated(grid, 1 + 1000 * k).coeffs.tobytes(): k
+    trial_of = {probe._cone_field(grid, probe._cone_modes(2, 1 + 1000 * k)).coeffs.tobytes(): k
                 for k in range(3) for grid in (g, g.refined())}
     table = {(8, 0): None, (8, 1): 2.0, (8, 2): 3.0, (16, 0): 5.0, (16, 1): None, (16, 2): 4.0}
     monkeypatch.setattr(probe, "embedding_ratio", lambda spec, u, v: table[
