@@ -10,9 +10,8 @@ from .lattice import (Grid, FrequencyPoint, SpectralField, make_grid, transform,
                       inverse_transform, mixed_norm, modified_mixed_norm,
                       modified_mixed_norm_detailed, time_cutoff, dealiased_product,
                       random_field, read_field, write_field)
-from .multiplier import (MultiplierSpec, SpaceIndex, StrichartzTriple, apply,
-                         ws_norm, cal_norm, is_wave_admissible, strichartz_s,
-                         check_thmB, check_thmC)
+from .multiplier import (MultiplierSpec, SpaceIndex, apply, ws_norm, cal_norm,
+                         is_wave_admissible, strichartz_s, check_thmB, check_thmC)
 from .nullform import (BilinearFormSpec, apply_form, kernel_value,
                        check_symbol_inequality, frequency_pairs, INEQUALITY_REGISTRY,
                        delta_plus, delta_minus)

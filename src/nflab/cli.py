@@ -57,8 +57,6 @@ def _parse_value(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError:
-        if text.lower() in ("inf", "infinity"):
-            return math.inf
         return text
 
 
@@ -279,10 +277,8 @@ def cmd_iterate(cfg) -> int:
 
 
 def parse_form(text, n: int):
-    """Bilinear form of a probe: product (None), q0, qtilde or qij<i><j> with 1 <= i < j <= n."""
-    if text == "product":
-        return None
-    if text in ("q0", "qtilde"):
+    """Bilinear form of a probe: product, q0, qtilde or qij<i><j> with 1 <= i < j <= n."""
+    if text in ("product", "q0", "qtilde"):
         return nf.BilinearFormSpec(text)
     m = re.fullmatch(r"qij([1-9])([1-9])", str(text))
     if m and 1 <= int(m[1]) < int(m[2]) <= n:

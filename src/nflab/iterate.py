@@ -192,9 +192,6 @@ class IterationTrace:
     over components); ws values are of the time-cutoffed iterates.
     """
 
-    s: float
-    theta: float
-    cutoff_width: float
     sup_hs: list
     ws: list
     d: list
@@ -295,12 +292,9 @@ def picard_run(sys_spec: SystemSpec, data: list, iterations: int, idx: SpaceInde
             flag = "converged"
         elif ratios and all(r < 1.0 for r in ratios[-2:]):
             flag = "converged"
-        else:
-            flag = "stalled"
 
-    return IterationTrace(s=idx.s, theta=idx.theta, cutoff_width=cutoff_width,
-                          sup_hs=sup_hs, ws=ws_list, d=d_list, ratios=ratios,
-                          flag=flag, diverged_at=diverged_at)
+    return IterationTrace(sup_hs=sup_hs, ws=ws_list, d=d_list, ratios=ratios, flag=flag,
+                          diverged_at=diverged_at)
 
 
 def iterate_samples(sys_spec: SystemSpec, data: list, iterations: int,

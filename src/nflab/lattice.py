@@ -378,14 +378,10 @@ def modified_mixed_norm_detailed(u: SpectralField, q, r):
     return lower, ascent, upper, converged
 
 
-def modified_mixed_norm(u: SpectralField, q, r, mode: str = "upper") -> float:
-    """One mode of the |hat u|-only mixed norm.  "upper" is the Hoelder bound alone: one mixed
-    norm of |hat u|, bit for bit the detailed upper; "lower" and "ascent" run the witness search."""
-    if mode == "upper":
-        return _holder_upper(u, q, r)[3]
-    if mode not in ("lower", "ascent"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return modified_mixed_norm_detailed(u, q, r)[0 if mode == "lower" else 1]
+def modified_mixed_norm(u: SpectralField, q, r) -> float:
+    """The Hoelder upper bound of the |hat u|-only mixed norm: one mixed norm of |hat u|,
+    bit for bit the upper surrogate of modified_mixed_norm_detailed."""
+    return _holder_upper(u, q, r)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +570,14 @@ def symbol_image(u: SpectralField, op=None) -> SpectralField:
     if op is None:
         return u
     name, mu = op
+    if name not in ("d", "rr"):
+        raise ValueError(f"unknown symbol {op!r}")
+    if u.kind != SPACETIME and (mu == 0 or name == "rr"):
+        raise ValueError(("d/dt" if name == "d" else f"R_0 R_{mu}") + " needs a spacetime field")
     g = u.grid
     comp = g.tau_broadcast() if mu == 0 else g.xi_component(mu - 1, u.kind)
     if name == "d":
         return u.copy_with(u.coeffs * (1j * comp))
-    if name != "rr":
-        raise ValueError(f"unknown symbol {op!r}")
     ax2 = g.abs_xi(u.kind) ** 2
     sym = np.where(ax2 == 0.0, 0.0, -g.tau_broadcast() * comp / np.where(ax2 == 0.0, 1.0, ax2))
     return u.copy_with(u.coeffs * sym, real_flag=False, zero_mode_projected=True)

@@ -63,22 +63,6 @@ class SpaceIndex:
     theta: float
 
 
-@dataclass(frozen=True)
-class StrichartzTriple:
-    q: float
-    r: float
-    n: int
-
-    @property
-    def s(self) -> float:
-        """Scaling exponent n/2 - n/r - 1/q, recomputed on every access."""
-        return strichartz_s(self.q, self.r, self.n)
-
-    @property
-    def admissible(self) -> bool:
-        return is_wave_admissible(self.q, self.r, self.n)
-
-
 def weight(family: str, a: float, tau, abs_xi):
     """Weight `family` to the power a at (tau, |xi|); see the module docstring.
 
@@ -151,23 +135,15 @@ def ws_norm(u: SpectralField, idx: SpaceIndex) -> float:
     return float(np.sqrt(np.sum(w**2 * np.abs(u.coeffs) ** 2)))
 
 
-def cal_norm(u: SpectralField, idx: SpaceIndex, du_dt: SpectralField | None = None):
-    """Norm of the second-order space adapted to the wave operator.
-
-    Single-multiplier form: L^2 norm of Lambda^{s-1} Lambda_+ Lambda_-^theta u.
-    With du_dt supplied, also returns the two-term form
-    ws_norm(u, (s, theta)) + ws_norm(du_dt, (s-1, theta)).
-    """
+def cal_norm(u: SpectralField, idx: SpaceIndex) -> float:
+    """Norm of the second-order space adapted to the wave operator: the L^2 norm of
+    Lambda^{s-1} Lambda_+ Lambda_-^theta u (the single-multiplier form)."""
     if u.kind != SPACETIME:
         raise ValueError("cal_norm needs a spacetime field")
     tau, ax = u.grid.tau_broadcast(), u.grid.abs_xi(SPACETIME)
     w = (weight("lambda", idx.s - 1.0, tau, ax) * weight("lambda_plus", 1.0, tau, ax)
          * weight("lambda_minus", idx.theta, tau, ax))
-    single = float(np.sqrt(np.sum(w**2 * np.abs(u.coeffs) ** 2)))
-    if du_dt is None:
-        return single
-    two_term = ws_norm(u, idx) + ws_norm(du_dt, SpaceIndex(idx.s - 1.0, idx.theta))
-    return single, two_term
+    return float(np.sqrt(np.sum(w**2 * np.abs(u.coeffs) ** 2)))
 
 
 def spatial_hs_norm(coeffs: np.ndarray, grid: Grid, s: float) -> float:

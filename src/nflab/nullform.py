@@ -203,21 +203,13 @@ def _qtilde(u: SpectralField, v: SpectralField) -> SpectralField:
 
 def occupied_modes(u: SpectralField):
     """Signed integer indices and coefficients of the occupied lattice modes."""
-    c = u.coeffs
-    top = float(np.max(np.abs(c)))
-    if top == 0.0:
-        d = c.ndim
-        return np.zeros((0, d), dtype=int), np.zeros((0,), dtype=complex)
-    sel = np.abs(c) > _OCCUPIED_REL_TOL * top
-    idx = np.argwhere(sel)
-    shape = np.array(c.shape)
-    signed = np.where(idx >= shape // 2, idx - shape, idx)
-    return signed, c[sel]
+    idx, vals = _columns(u.coeffs[None])
+    return idx, vals[0]
 
 
 def _columns(X: np.ndarray):
-    """Signed index rows (M, n) and samples (T, M) of the occupied spatial columns of X
-    (T, *spatial), their unoccupied entries zeroed as occupied_modes does."""
+    """Signed index rows (M, n) and samples (T, M) of the spatial columns of X (T, *spatial)
+    with an entry above _OCCUPIED_REL_TOL times the largest; entries at or below it are zeroed."""
     flat = X.reshape(len(X), -1)
     mag = np.abs(flat)
     keep = mag > _OCCUPIED_REL_TOL * np.max(mag)

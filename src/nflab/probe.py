@@ -54,7 +54,6 @@ DRIFT_LIMIT = 0.20
 @dataclass
 class FitResult:
     slope: float
-    intercept: float
     residual: float
 
 
@@ -70,8 +69,7 @@ def scaling_fit(points) -> FitResult:
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
-    return FitResult(slope=float(coef[0]), intercept=float(coef[1]),
-                     residual=float(np.sqrt(np.mean(resid**2))))
+    return FitResult(slope=float(coef[0]), residual=float(np.sqrt(np.mean(resid**2))))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +78,7 @@ def scaling_fit(points) -> FitResult:
 
 @dataclass
 class EmbeddingSpec:
-    """Estimate target(B(u,v)) <= C source_l(u) source_r(v); form None = product.
+    """Estimate target(B(u,v)) <= C source_l(u) source_r(v); B is the plain product by default.
 
     With unary=True the right factor is dropped and the probe measures
     target(u) / source_l(u) (linear embeddings).
@@ -90,7 +88,7 @@ class EmbeddingSpec:
     right: SpaceIndex
     target: SpaceIndex
     n: int
-    form: BilinearFormSpec | None = None
+    form: BilinearFormSpec = BilinearFormSpec("product")
     target_mixed: tuple | None = None  # (q, r): use the modified-norm upper surrogate
     unary: bool = False
 
@@ -116,15 +114,10 @@ def embedding_ratio(spec: EmbeddingSpec, u: SpectralField, v: SpectralField | No
         denom *= ws_norm(v, spec.right)
     if denom == 0.0:
         return None
-    if spec.unary:
-        B = u
-    elif spec.form is None:
-        B = apply_form(BilinearFormSpec("product"), u, v)
-    else:
-        B = apply_form(spec.form, u, v)
+    B = u if spec.unary else apply_form(spec.form, u, v)
     if spec.target_mixed is not None:
         q, r = spec.target_mixed
-        num = modified_mixed_norm(B, q, r, "upper")
+        num = modified_mixed_norm(B, q, r)
     else:
         num = ws_norm(B, spec.target)
     return num / denom
@@ -177,7 +170,7 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
         raise ValueError("need at least one trial")
     if ensemble == "counterexample-family":
         ignored = [name for name, used in (
-            ("form", spec.form is not None and spec.form.form != "product"),
+            ("form", spec.form.form != "product"),
             ("unary", spec.unary), ("target_q/target_r", spec.target_mixed is not None)) if used]
         if ignored:
             raise ValueError(f"the counterexample-family ensemble probes the plain product into "

@@ -131,7 +131,7 @@ def test_iterate_zero_data_trace(tmp_path):
 
 
 @pytest.mark.parametrize("via", ["file", "flag"])
-@pytest.mark.parametrize("text", ["-0.1", "nan", "Infinity", "-1e-300"])
+@pytest.mark.parametrize("text", ["-0.1", "nan", "Infinity", "inf", "-1e-300"])
 def test_iterate_data_scale_must_be_finite_and_non_negative(tmp_path, capsys, monkeypatch,
                                                             via, text):
     monkeypatch.setattr(cli.it, "picard_run", lambda *a: pytest.fail("a Picard run started"))
@@ -145,6 +145,17 @@ def test_iterate_data_scale_must_be_finite_and_non_negative(tmp_path, capsys, mo
     out = capsys.readouterr().out
     assert out.startswith("ERROR\tcode=2") and f"iterate.data_scale = '{text}'" in out
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_iterate_mkgmodel_splits_three_components(tmp_path, monkeypatch):
+    seen, real = [], cli.it.picard_run
+    monkeypatch.setattr(cli.it, "picard_run", lambda spec, *a: seen.append(spec) or real(spec, *a))
+    out = tmp_path / "mkg.csv"
+    assert main(["iterate", "--system", "MKGmodel", "--components", "3", "--J", "2",
+                 "--out", str(out)]) == EXIT_OK
+    assert [(s.kind, s.N1, s.N2) for s in seen] == [("MKGmodel", 1, 2)]
+    rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
+    assert [r[0] for r in rows] == ["0", "1", "2"] and all(float(r[2]) > 0 for r in rows[1:])
 
 
 def test_iterate_divergence_exit_code(tmp_path):
@@ -392,6 +403,13 @@ def test_bad_value_is_a_config_error_naming_key_and_value(tmp_path, capsys, via,
     assert main(argv) == EXIT_CONFIG
     out = capsys.readouterr().out
     assert out.startswith("ERROR\tcode=2") and f"{section}.{key} = '{text}'" in out
+
+
+def test_null_in_a_file_leaves_the_default(tmp_path, capsys):
+    cfg = tmp_path / "adm.cfg"
+    cfg.write_text("[adm]\nq = null\nr = 6\nsigma = null\n")
+    assert main(["--config", str(cfg), "admissible"]) == EXIT_OK
+    assert capsys.readouterr().out == "admissible s=0.75\n"  # q = 4, n = 3: 3/2 - 3/6 - 1/4
 
 
 def test_quoted_integer_in_file_reads_like_the_flag(tmp_path):

@@ -178,6 +178,15 @@ def test_divergence_flagged():
     assert tr.diverged_at is not None
 
 
+def test_a_single_iteration_ends_stalled():
+    # one difference and no ratio: neither convergence rule can hold
+    g = make_grid(2, 16, 16, 1.0, TWO_PI)
+    tr = picard_run(SystemSpec("scalarQ0"), [_cos_data(g, 0.01)], 1, SpaceIndex(1.0, 0.6), 0.5)
+    assert tr.flag == "stalled" and tr.diverged_at is None
+    assert tr.ratios == [] and len(tr.d) == 1 and tr.d[0] > 1e-12 * tr.sup_hs[0]
+    assert tr.to_csv().splitlines()[-1].endswith(",stalled")
+
+
 def test_trace_csv_schema():
     g = make_grid(2, 16, 16, 1.0, TWO_PI)
     tr = picard_run(SystemSpec("scalarQ0"), [_cos_data(g, 0.01)], 3,
@@ -190,9 +199,8 @@ def test_trace_csv_schema():
 
 def test_trace_csv_blanks_ratios_of_rounding_noise():
     # d_2 = 1e-14 is below 1e-12 * sup_Hs[0], so ratio_3 = d_3 / d_2 is a quotient of noise
-    tr = IterationTrace(s=1.0, theta=0.6, cutoff_width=0.5, sup_hs=[2.0] * 4,
-                        ws=[1.0] * 4, d=[1e-3, 1e-14, 1.1e-14], ratios=[1e-11, 1.1],
-                        flag="converged")
+    tr = IterationTrace(sup_hs=[2.0] * 4, ws=[1.0] * 4, d=[1e-3, 1e-14, 1.1e-14],
+                        ratios=[1e-11, 1.1], flag="converged")
     rows = [line.split(",") for line in tr.to_csv().strip().splitlines()[1:]]
     assert [r[3] for r in rows] == ["", "", repr(1e-11), ""]
     assert rows[3][2] == repr(1.1e-14)

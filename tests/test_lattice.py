@@ -16,8 +16,8 @@ from nflab.lattice import (SPACETIME, SPATIAL, FineLattice, SpectralField, cutof
                            inverse_transform, make_grid,
                            mixed_norm, modified_mixed_norm,
                            modified_mixed_norm_detailed, plane_wave_coeffs,
-                           random_field, read_field, time_cutoff, time_spatial_rep,
-                           transform,
+                           random_field, read_field, symbol_image, time_cutoff,
+                           time_spatial_rep, transform,
                            write_field)
 
 TWO_PI = 2.0 * math.pi
@@ -120,7 +120,7 @@ def test_modified_norm_upper_exact_for_nonnegative_spectrum(grid2d):
     u = random_field(grid2d, SPACETIME, 6, real=False)
     upos = u.copy_with(np.abs(u.coeffs).astype(complex), real_flag=False)
     for q, r in ((1, 2), (4, 4), (math.inf, 2)):
-        assert abs(modified_mixed_norm(upos, q, r, "upper")
+        assert abs(modified_mixed_norm(upos, q, r)
                    - mixed_norm(upos, q, r)) <= 1e-10 * mixed_norm(upos, q, r)
 
 
@@ -176,7 +176,7 @@ def test_modified_norm_upper_is_the_detailed_upper_bit_for_bit():
         for q in EXPONENTS:
             for r in EXPONENTS:
                 upper = modified_mixed_norm_detailed(u, q, r)[2]
-                assert modified_mixed_norm(u, q, r, "upper") == upper
+                assert modified_mixed_norm(u, q, r) == upper
 
 
 def test_modified_norm_upper_is_one_mixed_norm_of_the_same_field(monkeypatch, grid2d):
@@ -187,7 +187,7 @@ def test_modified_norm_upper_is_one_mixed_norm_of_the_same_field(monkeypatch, gr
     monkeypatch.setattr(lat, "modified_mixed_norm_detailed",
                         lambda *a: detailed.append(a) or real_detailed(*a))
     u = random_field(grid2d, SPACETIME, 7, real=True)
-    modified_mixed_norm(u, 4, 2, "upper")
+    modified_mixed_norm(u, 4, 2)
     assert len(seen) == 1 and not detailed
     real_detailed(u, 4, 2)
     # the detailed upper is its first mixed norm: the same field, dtype and flags
@@ -196,6 +196,15 @@ def test_modified_norm_upper_is_one_mixed_norm_of_the_same_field(monkeypatch, gr
     assert np.array_equal(mine.coeffs, theirs.coeffs)
     assert (mine.real_flag, mine.zero_mode_projected) == (theirs.real_flag,
                                                           theirs.zero_mode_projected)
+
+
+@pytest.mark.parametrize("op, name", [(("d", 0), "d/dt"), (("rr", 1), "R_0 R_1")])
+def test_time_symbols_name_the_spacetime_requirement(monkeypatch, grid2d, op, name):
+    import nflab.lattice as lat
+    monkeypatch.setattr(lat.Grid, "tau_broadcast", lambda g: pytest.fail("an array was built"))
+    u = random_field(grid2d, SPATIAL, 0)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} needs a spacetime field$"):
+        symbol_image(u, op)
 
 
 def test_ascent_stops_after_sixty_steps_unconverged(monkeypatch, grid2d):
@@ -209,16 +218,6 @@ def test_ascent_stops_after_sixty_steps_unconverged(monkeypatch, grid2d):
     start = len(lat._witness_dictionary(grid2d)) + 1
     assert not converged and len(calls) == start + 60
     assert lower == float(start) and ascent == min(float(start + 60), upper)
-
-
-def test_modified_norm_unknown_mode_rejected_before_any_work(monkeypatch, grid2d):
-    import nflab.lattice as lat
-    calls = []
-    monkeypatch.setattr(lat, "inverse_transform", lambda f: calls.append(f))
-    u = random_field(grid2d, SPACETIME, 8, real=False)
-    with pytest.raises(ValueError, match="'uppr'"):
-        modified_mixed_norm(u, 2, 2, "uppr")
-    assert calls == []
 
 
 def test_time_cutoff_of_constant_is_the_bump(grid2d):

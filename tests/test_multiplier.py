@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nflab.lattice import SPACETIME, SPATIAL, SpectralField, make_grid, random_field, symbol_image
-from nflab.multiplier import (HOMOGENEOUS, MultiplierSpec, SpaceIndex, StrichartzTriple,
-                              apply, cal_norm, check_thmB, check_thmC,
-                              is_wave_admissible, spatial_hs_norm, strichartz_s,
-                              symbol_values, weight, ws_norm)
+from nflab.multiplier import (HOMOGENEOUS, MultiplierSpec, SpaceIndex, apply, cal_norm,
+                              check_thmB, check_thmC, is_wave_admissible, spatial_hs_norm,
+                              strichartz_s, symbol_values, weight, ws_norm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,6 +60,13 @@ def test_riesz_axis_outside_zero_to_n_is_rejected(grid2d, axis):
         apply(MultiplierSpec("riesz", axis=axis), u)
     with pytest.raises(ValueError, match="Riesz axis"):
         symbol_values(MultiplierSpec("riesz", axis=axis), grid2d, SPATIAL)
+
+
+def test_riesz_axis_zero_is_the_temporal_component(grid2d):
+    u = _single(grid2d, 2, (3, 4))  # tau = 2, |xi| = 5
+    assert abs(apply(MultiplierSpec("riesz", axis=0), u).coeffs[2, 3, 4] - 0.4j) <= 1e-15
+    with pytest.raises(ValueError, match="temporal Riesz component needs a spacetime field"):
+        symbol_values(MultiplierSpec("riesz", axis=0), grid2d, SPATIAL)
 
 
 def test_riesz_last_axis_is_the_last_spatial_component(grid2d):
@@ -131,8 +137,9 @@ def test_cal_norm_two_forms_equivalent(grid2d):
     ratios = []
     for seed in range(100):
         u = random_field(grid2d, SPACETIME, 100 + seed, max_freq=6, real=False)
-        single, two = cal_norm(u, idx, du_dt=symbol_image(u, ("d", 0)))
-        ratios.append(two / single)
+        two = (ws_norm(u, idx)
+               + ws_norm(symbol_image(u, ("d", 0)), SpaceIndex(idx.s - 1, idx.theta)))
+        ratios.append(two / cal_norm(u, idx))
     assert min(ratios) >= 0.25 and max(ratios) <= 4.0
 
 
@@ -165,8 +172,6 @@ def test_energy_embedding_ratio_stable_under_refinement():
 def test_strichartz_original_inequality_point():
     assert is_wave_admissible(4, 4, 3)
     assert abs(strichartz_s(4, 4, 3) - 0.5) <= 1e-15
-    t = StrichartzTriple(4, 4, 3)
-    assert t.admissible and abs(t.s - 0.5) <= 1e-15
 
 
 def test_energy_pair_is_admissible_any_dimension():

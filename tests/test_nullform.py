@@ -302,6 +302,24 @@ def test_kernel_forms_match_direct_double_sum(n, N, form, kind):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("form, kind", [("ralpha", SPACETIME), ("splus", SPACETIME),
+                                        ("sminus", SPACETIME), ("splus", SPATIAL),
+                                        ("sminus", SPATIAL)])
+def test_kernel_form_with_a_zero_operand_is_zero(grid2d, form, kind):
+    u = random_field(grid2d, kind, 4, real=False)
+    zero = u.copy_with(np.zeros_like(u.coeffs))
+    for a, b in ((u, zero), (zero, u), (zero, zero)):
+        out = apply_form(BilinearFormSpec(form), a, b)
+        assert out.coeffs.shape == grid2d.shape_for(kind) and not np.any(out.coeffs)
+
+
+def test_occupied_modes_of_the_zero_field_are_empty(grid2d):
+    u = random_field(grid2d, SPACETIME, 4, real=False)
+    idx, vals = occupied_modes(u.copy_with(np.zeros_like(u.coeffs)))
+    assert (idx.shape, idx.dtype, vals.shape, vals.dtype) == ((0, 3), np.int64, (0,),
+                                                              np.complex128)
+
+
 def test_ralpha_tau_zero_takes_delta_plus_branch(grid2d):
     # tau * lam = 0 is in the Delta_+ branch; tau * lam < 0 in the Delta_- branch
     a, b = np.array([2, 1]), np.array([-1, 3])

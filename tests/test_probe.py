@@ -859,6 +859,15 @@ def test_probe_embedding_counterexample_family_growth():
     assert rep.slope > 0.1 and rep.residual < 0.05
 
 
+def test_counterexample_family_default_scales_are_4_6_8_12(monkeypatch):
+    monkeypatch.setattr(probe, "counterexample_lattice_ratio", lambda spec, L: 1.0 + L**0.5)
+    spec = EmbeddingSpec(left=SpaceIndex(0.5, 0.1), right=SpaceIndex(-0.5, 0.6),
+                         target=SpaceIndex(-0.5, -0.4), n=2)
+    rep = probe_embedding(spec, "counterexample-family", 1, None)
+    assert rep.scales == [4, 6, 8, 12]
+    assert rep == probe_embedding(spec, "counterexample-family", 1, None, scales=[4, 6, 8, 12])
+
+
 def test_probe_embedding_unary_mode(grid2d):
     spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=SpaceIndex(0.0, 0.0),
                          target=SpaceIndex(0.0, 0.0), n=2, unary=True,
