@@ -9,7 +9,9 @@ the file and unknown keys are rejected.  Flag text and file values take one
 route: the row's type applied to the value's text, so `--q 4` and `[adm]
 q = 4` give the same value.  Every output file starts with a header line
 embedding the fully resolved configuration, so identical config plus seed
-reproduces byte-identical output.  NFLAB_THREADS caps sweep fan-out.
+reproduces byte-identical output.  NFLAB_THREADS caps the one worker pool
+(`lattice.sweep` and `lattice.pmap`) that serves the two sweeps, the probe
+trials, the family scales and the paired fine-lattice pads.
 
 Exit codes: 0 success; 2 configuration error (`ConfigError`, `ValueError`,
 `OSError`, a value its row's type rejects); 3 numerical-failure flag
@@ -24,10 +26,8 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -165,23 +165,6 @@ def _write_plot(cfg: dict, out, points) -> None:
     _write(str(out) + ".plot", _header(cfg) + "".join(f"{x!r} {y!r}\n" for x, y in points))
 
 
-def _threads() -> int:
-    env = os.environ.get("NFLAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
-
-
-def _sweep(func, args_list):
-    """Deterministically ordered concurrent map."""
-    workers = min(_threads(), max(1, len(args_list)))
-    if workers == 1:
-        return [func(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(func, args_list))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -210,7 +193,8 @@ def cmd_symbol_check(cfg) -> int:
             raise ConfigError(f"unknown inequality {nm!r}; known: {sorted(nf.INEQUALITY_REGISTRY)}")
     samples, seed = cfg["symbol.samples"], cfg["symbol.seed"]
     pairs = nf.frequency_pairs(samples, seed)  # one draw, shared by every inequality
-    reports = _sweep(lambda nm: nf.check_symbol_inequality(nm, samples, seed, pairs=pairs), names)
+    reports = lat.sweep(lambda nm: nf.check_symbol_inequality(nm, samples, seed, pairs=pairs),
+                        names)
     buf = [_header(cfg), "name,samples,violations,worst_margin,constant\n"]
     bad = 0
     for rep in reports:
@@ -356,7 +340,7 @@ def cmd_probe_kernel(cfg) -> int:
 def cmd_counterexample(cfg) -> int:
     params = [pr.CounterexampleParams(L=float(L), s=cfg["ce.s"], theta=cfg["ce.theta"],
                                       n=cfg["ce.n"]) for L in cfg["ce.L"].split(",")]
-    recs = _sweep(pr.counterexample_norms, params)
+    recs = lat.sweep(pr.counterexample_norms, params)
     fit_u = pr.scaling_fit([(r.L, r.norm_u) for r in recs])
     fit_v = pr.scaling_fit([(r.L, r.norm_v) for r in recs])
     fit_ratio = pr.scaling_fit([(r.L, r.ratio) for r in recs]) if all(

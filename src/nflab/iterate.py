@@ -23,7 +23,7 @@ from .lattice import (SPACETIME, SPATIAL, FineLattice, Grid, SpectralField,
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
 from .multiplier import MultiplierSpec, SpaceIndex, apply, weight, ws_norm
-from .nullform import BilinearFormSpec, apply_form, combine_forms, form_samples
+from .nullform import BilinearFormSpec, apply_form, combine_forms, form_plan, form_samples
 from .propagate import (CauchyData, duhamel_mixed, homogeneous,
                         homogeneous_spacetime, signed_times)
 
@@ -101,15 +101,17 @@ def _d_inverse(u: SpectralField) -> SpectralField:
     return apply(MultiplierSpec("d", -1.0), u)
 
 
-def _q_combination(eng: FineLattice, coeff: np.ndarray, left: list, right: list) -> list:
-    """Components sum_{p,J,K} coeff[I,p,J,K] Q_{ij_p}(left^J, right^K)."""
-    terms = [(BilinearFormSpec("qij", i=i, j=j), left[J], right[K], coeff[:, p, J, K])
-             for p, (i, j) in enumerate(_pairs(eng.grid.n))
-             for J in range(coeff.shape[2]) for K in range(coeff.shape[3])
-             if np.any(coeff[:, p, J, K])]
-    return combine_forms(eng, terms, coeff.shape[0],
-                         real=all(f.real_flag for f in left + right),
-                         projected=any(f.zero_mode_projected for f in left + right))
+def _q_combinations(grid: Grid, *combos) -> list:
+    """For each (coeff, left, right) in combos, the components sum_{p,J,K} coeff[I,p,J,K]
+    Q_{ij_p}(left^J, right^K); one fine lattice, planned for them all, serves every combo."""
+    terms = [[(BilinearFormSpec("qij", i=i, j=j), left[J], right[K], coeff[:, p, J, K])
+              for p, (i, j) in enumerate(_pairs(grid.n))
+              for J in range(coeff.shape[2]) for K in range(coeff.shape[3])
+              if np.any(coeff[:, p, J, K])] for coeff, left, right in combos]
+    eng = FineLattice(grid, SPACETIME, plan=[x for t in terms for x in form_plan(t, grid.n)])
+    return [combine_forms(eng, t, coeff.shape[0], real=all(f.real_flag for f in left + right),
+                          projected=any(f.zero_mode_projected for f in left + right))
+            for t, (coeff, left, right) in zip(terms, combos)]
 
 
 def _wm_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
@@ -157,11 +159,11 @@ def apply_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
         return [apply_form(BilinearFormSpec("q0"), comps[0], comps[0])]
     if sys_spec.kind == "WM":
         return _wm_nonlinearity(sys_spec, comps)
-    eng = FineLattice(grid, SPACETIME)
     if sys_spec.kind == "WMM":
         N = sys_spec.N
         terms = [(BilinearFormSpec("qtilde"), comps[J], comps[K], sys_spec.a_table[:, J, K])
                  for J in range(N) for K in range(N) if np.any(sys_spec.a_table[:, J, K])]
+        eng = FineLattice(grid, SPACETIME, plan=form_plan(terms, grid.n))
         return combine_forms(eng, terms, N, real=all(c.real_flag for c in comps),
                              projected=bool(terms))
     n_pairs = len(_pairs(grid.n))
@@ -169,8 +171,9 @@ def apply_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
         N = sys_spec.N
         coeff = _or_ones(sys_spec.q_coeff, (N, n_pairs, N, N))
         coeff2 = coeff if sys_spec.q_coeff_second is None else sys_spec.q_coeff_second
-        first = [_d_inverse(f) for f in _q_combination(eng, coeff, comps, comps)]
-        second = _q_combination(eng, coeff2, [_d_inverse(c) for c in comps], comps)
+        first, second = _q_combinations(grid, (coeff, comps, comps),
+                                        (coeff2, [_d_inverse(c) for c in comps], comps))
+        first = [_d_inverse(f) for f in first]
         return [a.copy_with(a.coeffs + b.coeffs, real_flag=a.real_flag and b.real_flag,
                             zero_mode_projected=a.zero_mode_projected or b.zero_mode_projected)
                 for a, b in zip(first, second)]
@@ -179,8 +182,9 @@ def apply_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
         u_comps, v_comps = comps[:N1], comps[N1:]
         coeff_u = _or_ones(sys_spec.q_coeff, (N1, n_pairs, N2, N2))
         coeff_v = _or_ones(sys_spec.q_coeff_second, (N2, n_pairs, N1, N2))
-        top = [_d_inverse(f) for f in _q_combination(eng, coeff_u, v_comps, v_comps)]
-        return top + _q_combination(eng, coeff_v, [_d_inverse(c) for c in u_comps], v_comps)
+        top, bottom = _q_combinations(grid, (coeff_u, v_comps, v_comps),
+                                      (coeff_v, [_d_inverse(c) for c in u_comps], v_comps))
+        return [_d_inverse(f) for f in top] + bottom
     raise AssertionError(sys_spec.kind)
 
 

@@ -21,7 +21,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -418,6 +421,64 @@ def time_cutoff(u: SpectralField, width: float) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
+# worker pool
+#
+# One executor, sized by NFLAB_THREADS at its first use, runs independent work:
+# `sweep` on the workers while the caller waits, `pmap` with the caller working
+# beside them.  A call from inside an item runs inline, so no pool thread ever
+# waits on the pool.  Results come in item order; an item's error is raised in
+# the caller once the other items have finished.
+
+_inline = threading.local()
+
+
+def _threads() -> int:
+    try:
+        return max(1, int(os.environ.get("NFLAB_THREADS", "")))
+    except ValueError:
+        return max(1, os.cpu_count() or 1)
+
+
+@functools.cache
+def _executor() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(_threads(), "nflab", setattr, (_inline, "on", True))
+
+
+def pmap(func, items, caller_works: bool = True) -> list:
+    """[func(x) for x in items], the caller working through them beside the pool's workers."""
+    items, loops = list(items), min(_threads(), len(items))
+    if loops < 2 or getattr(_inline, "on", False):
+        return [func(x) for x in items]
+    out, order = [None] * len(items), itertools.count()
+
+    def drain():
+        while (i := next(order)) < len(items):
+            try:
+                out[i] = (func(items[i]), None)
+            except Exception as exc:
+                out[i] = (None, exc)
+
+    futures = [_executor().submit(drain) for _ in range(loops - caller_works)]
+    if caller_works:
+        _inline.on = True
+        try:
+            drain()
+        finally:
+            _inline.on = False
+    for f in futures:
+        f.result()
+    for _, exc in out:
+        if exc is not None:
+            raise exc
+    return [result for result, _ in out]
+
+
+def sweep(func, items) -> list:
+    """[func(x) for x in items], run on the pool's workers while the caller waits."""
+    return pmap(func, items, caller_works=False)
+
+
+# ---------------------------------------------------------------------------
 # fine-lattice products
 #
 # Products of band-limited fields are formed on a lattice refined by `factor`
@@ -440,6 +501,12 @@ def time_cutoff(u: SpectralField, width: float) -> SpectralField:
 # fall on one fine row and add.  A crop of real samples mirrors the pad: an
 # rfft, the columns 0..N/2 cut to the same centred bands B, and the coarse
 # column -k taken as conj B(-j, k).
+#
+# A FineLattice takes its evaluation's plan: the images (u, op) it pads, in
+# order of use.  A missed image is padded by `pmap` together with the next
+# planned image not yet padded, and a planned image is dropped at its last
+# planned use.  Products, sums and crops keep their order and operands, so
+# neither the pairing nor the drops move a bit.
 
 
 def _fine_shape(shape: tuple, factor: float) -> tuple:
@@ -564,8 +631,9 @@ def field_from_fine_samples(grid: Grid, kind: str, P_fine: np.ndarray,
 def symbol_image(u: SpectralField, op=None) -> SpectralField:
     """u under one of the diagonal symbols of the product engine.
 
-    op is None (identity), ("d", mu) for d/dx_mu with mu = 0 the time axis,
-    or ("rr", j) for the Riesz product R_0 R_j, which projects out xi = 0.
+    op is None (identity), ("d", mu) for d/dx_mu with mu = 0 the time axis (mu in 0..n on
+    a spacetime field, 1..n on a spatial one), or ("rr", j), j in 1..n, for the Riesz
+    product R_0 R_j, which projects out xi = 0.
     """
     if op is None:
         return u
@@ -575,6 +643,10 @@ def symbol_image(u: SpectralField, op=None) -> SpectralField:
     if u.kind != SPACETIME and (mu == 0 or name == "rr"):
         raise ValueError(("d/dt" if name == "d" else f"R_0 R_{mu}") + " needs a spacetime field")
     g = u.grid
+    lo = 0 if name == "d" and u.kind == SPACETIME else 1
+    if mu not in range(lo, g.n + 1):
+        raise ValueError(f"symbol {op!r} needs an axis in {lo}..{g.n} on a {u.kind} field "
+                         f"of dimension n = {g.n}")
     comp = g.tau_broadcast() if mu == 0 else g.xi_component(mu - 1, u.kind)
     if name == "d":
         return u.copy_with(u.coeffs * (1j * comp))
@@ -587,20 +659,34 @@ class FineLattice:
     """One evaluation's workspace for sums of products on a refined lattice.
 
     `samples(u, op)` pads u's image under a diagonal symbol (`symbol_image`) once per
-    workspace; callers sum products of samples and `crop` each finished sum once.
+    workspace; callers sum products of samples and `crop` each finished sum once.  `plan`
+    lists the images (u, op) it pads, in order of use (see the comment above).
     """
 
-    def __init__(self, grid: Grid, kind: str = SPACETIME, factor: float = 1.5):
+    def __init__(self, grid: Grid, kind: str = SPACETIME, factor: float = 1.5, plan=()):
         self.grid, self.kind, self.factor = grid, kind, factor
         self.fine_shape = _fine_shape(grid.shape_for(kind), factor)
         self._memo = {}
+        self._plan = {}  # (id(u), op) -> [u, op, uses left], in order of first use
+        for u, op in plan:
+            self._plan.setdefault((id(u), op), [u, op, 0])[2] += 1
 
     def samples(self, u: SpectralField, op=None) -> np.ndarray:
         key = (id(u), op)
         if key not in self._memo:
-            # the memo holds u itself, so its id is not reused while cached
-            self._memo[key] = (u, fine_samples(symbol_image(u, op), self.factor))
-        return self._memo[key][1]
+            images = [(u, op)] + [(w, wop) for k, (w, wop, _) in self._plan.items()
+                                  if k != key and k not in self._memo][:1]
+            pads = pmap(lambda image: fine_samples(symbol_image(*image), self.factor), images)
+            for image, P in zip(images, pads):
+                # the memo holds each field itself, so its id is not reused while cached
+                self._memo[(id(image[0]), image[1])] = (image[0], P)
+        P = self._memo[key][1]
+        entry = self._plan.get(key)
+        if entry is not None:
+            entry[2] -= 1
+            if entry[2] == 0:
+                del self._plan[key], self._memo[key]
+        return P
 
     def crop(self, P_fine: np.ndarray, real_flag: bool) -> SpectralField:
         return field_from_fine_samples(self.grid, self.kind, P_fine, real_flag=real_flag)
@@ -610,8 +696,8 @@ def dealiased_product(u: SpectralField, v: SpectralField, factor: float = 1.5) -
     """Pointwise product with 3/2 zero-padding per axis (alias-free quadratics)."""
     if u.grid != v.grid or u.kind != v.kind:
         raise ValueError("fields must share grid and kind")
-    eng = FineLattice(u.grid, u.kind, factor)
-    out = eng.crop(eng.samples(u) * eng.samples(v), u.real_flag and v.real_flag)
+    eng = FineLattice(u.grid, u.kind, factor, plan=[(u, None), (v, None)])
+    out = eng.crop(np.multiply(eng.samples(u), eng.samples(v)), u.real_flag and v.real_flag)
     out.zero_mode_projected = u.zero_mode_projected or v.zero_mode_projected
     return out
 

@@ -29,6 +29,7 @@ output field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,13 +127,20 @@ def apply(spec: MultiplierSpec, u: SpectralField) -> SpectralField:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _ws_weight_sq(grid: Grid, idx: SpaceIndex) -> np.ndarray:
+    """Read-only (Lambda^s Lambda_-^theta)^2 on the spacetime lattice of grid."""
+    tau, ax = grid.tau_broadcast(), grid.abs_xi(SPACETIME)
+    w2 = (weight("lambda", idx.s, tau, ax) * weight("lambda_minus", idx.theta, tau, ax)) ** 2
+    w2.setflags(write=False)
+    return w2
+
+
 def ws_norm(u: SpectralField, idx: SpaceIndex) -> float:
     """H^{s,theta} norm: L^2 of Lambda^s Lambda_-^theta applied to u."""
     if u.kind != SPACETIME:
         raise ValueError("ws_norm needs a spacetime field")
-    tau, ax = u.grid.tau_broadcast(), u.grid.abs_xi(SPACETIME)
-    w = weight("lambda", idx.s, tau, ax) * weight("lambda_minus", idx.theta, tau, ax)
-    return float(np.sqrt(np.sum(w**2 * np.abs(u.coeffs) ** 2)))
+    return float(np.sqrt(np.sum(_ws_weight_sq(u.grid, idx) * np.abs(u.coeffs) ** 2)))
 
 
 def cal_norm(u: SpectralField, idx: SpaceIndex) -> float:

@@ -162,9 +162,18 @@ def form_samples(eng: FineLattice, spec: BilinearFormSpec, u: SpectralField, v: 
     for outer, prods in _groups(spec, eng.grid.n):
         acc = 0
         for sign, op_u, op_v in prods:
-            t = eng.samples(u, op_u) * eng.samples(v, op_v)
+            # not `*`, which may reuse an image at its last use (a temporary) as the output with
+            # the operands swapped: a complex product is not commutative bit for bit
+            t = np.multiply(eng.samples(u, op_u), eng.samples(v, op_v))
             acc = acc + t if sign > 0 else acc - t
         yield outer, acc
+
+
+def form_plan(terms: list, n: int) -> list:
+    """The images (field, op) that combine_forms pads for terms (F_t, u_t, v_t, w_t), in order
+    of use: a FineLattice's plan."""
+    return [image for spec, u, v, _ in terms for _, prods in _groups(spec, n)
+            for _, op_u, op_v in prods for image in ((u, op_u), (v, op_v))]
 
 
 def combine_forms(eng: FineLattice, terms: list, n_out: int, real: bool,
@@ -172,23 +181,29 @@ def combine_forms(eng: FineLattice, terms: list, n_out: int, real: bool,
     """Components sum_t w_t[I] F_t(u_t, v_t) for I < n_out, from terms (F_t, u_t, v_t, w_t).
 
     The weighted products are summed on the fine lattice, so each group of
-    each output component is cropped once.
+    each output component is cropped once, as soon as its last term is summed;
+    the crops are added into the outputs in the order the groups first appear.
     """
+    last = {(int(I), outer): t for t, (spec, _, _, w) in enumerate(terms)
+            for outer, _ in _groups(spec, eng.grid.n) for I in np.flatnonzero(w)}
     acc = {}
-    for spec, u, v, w in terms:
+    for t, (spec, u, v, w) in enumerate(terms):
         for outer, P in form_samples(eng, spec, u, v):
             for I in np.flatnonzero(w):
                 key = (int(I), outer)
                 acc[key] = w[I] * P if key not in acc else acc[key] + w[I] * P
+                if last[key] == t:
+                    acc[key] = symbol_image(eng.crop(acc[key], real), outer).coeffs
     out = [np.zeros(eng.grid.spacetime_shape, dtype=complex) for _ in range(n_out)]
-    for (I, outer), P in acc.items():
-        out[I] += symbol_image(eng.crop(P, real), outer).coeffs
+    for (I, _), c in acc.items():
+        out[I] += c
     return [SpectralField(grid=eng.grid, kind=SPACETIME, coeffs=c, real_flag=real,
                           zero_mode_projected=projected) for c in out]
 
 
 def _derivative_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
-    return combine_forms(FineLattice(u.grid), [(spec, u, v, np.ones(1))], 1,
+    terms = [(spec, u, v, np.ones(1))]
+    return combine_forms(FineLattice(u.grid, plan=form_plan(terms, u.grid.n)), terms, 1,
                          u.real_flag and v.real_flag, projected=spec.form == "qtilde")[0]
 
 

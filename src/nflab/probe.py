@@ -29,13 +29,14 @@ Three kinds of evidence are produced, none of which claims a proof:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .lattice import (SPACETIME, Grid, SpectralField, modified_mixed_norm,
+from .lattice import (SPACETIME, Grid, SpectralField, modified_mixed_norm, pmap,
                       random_field)
 from .multiplier import SpaceIndex, weight, ws_norm
 from .nullform import BilinearFormSpec, _delta_parts, _norm, apply_form, delta_minus, delta_plus
@@ -178,7 +179,7 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
         if scales is None:
             scales = [4, 6, 8, 12]
         _check_scales(scales)
-        vals = [counterexample_lattice_ratio(spec, L) for L in scales]
+        vals = pmap(lambda L: counterexample_lattice_ratio(spec, L), scales)
         fit = scaling_fit(list(zip(scales, vals)))
         growth = fit.slope > GROWTH_SLOPE and fit.residual < GROWTH_RESIDUAL
         k = int(np.argmax(vals))
@@ -193,13 +194,16 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
     if grid is None:
         raise ValueError("lattice ensembles need a grid")
     grids = (grid, grid.refined())
-    best, excluded = [(0.0, -1) for _ in grids], 0  # (sup, witness) per grid
-    for k in range(trials):
+
+    def trial(k):
         # v from its own seed; a unary probe draws none.  One draw serves every grid.
         u = _draw(grid.n, ensemble, seed + 1000 * k)
         v = None if spec.unary else _draw(grid.n, ensemble, seed + 1000 * k + 7_000_003)
-        for i, g in enumerate(grids):
-            r = embedding_ratio(spec, u(g), None if v is None else v(g))
+        return [embedding_ratio(spec, u(g), None if v is None else v(g)) for g in grids]
+
+    best, excluded = [(0.0, -1) for _ in grids], 0  # (sup, witness) per grid
+    for k, ratios in enumerate(pmap(trial, range(trials))):
+        for i, r in enumerate(ratios):
             excluded += r is None and i == 0
             if r is not None and r > best[i][0]:
                 best[i] = (r, k)
@@ -386,10 +390,19 @@ _RADIAL_LEVELS = 44
 _CE_GAUSS = 32
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(m: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights of order m on [-1, 1]."""
+    x, w = leggauss(m)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gauss_nodes(lo, hi, m=_CE_GAUSS):
     """Gauss-Legendre nodes and weights of order m on [lo, hi], broadcast over lo and hi:
     the one quadrature rule of the Schur certificate and the counterexample norms."""
-    x, w = leggauss(m)
+    x, w = _legendre(m)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 

@@ -207,6 +207,20 @@ def test_time_symbols_name_the_spacetime_requirement(monkeypatch, grid2d, op, na
         symbol_image(u, op)
 
 
+@pytest.mark.parametrize("kind, op, valid", [
+    (SPACETIME, ("d", 3), "0..2"), (SPACETIME, ("d", -1), "0..2"),
+    (SPACETIME, ("rr", 3), "1..2"), (SPACETIME, ("rr", 0), "1..2"),
+    (SPATIAL, ("d", -1), "1..2"), (SPATIAL, ("d", 3), "1..2")])
+def test_symbol_axis_out_of_range_is_rejected_before_any_array(monkeypatch, kind, op, valid):
+    import nflab.lattice as lat
+    g = lat.make_grid(2, 8, 8, 2 * math.pi, 2 * math.pi)
+    u = random_field(g, kind, 0)
+    for name in ("tau_broadcast", "xi_component", "abs_xi"):
+        monkeypatch.setattr(lat.Grid, name, lambda *a: pytest.fail("an array was built"))
+    with pytest.raises(ValueError, match=re.escape(f"symbol {op!r} needs an axis in {valid}")):
+        symbol_image(u, op)
+
+
 def test_ascent_stops_after_sixty_steps_unconverged(monkeypatch, grid2d):
     # a pairing that improves on every call: the dictionary (and |hat u|) is scored once,
     # then each of the 60 steps takes its first line-search candidate

@@ -392,3 +392,16 @@ def test_projection_flag_pins_for_homogeneous_families(grid2d):
             assert projected is flag, (family, a)
     cone, _ = symbol_values(MultiplierSpec("d_minus", -1.0), grid2d, SPACETIME)
     assert cone[3, 3, 0] == 0.0 and cone[0, 0, 0] == 0.0
+
+
+def test_ws_norm_weight_is_cached_read_only_with_the_bits_of_the_formula():
+    from nflab.multiplier import _ws_weight_sq
+    g = make_grid(2, 16, 16, 2 * math.pi, 2 * math.pi)
+    u = random_field(g, SPACETIME, 7, real=False)
+    idx = SpaceIndex(1.2, 0.6)
+    tau, ax = g.tau_broadcast(), g.abs_xi(SPACETIME)
+    w = weight("lambda", idx.s, tau, ax) * weight("lambda_minus", idx.theta, tau, ax)
+    assert ws_norm(u, idx) == float(np.sqrt(np.sum(w**2 * np.abs(u.coeffs) ** 2)))
+    w2 = _ws_weight_sq(g, idx)
+    assert w2 is _ws_weight_sq(g, SpaceIndex(1.2, 0.6)) and not w2.flags.writeable
+    assert np.array_equal(w2, w**2)

@@ -1,0 +1,268 @@
+"""The worker pool (`lattice.sweep`, `lattice.pmap`) and the planned fine-lattice engine.
+
+Every output must keep its bits at any NFLAB_THREADS, every image must be padded
+exactly once, and an engine must let go of each planned image at its last use.
+"""
+
+import math
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import nflab.lattice as lat
+from nflab import iterate as it
+from nflab import nullform as nf
+from nflab.iterate import CauchyData, SystemSpec, apply_nonlinearity, picard_run
+from nflab.lattice import SPACETIME, SPATIAL, make_grid, random_field
+from nflab.multiplier import SpaceIndex
+from nflab.nullform import BilinearFormSpec, apply_form
+from nflab.probe import EmbeddingSpec, probe_embedding
+
+TWO_PI = 2.0 * math.pi
+THREADS = ("1", "2", "3")
+
+FORMS = [BilinearFormSpec("q0"), BilinearFormSpec("qij", i=1, j=2), BilinearFormSpec("qtilde"),
+         BilinearFormSpec("product"), BilinearFormSpec("ralpha", alpha=0.7),
+         BilinearFormSpec("splus", alpha=0.7), BilinearFormSpec("sminus", alpha=0.7)]
+
+
+def _pads(form: str, n: int) -> int:
+    """Distinct images a form pads for u != v: what a full memo pads."""
+    return {"q0": 2 * (n + 1), "qij": 4, "qtilde": 2 * n + 2, "product": 2}.get(form, 0)
+
+
+def _systems():
+    rng = np.random.default_rng(3)
+
+    def table(*shape):
+        return rng.uniform(-1.0, 1.0, size=shape)
+
+    # name -> (spec, pads of one evaluation on n = 3: the distinct images)
+    return {
+        "YMmodel": (SystemSpec("YMmodel", N=2, q_coeff=table(2, 3, 2, 2),
+                               q_coeff_second=table(2, 3, 2, 2)), 12),
+        "WMM": (SystemSpec("WMM", N=2, a_table=table(2, 2, 2)), 8),
+        "WM": (SystemSpec("WM", N=2, gamma_const=table(2, 2, 2)), 8),
+        "MKGmodel": (SystemSpec("MKGmodel", N1=1, N2=2), 9),
+        "scalarQ0": (SystemSpec("scalarQ0"), 4),
+    }
+
+
+def _form_fields(n: int, real: bool):
+    g = make_grid(n, 16, 16, TWO_PI, TWO_PI)
+    return (random_field(g, SPACETIME, 1, max_freq=2, real=real),
+            random_field(g, SPACETIME, 2, max_freq=2, real=real))
+
+
+def _comps(spec, real: bool):
+    # (3, 16, 8): fine images of 0.66 MB, past numpy's temporary-elision threshold
+    g = make_grid(3, 16, 8, TWO_PI, TWO_PI)
+    return [random_field(g, SPACETIME, 10 + c, max_freq=3, real=real) for c in range(spec.N)]
+
+
+def _per_thread_count(monkeypatch, run):
+    outs = []
+    for threads in THREADS:
+        monkeypatch.setenv("NFLAB_THREADS", threads)
+        outs.append(run())
+    return outs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("real", [True, False])
+def test_forms_keep_their_bits_at_every_thread_count(monkeypatch, n, real):
+    u, v = _form_fields(n, real)
+    for spec in FORMS:
+        outs = _per_thread_count(monkeypatch, lambda: apply_form(spec, u, v))
+        for out in outs[1:]:
+            assert np.array_equal(out.coeffs, outs[0].coeffs), spec.form
+            assert (out.real_flag, out.zero_mode_projected) == (outs[0].real_flag,
+                                                                outs[0].zero_mode_projected)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_nonlinearities_keep_their_bits_at_every_thread_count(monkeypatch, real):
+    for name, (spec, _) in _systems().items():
+        comps = _comps(spec, real)
+        outs = _per_thread_count(monkeypatch, lambda: apply_nonlinearity(spec, comps))
+        for out in outs[1:]:
+            assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(out, outs[0])), name
+
+
+def test_picard_csvs_and_probe_reports_keep_their_bytes_at_every_thread_count(monkeypatch):
+    g = make_grid(3, 16, 8, TWO_PI, TWO_PI)
+    for name, (spec, _) in _systems().items():
+        data = []
+        for c in range(spec.N):
+            f = random_field(g, SPATIAL, 30 + c, max_freq=2, decay=2.0)
+            P = lat.inverse_transform(f)
+            zero = lat.transform(g, np.zeros(g.spatial_shape), SPATIAL)
+            data.append(CauchyData(lat.transform(g, P * (0.05 / np.max(np.abs(P))), SPATIAL),
+                                   zero))
+        csvs = _per_thread_count(monkeypatch, lambda: picard_run(
+            spec, data, 2, SpaceIndex(1.2, 0.6), g.T_per / 2.0).to_csv())
+        assert csvs[1:] == csvs[:1] * 2, name
+    g2 = make_grid(2, 8, 8, TWO_PI, TWO_PI)
+    idx = SpaceIndex(1.2, 0.6)
+    spec = EmbeddingSpec(left=idx, right=idx, target=SpaceIndex(0.8, 0.6), n=2,
+                         form=BilinearFormSpec("q0"))
+    for ensemble in ("cone-concentrated", "random-gaussian"):
+        reports = _per_thread_count(monkeypatch, lambda: repr(
+            probe_embedding(spec, ensemble, 3, g2, seed=5)))
+        assert reports[1:] == reports[:1] * 2, ensemble
+
+
+def _unplanned(grid, kind=SPACETIME, factor=1.5, plan=(), engine=lat.FineLattice):
+    return engine(grid, kind, factor)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_planning_moves_no_bit(monkeypatch, real):
+    # an unplanned engine keeps every image to its end, as a plain memo does
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    u, v = _form_fields(3, real)
+    cases = [(lambda s=s: apply_form(s, u, v).coeffs) for s in FORMS[:4]]
+    for spec, _ in _systems().values():
+        comps = _comps(spec, real)
+        cases.append(lambda spec=spec, comps=comps: [
+            f.coeffs for f in apply_nonlinearity(spec, comps)])
+    planned = [case() for case in cases]
+    for module in (lat, nf, it):
+        monkeypatch.setattr(module, "FineLattice", _unplanned)
+    for case, want in zip(cases, planned):
+        assert np.array_equal(case(), want)
+
+
+def _counting_pads(monkeypatch):
+    inputs = []
+    original = lat.fine_samples
+
+    def counting(f, factor=1.5):
+        inputs.append(f.coeffs.tobytes())
+        return original(f, factor)
+
+    monkeypatch.setattr(lat, "fine_samples", counting)
+    return inputs
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_every_image_is_padded_once(monkeypatch, threads):
+    monkeypatch.setenv("NFLAB_THREADS", threads)
+    inputs = _counting_pads(monkeypatch)
+    for n in (2, 3):
+        for real in (True, False):
+            u, v = _form_fields(n, real)
+            for spec in FORMS:
+                inputs.clear()
+                apply_form(spec, u, v)
+                assert len(inputs) == len(set(inputs)) == _pads(spec.form, n), spec.form
+            inputs.clear()
+            apply_form(BilinearFormSpec("q0"), u, u)
+            assert len(inputs) == len(set(inputs)) == n + 1
+    for name, (spec, pads) in _systems().items():
+        inputs.clear()
+        apply_nonlinearity(spec, _comps(spec, True))
+        assert len(inputs) == len(set(inputs)) == pads, name
+
+
+def test_engines_hold_no_planned_image_after_an_evaluation(monkeypatch):
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    engines = []
+
+    class Recorded(lat.FineLattice):
+        def __init__(self, *a, plan=(), **k):
+            super().__init__(*a, plan=plan, **k)
+            engines.append((self, bool(plan)))
+
+    for module in (lat, nf, it):
+        monkeypatch.setattr(module, "FineLattice", Recorded)
+    u, v = _form_fields(2, False)
+    for spec in FORMS[:4]:
+        apply_form(spec, u, v)
+    for spec, _ in _systems().values():
+        apply_nonlinearity(spec, _comps(spec, True))
+    # the WM engine is unplanned: it keeps its pads, as a plain memo does
+    assert [planned for _, planned in engines] == [True] * 6 + [False] + [True] * 2
+    assert all(eng._plan == {} and (eng._memo == {}) == planned for eng, planned in engines)
+
+
+def _finishes(target, seconds=20.0):
+    out = []
+    t = threading.Thread(target=lambda: out.append(target()), daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), "the pool deadlocked"
+    return out[0]
+
+
+@pytest.mark.parametrize("outer", [lat.sweep, lat.pmap])
+def test_a_call_from_inside_an_item_runs_inline(monkeypatch, outer):
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+
+    def item(i):
+        here = threading.get_ident()
+        inner = lat.pmap(lambda j: (i * j, threading.get_ident() == here), range(4))
+        return [x for x, _ in inner], all(same for _, same in inner)
+
+    got = _finishes(lambda: outer(item, range(6)))
+    assert got == [([i * j for j in range(4)], True) for i in range(6)]
+
+
+@pytest.mark.parametrize("run", [lat.sweep, lat.pmap])
+def test_an_item_error_is_raised_after_the_other_items_finish(monkeypatch, run):
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    finished = []
+
+    def item(i):
+        if i in (1, 3):
+            raise KeyError(f"item {i}")
+        time.sleep(0.02)
+        finished.append(i)
+        return i
+
+    with pytest.raises(KeyError, match="item 1"):
+        run(item, range(6))
+    assert sorted(finished) == [0, 2, 4, 5]
+    # the pool still works
+    assert _finishes(lambda: run(lambda x: x * x, range(7))) == [x * x for x in range(7)]
+
+
+def test_pmap_keeps_item_order_and_uses_a_worker(monkeypatch):
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    barrier = threading.Barrier(2, timeout=10.0)
+    callers = []
+
+    def item(i):
+        barrier.wait()  # both items run at once: one on the caller, one on a worker
+        return i, threading.get_ident()
+
+    def run():
+        callers.append(threading.get_ident())
+        return lat.pmap(item, range(2))
+
+    got = _finishes(run)
+    assert [i for i, _ in got] == [0, 1]
+    assert sorted(ident == callers[0] for _, ident in got) == [False, True]
+
+
+def test_every_item_runs_once_under_contention(monkeypatch):
+    # more workers than cores and a short switch interval, so a lost update of the
+    # shared item counter would run an item twice or skip it
+    monkeypatch.setenv("NFLAB_THREADS", "8")
+    lat._executor().shutdown()
+    lat._executor.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for run in (lat.pmap, lat.sweep):
+            seen = [[] for _ in range(3000)]
+            got = _finishes(lambda: run(lambda i: seen[i].append(i) or -i, range(3000)))
+            assert got == [-i for i in range(3000)]
+            assert all(s == [i] for i, s in enumerate(seen))
+    finally:
+        sys.setswitchinterval(interval)
+        lat._executor().shutdown()
+        lat._executor.cache_clear()

@@ -1024,3 +1024,15 @@ def test_unary_probe_draws_only_u(ensemble, drawer, seed_arg, per_field, monkeyp
     seeds.clear()
     probe_embedding(dataclasses.replace(spec, unary=False), ensemble, trials, g, seed=5)
     assert len(seeds) == 2 * per_field * trials
+
+
+def test_gauss_rule_is_cached_read_only_with_the_bits_of_leggauss():
+    for m in (8, 32):
+        x, w = probe._legendre(m)
+        again = probe._legendre(m)
+        assert again[0] is x and again[1] is w and not (x.flags.writeable or w.flags.writeable)
+        want_x, want_w = leggauss(m)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        nodes, weights = probe._gauss_nodes(1.5, 4.0, m)
+        assert np.array_equal(nodes, 2.75 + 1.25 * want_x)
+        assert np.array_equal(weights, 1.25 * want_w)
