@@ -103,11 +103,13 @@ def _count(lo: int, hi: int | None = None):
     return count
 
 
-def _finite_nonneg(text: str) -> float:
-    v = float(text)
-    if not 0.0 <= v < math.inf:
-        raise ValueError("must be a finite number >= 0")
-    return v
+def _finite_nonneg(what: str):
+    def finite_nonneg(text: str) -> float:
+        v = float(text)
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"{what} must be finite and >= 0, got {v!r}")
+        return v
+    return finite_nonneg
 
 
 def _bool(text: str) -> bool:
@@ -131,6 +133,8 @@ def _resolve(opts, file_cfg: dict, flags: dict) -> dict:
         text = v if isinstance(v, str) else json.dumps(v)
         try:
             cfg[k] = types[k](text)
+            if isinstance(cfg[k], float) and math.isnan(cfg[k]):
+                raise ValueError("must be a number, not NaN")
         except ValueError as exc:
             raise ConfigError(f"{k} = {text!r}: {exc}") from None
     return cfg
@@ -412,8 +416,9 @@ COMMANDS = {
         Opt("iterate.system", str, "scalarQ0"), Opt("iterate.J", int, 8),
         Opt("iterate.components", _count(1), 1), Opt("iterate.s", float, 1.2),
         Opt("iterate.theta", float, 0.6), Opt("iterate.cutoff_width", float),
-        Opt("iterate.data_scale", _finite_nonneg, 0.05), Opt("iterate.max_freq", _count(0), 2),
-        Opt("iterate.seed", int, 0), Opt("iterate.out", str))),
+        Opt("iterate.data_scale", _finite_nonneg("data scale"), 0.05),
+        Opt("iterate.max_freq", _count(0), 2), Opt("iterate.seed", int, 0),
+        Opt("iterate.out", str))),
     "probe-embedding": (cmd_probe_embedding, "worst-case ratio study", GRID + (
         Opt("probe.ensemble", str, "random-gaussian"), Opt("probe.trials", int, 20),
         Opt("probe.seed", int, 0), Opt("probe.form", str, "product"),
@@ -426,7 +431,9 @@ COMMANDS = {
         Opt("probe.unary", _bool, False, "probe a linear embedding: target(u) / source(u)"),
         Opt("probe.scales", str), Opt("probe.out", str))),
     "probe-kernel": (cmd_probe_kernel, "Schur certificate refinement ladder", (
-        Opt("kernel.a", float, 1.2), Opt("kernel.b", float, 0.2), Opt("kernel.c", float, 0.3),
+        Opt("kernel.a", _finite_nonneg("exponent a"), 1.2),
+        Opt("kernel.b", _finite_nonneg("exponent b"), 0.2),
+        Opt("kernel.c", _finite_nonneg("exponent c"), 0.3),
         Opt("kernel.sign", str, "plus"), Opt("kernel.variant", str, "homogeneous"),
         Opt("kernel.n", _count(1), 3), Opt("kernel.R", float, 16.0), Opt("kernel.h", float, 0.1),
         # the finest rung is h / 2**halvings, and 2**1024 is no longer a float

@@ -23,7 +23,7 @@ from .lattice import (SPACETIME, SPATIAL, FineLattice, Grid, SpectralField,
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
 from .multiplier import MultiplierSpec, SpaceIndex, apply, weight, ws_norm
-from .nullform import BilinearFormSpec, apply_form, combine_forms, form_plan, form_samples
+from .nullform import BilinearFormSpec, apply_form, combine_forms, form_samples
 from .propagate import (CauchyData, duhamel_mixed, homogeneous,
                         homogeneous_spacetime, signed_times)
 
@@ -103,15 +103,12 @@ def _d_inverse(u: SpectralField) -> SpectralField:
 
 def _q_combinations(grid: Grid, *combos) -> list:
     """For each (coeff, left, right) in combos, the components sum_{p,J,K} coeff[I,p,J,K]
-    Q_{ij_p}(left^J, right^K); one fine lattice, planned for them all, serves every combo."""
-    terms = [[(BilinearFormSpec("qij", i=i, j=j), left[J], right[K], coeff[:, p, J, K])
-              for p, (i, j) in enumerate(_pairs(grid.n))
-              for J in range(coeff.shape[2]) for K in range(coeff.shape[3])
-              if np.any(coeff[:, p, J, K])] for coeff, left, right in combos]
-    eng = FineLattice(grid, SPACETIME, plan=[x for t in terms for x in form_plan(t, grid.n)])
-    return [combine_forms(eng, t, coeff.shape[0], real=all(f.real_flag for f in left + right),
-                          projected=any(f.zero_mode_projected for f in left + right))
-            for t, (coeff, left, right) in zip(terms, combos)]
+    Q_{ij_p}(left^J, right^K), all from one combine_forms call."""
+    return combine_forms(grid, *[([
+        (BilinearFormSpec("qij", i=i, j=j), left[J], right[K], coeff[:, p, J, K])
+        for p, (i, j) in enumerate(_pairs(grid.n))
+        for J in range(coeff.shape[2]) for K in range(coeff.shape[3])
+        if np.any(coeff[:, p, J, K])], coeff.shape[0]) for coeff, left, right in combos])
 
 
 def _wm_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
@@ -163,9 +160,7 @@ def apply_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
         N = sys_spec.N
         terms = [(BilinearFormSpec("qtilde"), comps[J], comps[K], sys_spec.a_table[:, J, K])
                  for J in range(N) for K in range(N) if np.any(sys_spec.a_table[:, J, K])]
-        eng = FineLattice(grid, SPACETIME, plan=form_plan(terms, grid.n))
-        return combine_forms(eng, terms, N, real=all(c.real_flag for c in comps),
-                             projected=bool(terms))
+        return combine_forms(grid, (terms, N))[0]
     n_pairs = len(_pairs(grid.n))
     if sys_spec.kind == "YMmodel":
         N = sys_spec.N

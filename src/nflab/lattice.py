@@ -506,7 +506,9 @@ def sweep(func, items) -> list:
 # order of use.  A missed image is padded by `pmap` together with the next
 # planned image not yet padded, and a planned image is dropped at its last
 # planned use.  Products, sums and crops keep their order and operands, so
-# neither the pairing nor the drops move a bit.
+# neither the pairing nor the drops move a bit.  `dealiased_product` and
+# `nullform.combine_forms` (every q0, qij and qtilde sum, in the forms and the
+# YMmodel, MKGmodel and WMM nonlinearities) build plans; the WM engine has none.
 
 
 def _fine_shape(shape: tuple, factor: float) -> tuple:

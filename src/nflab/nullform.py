@@ -169,42 +169,42 @@ def form_samples(eng: FineLattice, spec: BilinearFormSpec, u: SpectralField, v: 
         yield outer, acc
 
 
-def form_plan(terms: list, n: int) -> list:
-    """The images (field, op) that combine_forms pads for terms (F_t, u_t, v_t, w_t), in order
-    of use: a FineLattice's plan."""
-    return [image for spec, u, v, _ in terms for _, prods in _groups(spec, n)
-            for _, op_u, op_v in prods for image in ((u, op_u), (v, op_v))]
-
-
-def combine_forms(eng: FineLattice, terms: list, n_out: int, real: bool,
-                  projected: bool) -> list:
-    """Components sum_t w_t[I] F_t(u_t, v_t) for I < n_out, from terms (F_t, u_t, v_t, w_t).
-
-    The weighted products are summed on the fine lattice, so each group of
-    each output component is cropped once, as soon as its last term is summed;
-    the crops are added into the outputs in the order the groups first appear.
-    """
-    last = {(int(I), outer): t for t, (spec, _, _, w) in enumerate(terms)
-            for outer, _ in _groups(spec, eng.grid.n) for I in np.flatnonzero(w)}
-    acc = {}
-    for t, (spec, u, v, w) in enumerate(terms):
-        for outer, P in form_samples(eng, spec, u, v):
-            for I in np.flatnonzero(w):
-                key = (int(I), outer)
-                acc[key] = w[I] * P if key not in acc else acc[key] + w[I] * P
-                if last[key] == t:
-                    acc[key] = symbol_image(eng.crop(acc[key], real), outer).coeffs
-    out = [np.zeros(eng.grid.spacetime_shape, dtype=complex) for _ in range(n_out)]
-    for (I, _), c in acc.items():
-        out[I] += c
-    return [SpectralField(grid=eng.grid, kind=SPACETIME, coeffs=c, real_flag=real,
-                          zero_mode_projected=projected) for c in out]
+def combine_forms(grid: Grid, *combos) -> list:
+    """Per combo (terms, n_out): the components sum_t w_t[I] F_t(u_t, v_t), I < n_out, of its
+    terms (F_t, u_t, v_t, w_t), F_t a q0, qij or qtilde form.  One fine lattice, planned for
+    every combo, pads each image once; each group of each output is cropped once, when its
+    last term is summed, and the crops are added in the order the groups first appear.  The
+    outputs are real when all the combo's inputs are, and zero-mode-projected when one is or
+    a term is qtilde."""
+    eng = FineLattice(grid, plan=[image for terms, _ in combos for spec, u, v, _ in terms
+                                  for _, prods in _groups(spec, grid.n)
+                                  for _, op_u, op_v in prods for image in ((u, op_u), (v, op_v))])
+    outs = []
+    for terms, n_out in combos:
+        real = all(u.real_flag and v.real_flag for _, u, v, _ in terms)
+        projected = any(spec.form == "qtilde" or u.zero_mode_projected or v.zero_mode_projected
+                        for spec, u, v, _ in terms)
+        last = {(int(I), outer): t for t, (spec, _, _, w) in enumerate(terms)
+                for outer, _ in _groups(spec, grid.n) for I in np.flatnonzero(w)}
+        acc = {}
+        for t, (spec, u, v, w) in enumerate(terms):
+            for outer, P in form_samples(eng, spec, u, v):
+                for I in np.flatnonzero(w):
+                    key = (int(I), outer)
+                    acc[key] = w[I] * P if key not in acc else acc[key] + w[I] * P
+                    if last[key] == t:
+                        acc[key] = symbol_image(eng.crop(acc[key], real), outer).coeffs
+        out = [np.zeros(grid.spacetime_shape, dtype=complex) for _ in range(n_out)]
+        for (I, _), c in acc.items():
+            out[I] += c
+        outs.append([SpectralField(grid=grid, kind=SPACETIME, coeffs=c, real_flag=real,
+                                   zero_mode_projected=projected) for c in out])
+    return outs
 
 
 def _derivative_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
-    terms = [(spec, u, v, np.ones(1))]
-    return combine_forms(FineLattice(u.grid, plan=form_plan(terms, u.grid.n)), terms, 1,
-                         u.real_flag and v.real_flag, projected=spec.form == "qtilde")[0]
+    [[out]] = combine_forms(u.grid, ([(spec, u, v, np.ones(1))], 1))
+    return out
 
 
 def _qtilde(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -282,7 +282,7 @@ def _time_sign_parts(u: SpectralField, M: int):
 
 
 def _kernel_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
-    g, real = u.grid, u.real_flag and v.real_flag
+    g = u.grid
     if u.kind == SPACETIME:
         M = _fine_shape((g.N_t,), 1.5)[0]
         (su, U, up, um), (sv, V, vp, vm) = _time_sign_parts(u, M), _time_sign_parts(v, M)
@@ -294,8 +294,8 @@ def _kernel_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> 
         cols, W = _pair_sum(spec, g, su, sv, U, V)
     out = np.zeros((len(W), math.prod(g.spatial_shape)), dtype=complex)
     out[:, cols] = W / math.sqrt(_measure(g, u.kind))
-    return SpectralField(grid=g, kind=u.kind, coeffs=out.reshape(g.shape_for(u.kind)),
-                         real_flag=real)
+    return u.copy_with(out.reshape(g.shape_for(u.kind)), real_flag=u.real_flag and v.real_flag,
+                       zero_mode_projected=u.zero_mode_projected or v.zero_mode_projected)
 
 
 def apply_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:

@@ -39,7 +39,8 @@ from numpy.polynomial.legendre import leggauss
 from .lattice import (SPACETIME, Grid, SpectralField, modified_mixed_norm, pmap,
                       random_field)
 from .multiplier import SpaceIndex, weight, ws_norm
-from .nullform import BilinearFormSpec, _delta_parts, _norm, apply_form, delta_minus, delta_plus
+from .nullform import (BilinearFormSpec, _delta_parts, _dot, _norm, apply_form, delta_minus,
+                       delta_plus)
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,8 +62,8 @@ class FitResult:
 def scaling_fit(points) -> FitResult:
     """Ordinary least squares on (log scale, log value)."""
     pts = [(float(a), float(b)) for a, b in points]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points for a scaling fit")
+    if len({a for a, _ in pts}) < 3:
+        raise ValueError("need at least 3 distinct scales for a scaling fit")
     if any(b <= 0 or a <= 0 for a, b in pts):
         raise ValueError("scales and values must be positive")
     x = np.log([a for a, _ in pts])
@@ -687,21 +688,13 @@ def counterexample_norms(p: CounterexampleParams) -> CounterexampleRecord:
                                 measure_A=measure_A, measure_C=float(measure_C))
 
 
-def _sum_sq(cols):
-    """Sum of squares of columns, left to right: the bits of numpy's sum along rows of < 8."""
-    total = cols[0] * cols[0]
-    for c in cols[1:]:
-        total = total + c * c
-    return total
-
-
 def _shell_draw(rng, lo: float, hi: float, m: int, d: int):
-    """m points of R^d with |x| uniform in [lo, hi] and a uniform direction:
-    (|x|, the d coordinate columns)."""
+    """m points x of R^d, (m, d), with |x| uniform in [lo, hi] and a uniform direction: (|x|, x)."""
     r = rng.uniform(lo, hi, m)
-    dirs = rng.standard_normal((m, d)).T
-    norm = np.maximum(np.sqrt(_sum_sq(dirs)), 1e-12)
-    return r, [r * (c / norm) for c in dirs]
+    dirs = rng.standard_normal((m, d))
+    norm = np.maximum(np.sqrt(_dot(dirs, dirs)), 1e-12)
+    x = np.divide(dirs.T, norm, order="C")  # (d, m) in C order: loops run along the m points
+    return r, np.multiply(x, r, out=x).T
 
 
 def membership_check(p: CounterexampleParams, samples: int, seed: int = 0) -> int:
@@ -720,7 +713,8 @@ def membership_check(p: CounterexampleParams, samples: int, seed: int = 0) -> in
     tau = abs_xi + rng.uniform(-1.0, 1.0, m)
 
     d1 = xi1 - eta1
-    dprim_sq = _sum_sq([x - e for x, e in zip(xi_prim, eta_prim)])
+    dprim = np.subtract(xi_prim, eta_prim, out=xi_prim)  # Xi' is not read again
+    dprim_sq = _dot(dprim, dprim)
     dtau = tau - lam
     abs_d = np.sqrt(d1**2 + dprim_sq)
     ok = (np.abs(dtau - abs_d) <= 8.0 + 1e-9)

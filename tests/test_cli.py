@@ -577,3 +577,24 @@ def test_readme_commands_are_golden(tmp_path, monkeypatch, capsys, name, argv):
     assert written == sorted(p.name for p in want.iterdir() if p.name != "stdout")
     for f in written:
         assert (tmp_path / f).read_bytes() == (want / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["iterate", "--s", "nan", "--nt", "8", "--nx", "8", "--J", "2"], "iterate.s"),
+    (["probe-embedding", "--left-s", "nan", "--trials", "2", "--nt", "8", "--nx", "8"],
+     "probe.left_s"),
+    (["admissible", "--q", "NaN"], "adm.q")])
+def test_a_nan_option_is_a_config_error_naming_its_key(capsys, argv, key):
+    assert main(argv) == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and f"{key} = " in out and "not NaN" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--L", "8,8,8"],
+    ["probe-embedding", "--ensemble", "counterexample-family", "--scales", "4,4,4"],
+    ["probe-embedding", "--ensemble", "counterexample-family", "--scales", "4,6,4,6"]])
+def test_a_scaling_fit_needs_three_distinct_scales(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and "3 distinct scales" in out

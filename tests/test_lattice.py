@@ -221,6 +221,21 @@ def test_symbol_axis_out_of_range_is_rejected_before_any_array(monkeypatch, kind
         symbol_image(u, op)
 
 
+def test_unknown_symbol_is_named(grid2d):
+    u = random_field(grid2d, SPACETIME, 0)
+    with pytest.raises(ValueError, match=re.escape("unknown symbol ('dd', 1)")):
+        symbol_image(u, ("dd", 1))
+
+
+@pytest.mark.parametrize("other", ["grid", "kind"])
+def test_dealiased_product_rejects_fields_of_another_grid_or_kind(grid2d, other):
+    u = random_field(grid2d, SPACETIME, 0)
+    v = (random_field(make_grid(2, 8, 8, TWO_PI, TWO_PI), SPACETIME, 1) if other == "grid"
+         else random_field(grid2d, SPATIAL, 1))
+    with pytest.raises(ValueError, match="^fields must share grid and kind$"):
+        dealiased_product(u, v)
+
+
 def test_ascent_stops_after_sixty_steps_unconverged(monkeypatch, grid2d):
     # a pairing that improves on every call: the dictionary (and |hat u|) is scored once,
     # then each of the 60 steps takes its first line-search candidate

@@ -375,6 +375,35 @@ def test_grid_mismatch_rejected(grid2d):
         apply_form(Q0, u, v)
 
 
+@pytest.mark.parametrize("spec, n, kind, shown", [
+    (Q0, 2, SPATIAL, "q0 needs spacetime fields"),
+    (BilinearFormSpec("qtilde"), 2, SPATIAL, "qtilde needs spacetime fields"),
+    (BilinearFormSpec("qij", i=1, j=3), 2, SPACETIME, "axis pair (1,3) exceeds dimension 2"),
+    (BilinearFormSpec("qij", i=2, j=3), 1, SPACETIME, "axis pair (2,3) exceeds dimension 1"),
+    (BilinearFormSpec("ralpha"), 2, SPATIAL, "ralpha needs spacetime fields")])
+def test_form_guards_name_what_the_form_needs(spec, n, kind, shown):
+    g = make_grid(n, 8, 8, TWO_PI, TWO_PI)
+    u, v = random_field(g, kind, 1), random_field(g, kind, 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+        apply_form(spec, u, v)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("side", ["u", "v"])
+@pytest.mark.parametrize("form", nullform.FORMS)
+def test_every_form_keeps_an_inputs_zero_mode_projection(grid2d, form, side, real):
+    spec = BilinearFormSpec(form)
+    u = random_field(grid2d, SPACETIME, 1, max_freq=3, real=real)
+    v = random_field(grid2d, SPACETIME, 2, max_freq=3, real=real)
+    plain = apply_form(spec, u, v)
+    projected = (u.copy_with(u.coeffs, zero_mode_projected=True) if side == "u" else u,
+                 v.copy_with(v.coeffs, zero_mode_projected=True) if side == "v" else v)
+    out = apply_form(spec, *projected)
+    assert out.zero_mode_projected
+    assert out.real_flag == plain.real_flag
+    assert np.array_equal(out.coeffs, plain.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # symbol-inequality suite
 

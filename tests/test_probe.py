@@ -561,17 +561,17 @@ def test_counterexample_membership_chain():
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_shell_draw_is_the_row_norm_route_bit_for_bit(d):
-    # the membership draw column by column against the (m, d) row reductions,
-    # kept here as the reference: same stream, same bits, for d = n - 1 < 8
+    # the membership draw and its left-to-right row sums against numpy's (m, d) row
+    # reductions, kept here as the reference: same stream, same bits, for d = n - 1 < 8
     lo, hi, m = 2.5, 7.0, 5000
-    r, cols = probe._shell_draw(np.random.default_rng(d), lo, hi, m, d)
+    r, x = probe._shell_draw(np.random.default_rng(d), lo, hi, m, d)
     rng = np.random.default_rng(d)
     want_r = rng.uniform(lo, hi, m)
     dirs = rng.standard_normal((m, d))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
     want = want_r[:, None] * dirs
-    assert np.array_equal(r, want_r) and np.array_equal(np.column_stack(cols), want)
-    assert np.array_equal(probe._sum_sq(list(want.T)), np.sum(want**2, axis=1))
+    assert np.array_equal(r, want_r) and np.array_equal(x, want)
+    assert np.array_equal(probe._dot(want, want), np.sum(want**2, axis=1))
 
 
 def test_counterexample_rejects_small_dimension_and_scale():

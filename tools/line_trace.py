@@ -6,7 +6,8 @@ Runs the tier-1 suite (pytest on tests/) in this process under
 sys.settrace and threading.settrace, recording the lines executed in
 src/nflab, then prints every statement none of whose header lines ran:
 first the `raise` statements (input guards), then the rest, as
-`path:line: source`, followed by the counts.  A compound statement (if,
+`path:line: source`, followed by the counts, and ends with the line
+count of each module of src/nflab and of them all.  A compound statement (if,
 for, def, ...) counts as run when a line of its header ran.  Docstrings
 are not statements.  The tests run at a fraction of their usual speed.
 Exit status is pytest's.
@@ -69,9 +70,11 @@ def main() -> int:
         threading.settrace(None)
 
     unrun = {True: [], False: []}
+    sizes = {}
     for path in sorted(PKG.glob("*.py")):
         ran = hits.get(str(path), set())
         lines = path.read_text().splitlines()
+        sizes[path.name] = len(lines)
         for lineno, header, is_raise in statements(path):
             if not ran.intersection(header):
                 rel = path.relative_to(ROOT)
@@ -81,6 +84,8 @@ def main() -> int:
         print(f"\nunrun {title} ({len(unrun[is_raise])}):")
         print("\n".join(unrun[is_raise]))
     print(f"\nunrun: {len(unrun[True])} raise guards, {len(unrun[False])} other statements")
+    print("\nlines of src/nflab: " + ", ".join(f"{name} {k}" for name, k in sizes.items())
+          + f"; total {sum(sizes.values())}")
     return int(code)
 
 
