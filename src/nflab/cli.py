@@ -103,13 +103,17 @@ def _count(lo: int, hi: int | None = None):
     return count
 
 
-def _finite_nonneg(what: str):
-    def finite_nonneg(text: str) -> float:
+def _finite(what: str, lo: float = -math.inf):
+    def finite(text: str) -> float:
         v = float(text)
-        if not 0.0 <= v < math.inf:
-            raise ValueError(f"{what} must be finite and >= 0, got {v!r}")
+        if not (math.isfinite(v) and v >= lo):
+            bound = "" if lo == -math.inf else f" and >= {lo:g}"
+            raise ValueError(f"{what} must be finite (not inf, not NaN){bound}, got {v!r}")
         return v
-    return finite_nonneg
+    return finite
+
+
+_index = _finite("a Sobolev or wave index")
 
 
 def _bool(text: str) -> bool:
@@ -344,6 +348,7 @@ def cmd_probe_kernel(cfg) -> int:
 def cmd_counterexample(cfg) -> int:
     params = [pr.CounterexampleParams(L=float(L), s=cfg["ce.s"], theta=cfg["ce.theta"],
                                       n=cfg["ce.n"]) for L in cfg["ce.L"].split(",")]
+    pr.check_fit_scales([p.L for p in params])
     recs = lat.sweep(pr.counterexample_norms, params)
     fit_u = pr.scaling_fit([(r.L, r.norm_u) for r in recs])
     fit_v = pr.scaling_fit([(r.L, r.norm_v) for r in recs])
@@ -409,37 +414,37 @@ COMMANDS = {
         Opt("symbol.samples", _count(1), 100000), Opt("symbol.seed", int, 0),
         Opt("symbol.out", str))),
     "norms": (cmd_norms, "norm panel for a stored or seeded field", GRID + (
-        Opt("norms.s", float, 0.5), Opt("norms.theta", float, 0.6),
+        Opt("norms.s", _index, 0.5), Opt("norms.theta", _index, 0.6),
         Opt("norms.q", float, 2.0), Opt("norms.r", float, 2.0), Opt("norms.seed", int, 0),
         Opt("norms.field", str, help="path to an NFLB1 container"), Opt("norms.out", str))),
     "iterate": (cmd_iterate, "Picard run for a model system", GRID + (
         Opt("iterate.system", str, "scalarQ0"), Opt("iterate.J", int, 8),
-        Opt("iterate.components", _count(1), 1), Opt("iterate.s", float, 1.2),
-        Opt("iterate.theta", float, 0.6), Opt("iterate.cutoff_width", float),
-        Opt("iterate.data_scale", _finite_nonneg("data scale"), 0.05),
+        Opt("iterate.components", _count(1), 1), Opt("iterate.s", _index, 1.2),
+        Opt("iterate.theta", _index, 0.6), Opt("iterate.cutoff_width", float),
+        Opt("iterate.data_scale", _finite("data scale", 0.0), 0.05),
         Opt("iterate.max_freq", _count(0), 2), Opt("iterate.seed", int, 0),
         Opt("iterate.out", str))),
     "probe-embedding": (cmd_probe_embedding, "worst-case ratio study", GRID + (
         Opt("probe.ensemble", str, "random-gaussian"), Opt("probe.trials", int, 20),
         Opt("probe.seed", int, 0), Opt("probe.form", str, "product"),
-        Opt("probe.left_s", float, 1.2), Opt("probe.left_theta", float, 0.6),
-        Opt("probe.right_s", float, 1.2), Opt("probe.right_theta", float, 0.6),
-        Opt("probe.target_s", float, 1.2), Opt("probe.target_theta", float, 0.6),
+        Opt("probe.left_s", _index, 1.2), Opt("probe.left_theta", _index, 0.6),
+        Opt("probe.right_s", _index, 1.2), Opt("probe.right_theta", _index, 0.6),
+        Opt("probe.target_s", _index, 1.2), Opt("probe.target_theta", _index, 0.6),
         Opt("probe.target_q", float,
             help="with --target-r: mixed-norm target via the upper surrogate"),
         Opt("probe.target_r", float),
         Opt("probe.unary", _bool, False, "probe a linear embedding: target(u) / source(u)"),
         Opt("probe.scales", str), Opt("probe.out", str))),
     "probe-kernel": (cmd_probe_kernel, "Schur certificate refinement ladder", (
-        Opt("kernel.a", _finite_nonneg("exponent a"), 1.2),
-        Opt("kernel.b", _finite_nonneg("exponent b"), 0.2),
-        Opt("kernel.c", _finite_nonneg("exponent c"), 0.3),
+        Opt("kernel.a", _finite("exponent a", 0.0), 1.2),
+        Opt("kernel.b", _finite("exponent b", 0.0), 0.2),
+        Opt("kernel.c", _finite("exponent c", 0.0), 0.3),
         Opt("kernel.sign", str, "plus"), Opt("kernel.variant", str, "homogeneous"),
         Opt("kernel.n", _count(1), 3), Opt("kernel.R", float, 16.0), Opt("kernel.h", float, 0.1),
         # the finest rung is h / 2**halvings, and 2**1024 is no longer a float
         Opt("kernel.halvings", _count(0, 1023), 2), Opt("kernel.out", str))),
     "counterexample": (cmd_counterexample, "slab/shell family scaling study", (
-        Opt("ce.n", int, 3), Opt("ce.s", float, 0.4), Opt("ce.theta", float, 0.6),
+        Opt("ce.n", int, 3), Opt("ce.s", _index, 0.4), Opt("ce.theta", _index, 0.6),
         Opt("ce.L", str, "8,16,32,64"), Opt("ce.membership_samples", _count(0), 0),
         Opt("ce.seed", int, 0), Opt("ce.out", str))),
     "selftest": (cmd_selftest, "fast built-in checks", ()),

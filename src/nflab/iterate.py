@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (SPACETIME, SPATIAL, FineLattice, Grid, SpectralField,
-                      cutoff_profile, from_time_spatial_rep, inverse_transform,
-                      time_spatial_rep, transform)
+from .lattice import (SPATIAL, Grid, SpectralField, cutoff_profile, from_time_spatial_rep,
+                      inverse_transform, time_spatial_rep, transform)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
 from .multiplier import MultiplierSpec, SpaceIndex, apply, weight, ws_norm
-from .nullform import BilinearFormSpec, apply_form, combine_forms, form_samples
+from .nullform import BilinearFormSpec, apply_form, combine_forms
 from .propagate import (CauchyData, duhamel_mixed, homogeneous,
                         homogeneous_spacetime, signed_times)
 
@@ -38,7 +37,7 @@ _ROUNDING_FLOOR = 1e-12
 class SystemSpec:
     """One of the model nonlinearities with its coefficient tables.
 
-    WM:       N(u)^I = -sum_{J,K} Gamma^I_JK(u) Q0(u^J, u^K), Gamma polynomial
+    WM:       N(u)^I = -sum_{J,K} Gamma^I_JK Q0(u^J, u^K)
     YMmodel:  N(u) = D^-1 Q(u,u) + Q(D^-1 u, u)
     MKGmodel: N(u,v) = (D^-1 Q(v,v), Q(D^-1 u, v)), components split N1 + N2
     WMM:      N(u)^I = sum_{J,K} a^I_JK Qtilde(u^J, u^K)
@@ -53,7 +52,6 @@ class SystemSpec:
     N1: int = 0
     N2: int = 0
     gamma_const: np.ndarray | None = None
-    gamma_poly: list = field(default_factory=list)  # [(table (N,N,N), powers (N,))]
     a_table: np.ndarray | None = None
     q_coeff: np.ndarray | None = None
     q_coeff_second: np.ndarray | None = None
@@ -67,26 +65,13 @@ class SystemSpec:
             if self.N1 <= 0 or self.N2 <= 0:
                 raise ValueError("MKGmodel needs positive component counts N1, N2")
             self.N = self.N1 + self.N2
-        if self.kind == "WM":
-            if self.gamma_const is None:
-                self.gamma_const = np.ones((self.N, self.N, self.N))
-            self.gamma_const = np.asarray(self.gamma_const, dtype=float)
-            if self.gamma_const.shape != (self.N, self.N, self.N):
-                raise ValueError("Gamma table must have shape (N, N, N)")
-            for table, powers in self.gamma_poly:
-                if np.asarray(table).shape != (self.N, self.N, self.N):
-                    raise ValueError("Gamma monomial tables must have shape (N, N, N)")
-                if len(powers) != self.N or sum(powers) > 4:
-                    raise ValueError("Gamma monomials limited to total degree 4")
-        if self.kind == "WMM":
-            if self.a_table is None:
-                self.a_table = np.ones((self.N, self.N, self.N))
-            self.a_table = np.asarray(self.a_table, dtype=float)
-            if self.a_table.shape != (self.N, self.N, self.N):
-                raise ValueError("a table must have shape (N, N, N)")
-
-    def gamma_degree(self) -> int:
-        return max([0] + [int(sum(p)) for _, p in self.gamma_poly])
+        if self.kind in ("WM", "WMM"):
+            label, name = {"WM": ("Gamma", "gamma_const"), "WMM": ("a", "a_table")}[self.kind]
+            table = getattr(self, name)
+            table = np.ones((self.N,) * 3) if table is None else np.asarray(table, dtype=float)
+            if table.shape != (self.N,) * 3:
+                raise ValueError(f"{label} table must have shape (N, N, N)")
+            setattr(self, name, table)
 
 
 def _pairs(n: int):
@@ -111,38 +96,6 @@ def _q_combinations(grid: Grid, *combos) -> list:
         if np.any(coeff[:, p, J, K])], coeff.shape[0]) for coeff, left, right in combos])
 
 
-def _wm_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
-    """-sum Gamma^I_JK(u) Q0(u^J,u^K) on a lattice padded for the degree."""
-    eng = FineLattice(comps[0].grid, SPACETIME, factor=(3 + sys_spec.gamma_degree()) / 2.0)
-    N = sys_spec.N
-    q0 = {}
-    for J in range(N):
-        for K in range(J, N):
-            [(_, q0[(J, K)])] = form_samples(eng, BilinearFormSpec("q0"), comps[J], comps[K])
-            q0[(K, J)] = q0[(J, K)]
-
-    monomials = []
-    for table, powers in sys_spec.gamma_poly:
-        mono = np.ones(eng.fine_shape)
-        for c_idx, power in enumerate(powers):
-            for _ in range(int(power)):
-                mono = mono * eng.samples(comps[c_idx])
-        monomials.append((table, mono))
-
-    out = []
-    for I in range(N):
-        acc = np.zeros(eng.fine_shape)
-        for J in range(N):
-            for K in range(N):
-                total = sys_spec.gamma_const[I, J, K] + sum(
-                    table[I, J, K] * mono for table, mono in monomials if table[I, J, K] != 0.0)
-                if np.isscalar(total) and total == 0.0:
-                    continue
-                acc = acc + total * q0[(J, K)]
-        out.append(eng.crop(-acc, all(c.real_flag for c in comps)))
-    return out
-
-
 def apply_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
     """Evaluate the model nonlinearity on a list of spacetime component fields.
 
@@ -154,12 +107,14 @@ def apply_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
     grid = comps[0].grid
     if sys_spec.kind == "scalarQ0":
         return [apply_form(BilinearFormSpec("q0"), comps[0], comps[0])]
-    if sys_spec.kind == "WM":
-        return _wm_nonlinearity(sys_spec, comps)
-    if sys_spec.kind == "WMM":
-        N = sys_spec.N
-        terms = [(BilinearFormSpec("qtilde"), comps[J], comps[K], sys_spec.a_table[:, J, K])
-                 for J in range(N) for K in range(N) if np.any(sys_spec.a_table[:, J, K])]
+    if sys_spec.kind in ("WM", "WMM"):
+        N, wm = sys_spec.N, sys_spec.kind == "WM"
+        form = BilinearFormSpec("q0" if wm else "qtilde")
+        table = -sys_spec.gamma_const if wm else sys_spec.a_table
+        # Q0 is symmetric, so WM puts the lower index first: (J, K) and (K, J) then multiply the
+        # same images in one order, as a complex product is not commutative bit for bit
+        terms = [(form, comps[min(J, K) if wm else J], comps[max(J, K) if wm else K],
+                  table[:, J, K]) for J in range(N) for K in range(N) if np.any(table[:, J, K])]
         return combine_forms(grid, (terms, N))[0]
     n_pairs = len(_pairs(grid.n))
     if sys_spec.kind == "YMmodel":

@@ -504,11 +504,11 @@ def sweep(func, items) -> list:
 #
 # A FineLattice takes its evaluation's plan: the images (u, op) it pads, in
 # order of use.  A missed image is padded by `pmap` together with the next
-# planned image not yet padded, and a planned image is dropped at its last
-# planned use.  Products, sums and crops keep their order and operands, so
-# neither the pairing nor the drops move a bit.  `dealiased_product` and
-# `nullform.combine_forms` (every q0, qij and qtilde sum, in the forms and the
-# YMmodel, MKGmodel and WMM nonlinearities) build plans; the WM engine has none.
+# planned image not yet padded; a planned image is dropped at its last planned
+# use, an unplanned one kept to the end.  Products, sums and crops keep their
+# order and operands, so neither the pairing nor the drops move a bit.  Every
+# engine is planned: `dealiased_product` and `nullform.combine_forms` (every
+# q0, qij and qtilde sum, in the forms and every model nonlinearity) build them.
 
 
 def _fine_shape(shape: tuple, factor: float) -> tuple:
@@ -667,28 +667,26 @@ class FineLattice:
 
     def __init__(self, grid: Grid, kind: str = SPACETIME, factor: float = 1.5, plan=()):
         self.grid, self.kind, self.factor = grid, kind, factor
-        self.fine_shape = _fine_shape(grid.shape_for(kind), factor)
-        self._memo = {}
-        self._plan = {}  # (id(u), op) -> [u, op, uses left], in order of first use
+        _fine_shape(grid.shape_for(kind), factor)  # a bad factor fails here, before any pad
+        # (id(u), op) -> [u, op, planned uses left, samples], in order of first use; the entry
+        # holds the field itself, so its id is not reused while the entry lives
+        self._images = {}
         for u, op in plan:
-            self._plan.setdefault((id(u), op), [u, op, 0])[2] += 1
+            self._images.setdefault((id(u), op), [u, op, 0, None])[2] += 1
 
     def samples(self, u: SpectralField, op=None) -> np.ndarray:
         key = (id(u), op)
-        if key not in self._memo:
-            images = [(u, op)] + [(w, wop) for k, (w, wop, _) in self._plan.items()
-                                  if k != key and k not in self._memo][:1]
-            pads = pmap(lambda image: fine_samples(symbol_image(*image), self.factor), images)
-            for image, P in zip(images, pads):
-                # the memo holds each field itself, so its id is not reused while cached
-                self._memo[(id(image[0]), image[1])] = (image[0], P)
-        P = self._memo[key][1]
-        entry = self._plan.get(key)
-        if entry is not None:
-            entry[2] -= 1
-            if entry[2] == 0:
-                del self._plan[key], self._memo[key]
-        return P
+        entry = self._images.setdefault(key, [u, op, 0, None])
+        if entry[3] is None:
+            todo = [entry] + [e for e in self._images.values()
+                              if e[3] is None and e is not entry][:1]
+            pads = pmap(lambda e: fine_samples(symbol_image(e[0], e[1]), self.factor), todo)
+            for e, P in zip(todo, pads):
+                e[3] = P
+        entry[2] -= 1
+        if entry[2] == 0:
+            del self._images[key]
+        return entry[3]
 
     def crop(self, P_fine: np.ndarray, real_flag: bool) -> SpectralField:
         return field_from_fine_samples(self.grid, self.kind, P_fine, real_flag=real_flag)

@@ -59,11 +59,16 @@ class FitResult:
     residual: float
 
 
+def check_fit_scales(scales) -> None:
+    """A scaling fit needs at least 3 distinct scales; studies check theirs before any work."""
+    if len({float(L) for L in scales}) < 3:
+        raise ValueError("need at least 3 distinct scales for a scaling fit")
+
+
 def scaling_fit(points) -> FitResult:
     """Ordinary least squares on (log scale, log value)."""
     pts = [(float(a), float(b)) for a, b in points]
-    if len({a for a, _ in pts}) < 3:
-        raise ValueError("need at least 3 distinct scales for a scaling fit")
+    check_fit_scales([a for a, _ in pts])
     if any(b <= 0 or a <= 0 for a, b in pts):
         raise ValueError("scales and values must be positive")
     x = np.log([a for a, _ in pts])
@@ -180,6 +185,7 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
         if scales is None:
             scales = [4, 6, 8, 12]
         _check_scales(scales)
+        check_fit_scales(scales)
         vals = pmap(lambda L: counterexample_lattice_ratio(spec, L), scales)
         fit = scaling_fit(list(zip(scales, vals)))
         growth = fit.slope > GROWTH_SLOPE and fit.residual < GROWTH_RESIDUAL

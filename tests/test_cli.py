@@ -579,6 +579,17 @@ def test_readme_commands_are_golden(tmp_path, monkeypatch, capsys, name, argv):
         assert (tmp_path / f).read_bytes() == (want / f).read_bytes(), f
 
 
+@pytest.mark.parametrize("system", ["WM", "YMmodel", "MKGmodel", "WMM", "scalarQ0"])
+def test_iterate_traces_are_golden(tmp_path, capsys, system):
+    # each model system's Picard trace on n = 3, (N_t, N_x) = (16, 8), byte for byte
+    out = tmp_path / "trace.csv"
+    assert main(["iterate", "--system", system, "--components", "3", "--J", "4", "--n", "3",
+                 "--nt", "16", "--nx", "8", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "iterate" /
+                                f"{system}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv, key", [
     (["iterate", "--s", "nan", "--nt", "8", "--nx", "8", "--J", "2"], "iterate.s"),
     (["probe-embedding", "--left-s", "nan", "--trials", "2", "--nt", "8", "--nx", "8"],
@@ -594,7 +605,30 @@ def test_a_nan_option_is_a_config_error_naming_its_key(capsys, argv, key):
     ["counterexample", "--L", "8,8,8"],
     ["probe-embedding", "--ensemble", "counterexample-family", "--scales", "4,4,4"],
     ["probe-embedding", "--ensemble", "counterexample-family", "--scales", "4,6,4,6"]])
-def test_a_scaling_fit_needs_three_distinct_scales(capsys, argv):
+def test_a_scaling_fit_needs_three_distinct_scales(capsys, monkeypatch, argv):
+    calls = []  # the count is checked before any scale is computed
+    for name in ("counterexample_norms", "counterexample_lattice_ratio"):
+        monkeypatch.setattr(cli.pr, name, lambda *a, name=name: calls.append(name))
     assert main(argv) == EXIT_CONFIG
     out = capsys.readouterr().out
     assert out.startswith("ERROR\tcode=2") and "3 distinct scales" in out
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["iterate", "--s", "inf", "--nt", "8", "--nx", "8", "--J", "2"], "iterate.s"),
+    (["iterate", "--theta=-inf", "--nt", "8", "--nx", "8", "--J", "2"], "iterate.theta"),
+    (["probe-embedding", "--left-s", "inf", "--trials", "2", "--nt", "8", "--nx", "8"],
+     "probe.left_s"),
+    (["probe-embedding", "--right-theta", "Infinity", "--trials", "2", "--nt", "8", "--nx", "8"],
+     "probe.right_theta"),
+    (["probe-embedding", "--target-s=-inf", "--trials", "2", "--nt", "8", "--nx", "8"],
+     "probe.target_s"),
+    (["norms", "--theta", "inf", "--nt", "8", "--nx", "8"], "norms.theta"),
+    (["norms", "--s", "inf", "--nt", "8", "--nx", "8"], "norms.s"),
+    (["counterexample", "--s", "inf", "--L", "8,16,32"], "ce.s"),
+    (["counterexample", "--theta=-inf", "--L", "8,16,32"], "ce.theta")])
+def test_an_infinite_index_is_a_config_error_naming_its_key(capsys, argv, key):
+    assert main(argv) == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and f"{key} = " in out and "must be finite" in out

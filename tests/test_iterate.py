@@ -7,7 +7,7 @@ from nflab.iterate import (IterationTrace, SystemSpec, apply_nonlinearity,
                            iterate_samples, picard_run, q0_closed_form)
 from nflab.lattice import (SPACETIME, SPATIAL, SpectralField, inverse_transform,
                            make_grid, random_field, transform)
-from nflab.multiplier import SpaceIndex
+from nflab.multiplier import MultiplierSpec, SpaceIndex, apply
 from nflab.propagate import CauchyData, signed_times
 
 TWO_PI = 2.0 * math.pi
@@ -33,8 +33,6 @@ def test_system_spec_validation():
         SystemSpec("MKGmodel", N1=0, N2=2)
     with pytest.raises(ValueError):
         SystemSpec("WM", N=2, gamma_const=np.ones((3, 3, 3)))
-    with pytest.raises(ValueError):
-        SystemSpec("WM", N=1, gamma_poly=[(np.ones((1, 1, 1)), (5,))])
 
 
 def test_nonlinearity_vanishes_at_zero(grid2d):
@@ -71,35 +69,33 @@ def test_wmm_coefficient_symmetrization(grid2d):
         assert np.max(np.abs(f.coeffs - g.coeffs)) <= 1e-11 * top
 
 
-def test_wm_polynomial_gamma_against_direct_evaluation(grid2d):
-    # Gamma(u) = 1 + 2 u^2 for a single component: compare against an
-    # independent evaluation of -(1 + 2 u^2) Q0(u,u) on a lattice padded for
-    # the full degree-4 product
-    from nflab.lattice import field_from_fine_samples, fine_samples
-    spec = SystemSpec("WM", N=1,
-                      gamma_poly=[(2.0 * np.ones((1, 1, 1)), (2,))])
-    u = random_field(grid2d, SPACETIME, 8, max_freq=2)
-    got = apply_nonlinearity(spec, [u])[0]
-
-    factor = 2.5  # (degree 4 + 1) / 2
-    g = grid2d
-    U = fine_samples(u, factor)
-    dt = fine_samples(u.copy_with(u.coeffs * (1j * g.tau_broadcast())), factor)
-    q0 = -dt * dt
-    for ax in range(g.n):
-        dx = fine_samples(u.copy_with(u.coeffs * (1j * g.xi_component(ax, "spacetime"))),
-                          factor)
-        q0 = q0 + dx * dx
-    manual = field_from_fine_samples(g, "spacetime", -(1.0 + 2.0 * U**2) * q0,
-                                     real_flag=True)
-    top = np.max(np.abs(manual.coeffs))
-    assert np.max(np.abs(got.coeffs - manual.coeffs)) <= 1e-11 * top
+def test_wm_outputs_follow_the_bilinear_flag_rule():
+    # D^-1 w projects out xi = 0: every WM output is zero-mode-projected, real when w is
+    g = make_grid(3, 16, 8, TWO_PI, TWO_PI)
+    for real in (True, False):
+        comps = [apply(MultiplierSpec("d", -1.0),
+                       random_field(g, SPACETIME, 10 + c, max_freq=3, real=real)) for c in range(2)]
+        assert all(c.zero_mode_projected and c.real_flag == real for c in comps)
+        out = apply_nonlinearity(SystemSpec("WM", N=2), comps)
+        assert [(f.real_flag, f.zero_mode_projected) for f in out] == [(real, True)] * 2
 
 
 def test_component_count_mismatch(grid2d):
     u = random_field(grid2d, SPACETIME, 2, max_freq=2)
     with pytest.raises(ValueError):
         apply_nonlinearity(SystemSpec("WM", N=2), [u])
+
+
+def test_picard_run_guards(grid2d):
+    data = [CauchyData(_zero_spatial(grid2d), _zero_spatial(grid2d))]
+    idx = SpaceIndex(1.0, 0.6)
+    with pytest.raises(ValueError, match="^need at least one iteration$"):
+        picard_run(SystemSpec("scalarQ0"), data, 0, idx, math.pi)
+    with pytest.raises(ValueError, match="^expected 2 Cauchy pairs, got 1$"):
+        picard_run(SystemSpec("WM", N=2), data, 1, idx, math.pi)
+    for width in (0.0, -1.0, grid2d.T_per, math.nan):
+        with pytest.raises(ValueError, match="^grid period does not accommodate the cutoff width$"):
+            picard_run(SystemSpec("scalarQ0"), data, 1, idx, width)
 
 
 def test_picard_zero_data_stays_zero(grid2d):

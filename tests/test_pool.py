@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import nflab.lattice as lat
-from nflab import iterate as it
 from nflab import nullform as nf
 from nflab.iterate import CauchyData, SystemSpec, apply_nonlinearity, picard_run
 from nflab.lattice import SPACETIME, SPATIAL, make_grid, random_field
@@ -130,7 +129,7 @@ def test_planning_moves_no_bit(monkeypatch, real):
         cases.append(lambda spec=spec, comps=comps: [
             f.coeffs for f in apply_nonlinearity(spec, comps)])
     planned = [case() for case in cases]
-    for module in (lat, nf, it):
+    for module in (lat, nf):
         monkeypatch.setattr(module, "FineLattice", _unplanned)
     for case, want in zip(cases, planned):
         assert np.array_equal(case(), want)
@@ -177,16 +176,15 @@ def test_engines_hold_no_planned_image_after_an_evaluation(monkeypatch):
             super().__init__(*a, plan=plan, **k)
             engines.append((self, bool(plan)))
 
-    for module in (lat, nf, it):
+    for module in (lat, nf):
         monkeypatch.setattr(module, "FineLattice", Recorded)
     u, v = _form_fields(2, False)
     for spec in FORMS[:4]:
         apply_form(spec, u, v)
     for spec, _ in _systems().values():
         apply_nonlinearity(spec, _comps(spec, True))
-    # the WM engine is unplanned: it keeps its pads, as a plain memo does
-    assert [planned for _, planned in engines] == [True] * 6 + [False] + [True] * 2
-    assert all(eng._plan == {} and (eng._memo == {}) == planned for eng, planned in engines)
+    assert [planned for _, planned in engines] == [True] * 9
+    assert all(eng._images == {} for eng, _ in engines)
 
 
 def _finishes(target, seconds=20.0):

@@ -21,6 +21,25 @@ def _data(grid, seed, velocity=True):
     return CauchyData(f, g)
 
 
+def test_cauchy_data_guards(grid2d):
+    f = random_field(grid2d, SPATIAL, 0, real=True)
+    other = random_field(make_grid(2, 16, 8, TWO_PI, TWO_PI), SPATIAL, 1, real=True)
+    with pytest.raises(ValueError, match="^Cauchy data must live on one grid$"):
+        CauchyData(f, other)
+    with pytest.raises(ValueError, match="^Cauchy data must be spatial fields$"):
+        CauchyData(f, random_field(grid2d, SPACETIME, 2, real=True))
+    with pytest.raises(ValueError, match="^real_flag must be consistent across the pair$"):
+        CauchyData(f, random_field(grid2d, SPATIAL, 3, real=False))
+
+
+def test_half_wave_guards(grid2d):
+    with pytest.raises(ValueError, match="^half_wave acts on spatial fields$"):
+        half_wave(1, 0.5, random_field(grid2d, SPACETIME, 0))
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+            half_wave(sign, 0.5, random_field(grid2d, SPATIAL, 0))
+
+
 def test_half_wave_identity_at_zero(grid2d):
     f = random_field(grid2d, SPATIAL, 0, real=False)
     out = half_wave(1, 0.0, f)
