@@ -247,6 +247,8 @@ def cmd_iterate(cfg) -> int:
     grid = _grid_from(cfg)
     if cfg["iterate.cutoff_width"] is None:
         cfg["iterate.cutoff_width"] = grid.T_per / 2.0
+    # |k| <= N_x // 2 holds the whole band, so a larger max_freq records the value that acts
+    cfg["iterate.max_freq"] = min(cfg["iterate.max_freq"], grid.N_x // 2)
     sys_spec = _system_from_name(cfg["iterate.system"], cfg["iterate.components"])
     data = []
     scale = cfg["iterate.data_scale"]

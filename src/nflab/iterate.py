@@ -11,6 +11,7 @@ space-time spectra are formed only for the cutoffed fields.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -19,10 +20,11 @@ import numpy as np
 
 from .lattice import (SPATIAL, Grid, SpectralField, cutoff_profile, from_time_spatial_rep,
                       inverse_transform, time_spatial_rep, transform)
-# bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
-from .lattice import fine_samples  # noqa: F401
 from .multiplier import MultiplierSpec, SpaceIndex, apply, weight, ws_norm
-from .nullform import BilinearFormSpec, apply_form, combine_forms
+from .nullform import BilinearFormSpec, combine_forms
+# bound here as well: perfbench/tracer.py wraps and restores both in every module that binds them
+from .lattice import fine_samples  # noqa: F401
+from .nullform import apply_form  # noqa: F401
 from .propagate import (CauchyData, duhamel_mixed, homogeneous,
                         homogeneous_spacetime, signed_times)
 
@@ -35,16 +37,20 @@ _ROUNDING_FLOOR = 1e-12
 
 @dataclass
 class SystemSpec:
-    """One of the model nonlinearities with its coefficient tables.
+    """One of the model nonlinearities: a list of parts, a null form F with a table each, and
+        N(u)^I = sum_parts [D^-1] sum_{J,K} table[I,J,K] F([D^-1] u^J, u^K),
+    where a part may take D^-1 on its output (an outer part) and on its left operand.
 
-    WM:       N(u)^I = -sum_{J,K} Gamma^I_JK Q0(u^J, u^K)
-    YMmodel:  N(u) = D^-1 Q(u,u) + Q(D^-1 u, u)
-    MKGmodel: N(u,v) = (D^-1 Q(v,v), Q(D^-1 u, v)), components split N1 + N2
-    WMM:      N(u)^I = sum_{J,K} a^I_JK Qtilde(u^J, u^K)
-    scalarQ0: N(u) = Q0(u, u)
+    WM:       F = Q0, table -Gamma (N, N, N)
+    WMM:      F = Qtilde, table a (N, N, N)
+    scalarQ0: F = Q0, table 1 (1, 1, 1), N = 1: N(u) = Q0(u, u)
+    YMmodel:  N(u) = D^-1 Q(u,u) + Q(D^-1 u, u): per axis pair p = (i < j), F = Q_ij with
+              q_coeff[:, p] outer and q_coeff_second[:, p] (default q_coeff) on D^-1 u^J,
+              both (N, P, N, N) with P = n(n-1)/2
+    MKGmodel: N(u,v) = (D^-1 Q(v,v), Q(D^-1 u, v)), components split N1 + N2: those parts,
+              q_coeff (N1, P, N2, N2) in the u rows, q_coeff_second (N2, P, N1, N2) in the v rows
 
-    Q(u,v)^I is the all-pairs combination sum_{i<j,J,K} q_coeff[I,p,J,K]
-    Q_ij(u^J, v^K); q_coeff defaults to all ones.
+    Tables default to all ones; the Q tables and n >= 2 are checked at evaluation, before any pad.
     """
 
     kind: str
@@ -59,83 +65,66 @@ class SystemSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
-        if self.kind == "scalarQ0":
-            self.N = 1
+        if self.kind == "scalarQ0" and self.N != 1:
+            raise ValueError(f"scalarQ0 is one scalar equation: it has 1 component, got {self.N}")
         if self.kind == "MKGmodel":
             if self.N1 <= 0 or self.N2 <= 0:
                 raise ValueError("MKGmodel needs positive component counts N1, N2")
             self.N = self.N1 + self.N2
         if self.kind in ("WM", "WMM"):
-            label, name = {"WM": ("Gamma", "gamma_const"), "WMM": ("a", "a_table")}[self.kind]
-            table = getattr(self, name)
-            table = np.ones((self.N,) * 3) if table is None else np.asarray(table, dtype=float)
-            if table.shape != (self.N,) * 3:
-                raise ValueError(f"{label} table must have shape (N, N, N)")
-            setattr(self, name, table)
+            name = "gamma_const" if self.kind == "WM" else "a_table"
+            setattr(self, name, _table(getattr(self, name), name, (self.N,) * 3))
 
 
-def _pairs(n: int):
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+def _table(coeff, name: str, shape: tuple) -> np.ndarray:
+    table = np.ones(shape) if coeff is None else np.asarray(coeff, dtype=float)
+    if table.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
+    return table
 
 
-def _or_ones(coeff, shape: tuple) -> np.ndarray:
-    return np.ones(shape) if coeff is None else coeff
+def _parts(sys_spec: SystemSpec, n: int) -> list:
+    """(form, table[I, J, K], left operand is D^-1 u, output takes D^-1) per part."""
+    kind, N = sys_spec.kind, sys_spec.N
+    if kind not in ("YMmodel", "MKGmodel"):
+        table = (-sys_spec.gamma_const if kind == "WM" else
+                 sys_spec.a_table if kind == "WMM" else np.ones((1, 1, 1)))
+        return [(BilinearFormSpec("qtilde" if kind == "WMM" else "q0"), table, False, False)]
+    if n < 2:
+        raise ValueError(f"{kind} needs n >= 2: Q_ij pairs two spatial axes, at n = 1 it is 0")
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    u, v = (slice(sys_spec.N1), slice(sys_spec.N1, N)) if kind == "MKGmodel" else (slice(N),) * 2
+    outer, plain = np.zeros((2, N, len(pairs), N, N))
+    outer[u, :, v, v] = first = _table(sys_spec.q_coeff, "q_coeff", outer[u, :, v, v].shape)
+    plain[v, :, u, v] = (first if kind == "YMmodel" and sys_spec.q_coeff_second is None else
+                         _table(sys_spec.q_coeff_second, "q_coeff_second", plain[v, :, u, v].shape))
+    return [part for p, (i, j) in enumerate(pairs) for form in [BilinearFormSpec("qij", i=i, j=j)]
+            for part in ((form, outer[:, p], False, True), (form, plain[:, p], True, False))]
 
 
-def _d_inverse(u: SpectralField) -> SpectralField:
-    return apply(MultiplierSpec("d", -1.0), u)
-
-
-def _q_combinations(grid: Grid, *combos) -> list:
-    """For each (coeff, left, right) in combos, the components sum_{p,J,K} coeff[I,p,J,K]
-    Q_{ij_p}(left^J, right^K), all from one combine_forms call."""
-    return combine_forms(grid, *[([
-        (BilinearFormSpec("qij", i=i, j=j), left[J], right[K], coeff[:, p, J, K])
-        for p, (i, j) in enumerate(_pairs(grid.n))
-        for J in range(coeff.shape[2]) for K in range(coeff.shape[3])
-        if np.any(coeff[:, p, J, K])], coeff.shape[0]) for coeff, left, right in combos])
+_d_inverse = functools.partial(apply, MultiplierSpec("d", -1.0))
 
 
 def apply_nonlinearity(sys_spec: SystemSpec, comps: list) -> list:
-    """Evaluate the model nonlinearity on a list of spacetime component fields.
-
-    All products of one evaluation share one fine lattice, so each component
-    and each of its derivatives is padded once.
-    """
+    """Evaluate the model nonlinearity on a list of spacetime component fields: one
+    combine_forms call sums the terms of the outer parts and of the plain ones on one fine
+    lattice, so each component and each of its derivatives is padded once."""
     if len(comps) != sys_spec.N:
         raise ValueError(f"expected {sys_spec.N} components, got {len(comps)}")
-    grid = comps[0].grid
-    if sys_spec.kind == "scalarQ0":
-        return [apply_form(BilinearFormSpec("q0"), comps[0], comps[0])]
-    if sys_spec.kind in ("WM", "WMM"):
-        N, wm = sys_spec.N, sys_spec.kind == "WM"
-        form = BilinearFormSpec("q0" if wm else "qtilde")
-        table = -sys_spec.gamma_const if wm else sys_spec.a_table
-        # Q0 is symmetric, so WM puts the lower index first: (J, K) and (K, J) then multiply the
-        # same images in one order, as a complex product is not commutative bit for bit
-        terms = [(form, comps[min(J, K) if wm else J], comps[max(J, K) if wm else K],
-                  table[:, J, K]) for J in range(N) for K in range(N) if np.any(table[:, J, K])]
-        return combine_forms(grid, (terms, N))[0]
-    n_pairs = len(_pairs(grid.n))
-    if sys_spec.kind == "YMmodel":
-        N = sys_spec.N
-        coeff = _or_ones(sys_spec.q_coeff, (N, n_pairs, N, N))
-        coeff2 = coeff if sys_spec.q_coeff_second is None else sys_spec.q_coeff_second
-        first, second = _q_combinations(grid, (coeff, comps, comps),
-                                        (coeff2, [_d_inverse(c) for c in comps], comps))
-        first = [_d_inverse(f) for f in first]
-        return [a.copy_with(a.coeffs + b.coeffs, real_flag=a.real_flag and b.real_flag,
-                            zero_mode_projected=a.zero_mode_projected or b.zero_mode_projected)
-                for a, b in zip(first, second)]
-    if sys_spec.kind == "MKGmodel":
-        N1, N2 = sys_spec.N1, sys_spec.N2
-        u_comps, v_comps = comps[:N1], comps[N1:]
-        coeff_u = _or_ones(sys_spec.q_coeff, (N1, n_pairs, N2, N2))
-        coeff_v = _or_ones(sys_spec.q_coeff_second, (N2, n_pairs, N1, N2))
-        top, bottom = _q_combinations(grid, (coeff_u, v_comps, v_comps),
-                                      (coeff_v, [_d_inverse(c) for c in u_comps], v_comps))
-        return [_d_inverse(f) for f in top] + bottom
-    raise AssertionError(sys_spec.kind)
+    grid, N = comps[0].grid, sys_spec.N
+    dinv = functools.cache(lambda J: _d_inverse(comps[J]))
+    outer_terms, plain_terms, parts = [], [], _parts(sys_spec, grid.n)
+    for form, table, left_dinv, outer in parts:
+        for J, K in zip(*np.nonzero(np.any(table, axis=0))):
+            # Q0 is symmetric, so its lower index goes first: (J, K) and (K, J) then multiply the
+            # same images in one order, as a complex product is not commutative bit for bit
+            a, b = sorted((J, K)) if form.form == "q0" else (J, K)
+            (outer_terms if outer else plain_terms).append(
+                (form, dinv(a) if left_dinv else comps[a], comps[b], table[:, J, K]))
+    first, second = combine_forms(grid, (outer_terms, N), (plain_terms, N))
+    return second if not any(outer for *_, outer in parts) else [
+        a.copy_with(a.coeffs + b.coeffs, real_flag=a.real_flag and b.real_flag)
+        for a, b in zip(map(_d_inverse, first), second)]
 
 
 @dataclass

@@ -371,6 +371,42 @@ def test_mkgmodel_needs_three_components(capsys, components):
     assert out.startswith("ERROR\tcode=2") and "components >= 3" in out
 
 
+def test_scalarq0_has_one_component(capsys, monkeypatch):
+    # the header would record iterate.components=3 for a run of one component
+    monkeypatch.setattr(cli.it, "picard_run", lambda *a: pytest.fail("a Picard run started"))
+    code = main(["iterate", "--system", "scalarQ0", "--components", "3", "--J", "1",
+                 "--nt", "8", "--nx", "8"])
+    assert code == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR\tcode=2") and "has 1 component, got 3" in out
+
+
+@pytest.mark.parametrize("system", ["YMmodel", "MKGmodel"])
+def test_q_systems_need_two_spatial_axes(tmp_path, capsys, system):
+    # at n = 1 Q_ij has no axis pair: the run would be free evolution, reported as converged
+    out = tmp_path / "trace.csv"
+    code = main(["iterate", "--system", system, "--components", "3", "--n", "1",
+                 "--nt", "8", "--nx", "8", "--J", "3", "--out", str(out)])
+    assert code == EXIT_CONFIG and not out.exists()
+    msg = capsys.readouterr().out
+    assert msg.startswith("ERROR\tcode=2") and f"{system} needs n >= 2" in msg
+
+
+def test_unknown_system_is_a_config_error(capsys):
+    assert main(["iterate", "--system", "nope", "--nt", "8", "--nx", "8"]) == EXIT_CONFIG
+    assert capsys.readouterr().out.startswith("ERROR\tcode=2\tmsg=unknown system 'nope'")
+
+
+def test_iterate_records_the_max_freq_that_acted(tmp_path):
+    # |k| <= N_x // 2 = 4 already holds every mode, so 50 runs what 4 runs and is recorded as 4
+    outs = [tmp_path / f"{m}.csv" for m in ("4", "50")]
+    for m, out in zip(("4", "50"), outs):
+        assert main(["iterate", "--nt", "8", "--nx", "8", "--J", "2", "--max-freq", m,
+                     "--out", str(out)]) == EXIT_OK
+    assert " iterate.max_freq=4 " in outs[1].read_text().splitlines()[0]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize("halvings", ["-3", "2000"])
 def test_probe_kernel_rejects_halvings_before_the_ladder(capsys, monkeypatch, halvings):
     monkeypatch.setattr(cli.pr, "schur_ladder", lambda *a: pytest.fail("ladder was built"))
@@ -583,8 +619,9 @@ def test_readme_commands_are_golden(tmp_path, monkeypatch, capsys, name, argv):
 def test_iterate_traces_are_golden(tmp_path, capsys, system):
     # each model system's Picard trace on n = 3, (N_t, N_x) = (16, 8), byte for byte
     out = tmp_path / "trace.csv"
-    assert main(["iterate", "--system", system, "--components", "3", "--J", "4", "--n", "3",
-                 "--nt", "16", "--nx", "8", "--out", str(out)]) == EXIT_OK
+    components = "1" if system == "scalarQ0" else "3"
+    assert main(["iterate", "--system", system, "--components", components, "--J", "4",
+                 "--n", "3", "--nt", "16", "--nx", "8", "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == (Path(__file__).parent / "data" / "iterate" /
                                 f"{system}.csv").read_bytes()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,8 +32,49 @@ def test_system_spec_validation():
         SystemSpec("unknown")
     with pytest.raises(ValueError):
         SystemSpec("MKGmodel", N1=0, N2=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("gamma_const must have shape (2, 2, 2), "
+                                                   "got (3, 3, 3)")):
         SystemSpec("WM", N=2, gamma_const=np.ones((3, 3, 3)))
+    with pytest.raises(ValueError, match=re.escape("a_table must have shape (1, 1, 1), got (1, 1)")):
+        SystemSpec("WMM", a_table=np.ones((1, 1)))
+
+
+def test_scalarq0_has_one_component():
+    assert SystemSpec("scalarQ0").N == 1
+    with pytest.raises(ValueError, match="^scalarQ0 is one scalar equation: it has 1 component, "
+                                         "got 3$"):
+        SystemSpec("scalarQ0", N=3)
+
+
+@pytest.mark.parametrize("n, spec, name, want, got", [
+    # a table made for n = 3 run at n = 2 would use its first pair alone
+    (2, SystemSpec("YMmodel", N=2, q_coeff=np.ones((2, 3, 2, 2))), "q_coeff", (2, 1, 2, 2),
+     (2, 3, 2, 2)),
+    # one row for two components would broadcast to both
+    (2, SystemSpec("YMmodel", N=2, q_coeff_second=np.ones((2, 1, 1, 1))), "q_coeff_second",
+     (2, 1, 2, 2), (2, 1, 1, 1)),
+    (2, SystemSpec("YMmodel", N=1, q_coeff=np.ones((1, 1, 3, 3))), "q_coeff", (1, 1, 1, 1),
+     (1, 1, 3, 3)),
+    (3, SystemSpec("MKGmodel", N1=1, N2=2, q_coeff=np.ones((1, 1, 1, 1))), "q_coeff",
+     (1, 3, 2, 2), (1, 1, 1, 1)),
+    (3, SystemSpec("MKGmodel", N1=1, N2=2, q_coeff_second=np.ones((1, 3, 2, 2))),
+     "q_coeff_second", (2, 3, 1, 2), (1, 3, 2, 2))])
+def test_q_tables_are_checked_before_any_pad(monkeypatch, n, spec, name, want, got):
+    import nflab.lattice as lat
+    monkeypatch.setattr(lat, "fine_samples", lambda *a: pytest.fail("a field was padded"))
+    comps = [random_field(make_grid(n, 8, 8, TWO_PI, TWO_PI), SPACETIME, c, max_freq=2)
+             for c in range(spec.N)]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must have shape {want}, got {got}")):
+        apply_nonlinearity(spec, comps)
+
+
+@pytest.mark.parametrize("spec", [SystemSpec("YMmodel", N=2),
+                                  SystemSpec("MKGmodel", N1=1, N2=2)])
+def test_q_systems_need_two_spatial_axes(spec):
+    comps = [random_field(make_grid(1, 8, 8, TWO_PI, TWO_PI), SPACETIME, c, max_freq=2)
+             for c in range(spec.N)]
+    with pytest.raises(ValueError, match=f"^{spec.kind} needs n >= 2: Q_ij pairs two spatial axes"):
+        apply_nonlinearity(spec, comps)
 
 
 def test_nonlinearity_vanishes_at_zero(grid2d):
@@ -219,6 +261,13 @@ def test_q0_closed_form_log_branch_guard(grid2d):
         q0_closed_form(big, 0.0)
 
 
+def test_q0_closed_form_needs_real_data(grid2d):
+    f, g = (random_field(grid2d, SPATIAL, seed, max_freq=2, real=False) for seed in (1, 2))
+    d = CauchyData(f.copy_with(0.01 * f.coeffs), g.copy_with(0.01 * g.coeffs))
+    with pytest.raises(ValueError, match="^closed form needs real data$"):
+        q0_closed_form(d, 0.0)
+
+
 def test_ym_and_mkg_zero_mode_flag(grid2d):
     u = random_field(grid2d, SPACETIME, 5, max_freq=2)
     out = apply_nonlinearity(SystemSpec("YMmodel", N=1), [u])
@@ -303,3 +352,102 @@ def test_nonlinearity_equals_assembly_from_forms():
         assert len(got) == len(want)
         for f, w in zip(got, want):
             assert np.max(np.abs(f.coeffs - w)) <= 1e-12 * np.max(np.abs(w)), spec.kind
+
+
+def _parent_nonlinearity(sys_spec, comps):
+    """apply_nonlinearity as it was with one branch per system kind, kept as the oracle of the
+    table walk: the same combine_forms terms in the same order, so the same bits."""
+    from nflab.nullform import BilinearFormSpec, apply_form, combine_forms
+    grid, N = comps[0].grid, sys_spec.N
+    pairs = [(i, j) for i in range(1, grid.n + 1) for j in range(i + 1, grid.n + 1)]
+
+    def dinv(u):
+        return apply(MultiplierSpec("d", -1.0), u)
+
+    def q_combinations(*combos):
+        return combine_forms(grid, *[([
+            (BilinearFormSpec("qij", i=i, j=j), left[J], right[K], coeff[:, p, J, K])
+            for p, (i, j) in enumerate(pairs)
+            for J in range(coeff.shape[2]) for K in range(coeff.shape[3])
+            if np.any(coeff[:, p, J, K])], coeff.shape[0]) for coeff, left, right in combos])
+
+    def or_ones(coeff, *shape):
+        return np.ones(shape) if coeff is None else coeff
+
+    if sys_spec.kind == "scalarQ0":
+        return [apply_form(BilinearFormSpec("q0"), comps[0], comps[0])]
+    if sys_spec.kind in ("WM", "WMM"):
+        wm = sys_spec.kind == "WM"
+        form = BilinearFormSpec("q0" if wm else "qtilde")
+        table = -sys_spec.gamma_const if wm else sys_spec.a_table
+        terms = [(form, comps[min(J, K) if wm else J], comps[max(J, K) if wm else K],
+                  table[:, J, K]) for J in range(N) for K in range(N) if np.any(table[:, J, K])]
+        return combine_forms(grid, (terms, N))[0]
+    if sys_spec.kind == "YMmodel":
+        coeff = or_ones(sys_spec.q_coeff, N, len(pairs), N, N)
+        coeff2 = coeff if sys_spec.q_coeff_second is None else sys_spec.q_coeff_second
+        first, second = q_combinations((coeff, comps, comps),
+                                       (coeff2, [dinv(c) for c in comps], comps))
+        return [a.copy_with(a.coeffs + b.coeffs, real_flag=a.real_flag and b.real_flag,
+                            zero_mode_projected=a.zero_mode_projected or b.zero_mode_projected)
+                for a, b in zip(map(dinv, first), second)]
+    N1, N2 = sys_spec.N1, sys_spec.N2
+    top, bottom = q_combinations(
+        (or_ones(sys_spec.q_coeff, N1, len(pairs), N2, N2), comps[N1:], comps[N1:]),
+        (or_ones(sys_spec.q_coeff_second, N2, len(pairs), N1, N2),
+         [dinv(c) for c in comps[:N1]], comps[N1:]))
+    return [dinv(f) for f in top] + bottom
+
+
+def _oracle_systems(n):
+    # every kind; default, random and sparse tables; N up to 3; MKG 1+1, 1+2 and 2+2
+    rng = np.random.default_rng(23)
+    P = n * (n - 1) // 2
+
+    def table(*shape):
+        return rng.uniform(-1, 1, shape)
+
+    sparse_gamma = np.where(table(2, 2, 2) > 0, table(2, 2, 2), 0.0)
+    sparse_q = table(2, P, 2, 2)
+    sparse_q[:, 0] = 0.0
+    return [SystemSpec("scalarQ0"), SystemSpec("WM", N=1),
+            SystemSpec("WM", N=3, gamma_const=table(3, 3, 3)),
+            SystemSpec("WM", N=2, gamma_const=sparse_gamma),
+            SystemSpec("WMM", N=1), SystemSpec("WMM", N=3, a_table=table(3, 3, 3)),
+            SystemSpec("YMmodel", N=1),
+            SystemSpec("YMmodel", N=2, q_coeff=table(2, P, 2, 2), q_coeff_second=table(2, P, 2, 2)),
+            SystemSpec("YMmodel", N=3, q_coeff=table(3, P, 3, 3)),
+            SystemSpec("YMmodel", N=2, q_coeff=sparse_q),
+            SystemSpec("MKGmodel", N1=1, N2=1),
+            SystemSpec("MKGmodel", N1=1, N2=2, q_coeff=table(1, P, 2, 2),
+                       q_coeff_second=table(2, P, 1, 2)),
+            SystemSpec("MKGmodel", N1=2, N2=2, q_coeff=table(2, P, 2, 2))]
+
+
+def test_table_walk_is_bit_for_bit_the_per_kind_branches():
+    # only signs of zeros may move: MKGmodel adds the empty half of each output row.  The u
+    # rows of MKGmodel are flagged real when every input is, so with complex u and real v
+    # they lose real_flag; the per-kind branch asked v alone.
+    cases = [((3, 16, 8), (True,) * 4, False), ((3, 16, 8), (False,) * 4, True),
+             ((2, 16, 16), (True,) * 4, True), ((2, 16, 16), (False,) * 4, False),
+             ((2, 16, 16), (False, True, True, True), False)]
+    outputs, zero_signs, flag_moves = 0, set(), []
+    for (n, nt, nx), reals, projected in cases:
+        g = make_grid(n, nt, nx, TWO_PI, TWO_PI)
+        comps = [random_field(g, SPACETIME, 40 + c, max_freq=2, real=r)
+                 for c, r in enumerate(reals)]
+        if projected:
+            comps = [apply(MultiplierSpec("d", -1.0), c) for c in comps]
+        for spec in _oracle_systems(n):
+            u = comps[:spec.N]
+            for I, (w, f) in enumerate(zip(_parent_nonlinearity(spec, u),
+                                           apply_nonlinearity(spec, u))):
+                outputs += 1
+                assert np.array_equal(f.coeffs, w.coeffs), (spec.kind, I)
+                if f.coeffs.tobytes() != w.coeffs.tobytes():
+                    zero_signs.add(spec.kind)
+                if (f.real_flag, f.zero_mode_projected) != (w.real_flag, w.zero_mode_projected):
+                    flag_moves.append((spec.kind, spec.N1, I, w.real_flag, f.real_flag))
+    assert outputs == 140 and zero_signs <= {"MKGmodel"}
+    assert flag_moves == [("MKGmodel", 1, 0, True, False), ("MKGmodel", 1, 0, True, False),
+                          ("MKGmodel", 2, 0, True, False), ("MKGmodel", 2, 1, True, False)]

@@ -20,3 +20,12 @@ def test_every_traced_name_is_a_callable_of_nflab():
                if not callable(getattr(importlib.import_module(f"nflab.{mod}"), name, None))]
     assert sum(len(names) for names in BOUNDARIES.values()) >= 20
     assert missing == []
+
+
+def test_the_rebound_names_are_the_traced_objects():
+    # the tracer wraps fine_samples and apply_form in every module that binds them, and
+    # perfbench's uninstall test reads these bindings
+    from nflab import iterate, lattice, nullform
+    assert iterate.fine_samples is lattice.fine_samples
+    assert nullform.fine_samples is lattice.fine_samples
+    assert iterate.apply_form is nullform.apply_form
