@@ -215,6 +215,10 @@ def cmd_symbol_check(cfg) -> int:
 def cmd_norms(cfg) -> int:
     if cfg["norms.field"]:
         f = lat.read_field(cfg["norms.field"])
+        # a stored field brings its own lattice and draws nothing: record what acted
+        cfg["norms.seed"] = None
+        cfg.update((f"grid.{k}", getattr(f.grid, k))
+                   for k in ("n", "N_t", "N_x", "T_per", "L_per"))
     else:
         grid = _grid_from(cfg)
         f = lat.random_field(grid, lat.SPACETIME, cfg["norms.seed"])
@@ -299,6 +303,11 @@ def cmd_probe_embedding(cfg) -> int:
     grid = _grid_from(cfg)
     report = pr.probe_embedding(spec, cfg["probe.ensemble"], cfg["probe.trials"],
                                 grid, seed=cfg["probe.seed"], scales=scales)
+    if cfg["probe.ensemble"] == "counterexample-family":
+        # the family draws nothing and builds its own lattice per scale: of the grid only n acts
+        cfg.update(dict.fromkeys(("probe.trials", "probe.seed", "grid.N_t", "grid.N_x",
+                                  "grid.T_per", "grid.L_per")))
+        cfg["probe.scales"] = cfg["probe.scales"] or ",".join(map(str, report.scales))
     def _jsonable(x):
         x = float(x)
         return "inf" if math.isinf(x) else x

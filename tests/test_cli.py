@@ -407,6 +407,36 @@ def test_iterate_records_the_max_freq_that_acted(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_norms_of_a_stored_field_records_its_lattice(tmp_path):
+    # the stored (2, 8, 8) field of period 1 is what runs: grid flags and the seed select nothing
+    path = tmp_path / "f.nflb"
+    write_field(random_field(make_grid(2, 8, 8, 1.0, 1.0), SPACETIME, 4), path)
+    outs = [tmp_path / "plain.csv", tmp_path / "flags.csv"]
+    for out, extra in zip(outs, ([], ["--nt", "32", "--nx", "64", "--n", "3", "--seed", "7"])):
+        assert main(["norms", "--field", str(path), "--out", str(out)] + extra) == EXIT_OK
+    header = outs[0].read_text().splitlines()[0]
+    for item in ("grid.L_per=1.0", "grid.N_t=8", "grid.N_x=8", "grid.T_per=1.0", "grid.n=2",
+                 "norms.seed=None"):
+        assert f" {item} " in header
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_family_records_only_what_acted(tmp_path):
+    # the family draws nothing and builds a lattice per scale: trials, seed and grid sizes
+    # select nothing, so they are recorded as None and the default scales as the ones run
+    outs = [tmp_path / "plain.csv", tmp_path / "flags.csv"]
+    extra = ["--trials", "3", "--seed", "9", "--nt", "64", "--nx", "4", "--t-per", "2"]
+    for out, flags in zip(outs, ([], extra)):
+        assert main(["probe-embedding", "--ensemble", "counterexample-family", "--n", "2",
+                     "--out", str(out)] + flags) == EXIT_OK
+    header = outs[0].read_text().splitlines()[0]
+    for item in ("grid.L_per=None", "grid.N_t=None", "grid.N_x=None", "grid.T_per=None",
+                 "grid.n=2", "probe.scales='4,6,8,12'", "probe.seed=None", "probe.trials=None"):
+        assert f" {item}" in header
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert (tmp_path / "plain.csv.plot").read_bytes() == (tmp_path / "flags.csv.plot").read_bytes()
+
+
 @pytest.mark.parametrize("halvings", ["-3", "2000"])
 def test_probe_kernel_rejects_halvings_before_the_ladder(capsys, monkeypatch, halvings):
     monkeypatch.setattr(cli.pr, "schur_ladder", lambda *a: pytest.fail("ladder was built"))

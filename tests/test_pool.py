@@ -4,10 +4,13 @@ Every output must keep its bits at any NFLAB_THREADS, every image must be padded
 exactly once, and an engine must let go of each planned image at its last use.
 """
 
+import ctypes
+import functools
 import math
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -264,3 +267,70 @@ def test_every_item_runs_once_under_contention(monkeypatch):
         sys.setswitchinterval(interval)
         lat._executor().shutdown()
         lat._executor.cache_clear()
+
+
+@pytest.fixture
+def fresh_policy():
+    """`lattice._malloc_policy` runs again at the next `pmap`, and again after the test."""
+    lat._malloc_policy.cache_clear()
+    yield
+    lat._malloc_policy.cache_clear()
+
+
+def _fake_libc(monkeypatch, events, fails=None):
+    """ctypes.CDLL stand-in whose mallopt logs (param, value, argtypes, restype) into `events`;
+    `fails` is "dlopen" for a library that cannot be opened, "mallopt" for one without it."""
+
+    class Mallopt:
+        argtypes = restype = None
+
+        def __call__(self, param, value):
+            events.append((param, value, self.argtypes, self.restype))
+            return 1
+
+    class Lib:
+        def __init__(self, name):
+            if fails == "dlopen":
+                raise OSError("no such library")
+            if fails != "mallopt":
+                self.mallopt = Mallopt()
+
+    monkeypatch.setattr(lat.ctypes, "CDLL", Lib)
+
+
+POLICY = [(-8, 1), (-1, 64 << 20), (-3, 32 << 20)]  # M_ARENA_MAX, M_TRIM_ and M_MMAP_THRESHOLD
+
+
+def test_the_malloc_policy_is_set_once_before_the_pool_has_a_thread(monkeypatch, fresh_policy):
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    events = []
+    _fake_libc(monkeypatch, events)
+    executor = functools.cache(lambda: events.append("executor") or ThreadPoolExecutor(
+        2, "nflab-test", setattr, (lat._inline, "on", True)))
+    monkeypatch.setattr(lat, "_executor", executor)
+    try:
+        for _ in range(2):
+            got = _finishes(lambda: lat.pmap(lambda x: x * x, range(6)))
+            assert got == [x * x for x in range(6)]
+    finally:
+        executor().shutdown()
+    c_int = ctypes.c_int
+    assert events == [(p, v, (c_int, c_int), c_int) for p, v in POLICY] + ["executor"]
+
+
+@pytest.mark.parametrize("fails", ["dlopen", "mallopt"])
+@pytest.mark.parametrize("run", [lat.pmap, lat.sweep])
+def test_the_pool_runs_where_there_is_no_mallopt(monkeypatch, fresh_policy, fails, run):
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    events = []
+    _fake_libc(monkeypatch, events, fails)
+    assert _finishes(lambda: run(lambda x: x + 1, range(5))) == [1, 2, 3, 4, 5]
+    assert events == []
+
+
+def test_one_thread_sets_the_malloc_policy_too(monkeypatch, fresh_policy):
+    monkeypatch.setenv("NFLAB_THREADS", "1")
+    events = []
+    _fake_libc(monkeypatch, events)
+    assert lat.pmap(lambda x: -x, range(3)) == [0, -1, -2]
+    assert [(p, v) for p, v, _, _ in events] == POLICY
