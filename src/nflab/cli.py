@@ -179,6 +179,10 @@ def _write_plot(cfg: dict, out, points) -> None:
 
 def cmd_admissible(cfg) -> int:
     q, r, n = cfg["adm.q"], cfg["adm.r"], cfg["adm.n"]
+    missing = [k for k in ("adm.sigma", "adm.s1", "adm.s2") if cfg[k] is None]
+    if 0 < len(missing) < 3:
+        raise ConfigError(f"the bilinear check needs adm.sigma, adm.s1 and adm.s2 together; "
+                          f"missing {', '.join(missing)}")
     ok = mult.is_wave_admissible(q, r, n)
     if not ok:
         print("not-admissible")

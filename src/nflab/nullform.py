@@ -5,9 +5,9 @@ Two computation routes exist side by side:
 * derivative-product route (q0, qij, qtilde, plain product): unary multipliers
   followed by physical-space multiplication with 3/2 dealiasing;
 * kernel route (ralpha, splus, sminus): one sum over pairs of occupied spatial
-  columns, the kernel evaluated once per pair and the operands' time samples
-  multiplied per pair; sums outside the lattice band are dropped, and the
-  scaling matches the product route so both can be compared mode by mode.
+  columns, the kernel evaluated once per pair; each pair names its output column
+  once, and a column's terms are added in (a, b) order.  Sums outside the band are
+  dropped; the scaling matches the product route, so both compare mode by mode.
 
 Kernels on spatial frequency pairs (a, b):
 
@@ -236,39 +236,37 @@ def _columns(X: np.ndarray):
 
 
 def _pair_sum(spec: BilinearFormSpec, g: Grid, su, sv, U, V, opp=None):
-    """Flat output columns s and W[:, s] = sum_{a+b=s in band} K(a,b) U[:, a] V[:, b] over the
-    time rows of U, V.  For R^alpha K = Delta_+^alpha, and opp = (U+, U-, V+, V-) adds
-    (Delta_-^alpha - Delta_+^alpha)(a,b) (U+[:, a] V-[:, b] + U-[:, a] V+[:, b])."""
+    """Sorted flat output columns s and W[:, s] = sum_{a+b=s in band} K(a,b) U[:, a] V[:, b] over
+    the time rows of U, V, a column's terms added in (a, b) order.  For R^alpha K = Delta_+^alpha,
+    and opp = (U+, U-, V+, V-) adds (Delta_-^alpha - Delta_+^alpha)(a,b) (U+[:, a] V-[:, b] +
+    U-[:, a] V+[:, b])."""
     N = g.N_x
     a, b = su[:, None] * (2 * math.pi / g.L_per), sv[None] * (2 * math.pi / g.L_per)
     ker = (delta_minus if spec.form == "sminus" else delta_plus)(a, b) ** spec.alpha
     if opp is not None:
         up, um, vp, vm = opp
         dker = delta_minus(a, b) ** spec.alpha - ker
-    # a + b + N written in base 2N: one key per output column, the sum of a key of a and of b
-    radix = (2 * N) ** np.arange(g.n - 1, -1, -1)
-    keys = ((su + N) @ radix)[:, None] + (sv @ radix)[None, :]
-    if keys.size == 0:
-        return np.zeros(0, dtype=int), np.zeros((len(U), 0), dtype=complex)
-    # products in blocks of time rows, so the temporaries stay in cache
-    G = np.empty((len(U),) + ker.shape, dtype=complex)
-    rows = max(1, 2**12 // ker.size)
+    s = su[:, None] + sv[None]
+    inband = np.flatnonzero(np.all((s >= -(N // 2)) & (s < N // 2), axis=-1))
+    target = np.ravel_multi_index(tuple(s.reshape(-1, g.n).T), g.spatial_shape, mode="wrap")
+    # numpy's stable sort of integers of 16 bits or fewer is a radix sort
+    order = inband[np.argsort(target[inband].astype(np.min_scalar_type(N ** g.n)), kind="stable")]
+    starts = np.flatnonzero(np.diff(target[order], prepend=-1))
+    cols = target[order[starts]]
+    W = np.empty((len(U), len(cols)), dtype=complex)
+    # products and sums in blocks of time rows, so the temporaries stay in cache
+    rows = max(1, 2**13 // max(1, ker.size))
     for lo in range(0, len(U), rows):
         blk = slice(lo, lo + rows)
-        Gb = np.multiply(U[blk, :, None], V[blk, None, :], out=G[blk])
-        Gb *= ker
+        G = U[blk, :, None] * V[blk, None, :]
+        G *= ker
         if opp is not None:
             O = up[blk, :, None] * vm[blk, None, :]
             O += um[blk, :, None] * vp[blk, None, :]
             O *= dker
-            Gb += O
-    order = np.argsort(keys, axis=None)
-    sorted_keys = keys.ravel()[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    s = sorted_keys[starts, None] // radix % (2 * N) - N
-    inband = np.all((s >= -(N // 2)) & (s < N // 2), axis=1)
-    W = np.add.reduceat(G.reshape(len(U), -1)[:, order], starts, axis=1)[:, inband]
-    return np.ravel_multi_index(tuple((s[inband] % N).T), g.spatial_shape), W
+            G += O
+        W[blk] = np.add.reduceat(G.reshape(len(G), -1)[:, order], starts, axis=1)
+    return cols, W
 
 
 def _time_sign_parts(u: SpectralField, M: int):

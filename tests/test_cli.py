@@ -36,6 +36,18 @@ def test_admissible_with_bilinear_conditions(capsys):
     assert "bilinear=unknown" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("given, missing", [
+    (["--sigma", "0.5"], "adm.s1, adm.s2"),
+    (["--s1", "0.3", "--s2", "0.3"], "adm.sigma"),
+    (["--sigma", "0.25", "--s2", "0.375"], "adm.s1"),
+], ids=["sigma-alone", "s1-s2-alone", "no-s1"])
+def test_admissible_bilinear_indices_come_together(capsys, given, missing):
+    assert main(["admissible", "--q", "4", "--r", "4", "--n", "3"] + given) == EXIT_CONFIG
+    assert capsys.readouterr().out == (
+        "ERROR\tcode=2\tmsg=the bilinear check needs adm.sigma, adm.s1 and adm.s2 together; "
+        f"missing {missing}\n")
+
+
 def test_symbol_check_writes_csv_and_passes(tmp_path):
     out = tmp_path / "sym.csv"
     code = main(["symbol-check", "--name", "delta", "--samples", "20000",

@@ -8,6 +8,7 @@ import pytest
 
 from nflab import lattice as lat
 from nflab import multiplier as mult
+from nflab import probe as pr
 from nflab import propagate as prop
 from nflab.cli import EXIT_CONFIG, main
 from nflab.lattice import SPACETIME, SPATIAL, SpectralField, make_grid, random_field
@@ -63,3 +64,47 @@ def test_lebesgue_exponents_are_at_least_one(q, r, bad):
     message = f"Lebesgue exponent must be in [1, inf], got {bad}"
     with pytest.raises(ValueError, match=re.escape(message)):
         lat.mixed_norm(u, q, r)
+
+
+def test_a_config_line_without_equals_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[adm]\nq 4\n")
+    assert main(["--config", str(path), "admissible"]) == EXIT_CONFIG
+    assert capsys.readouterr().out == f"ERROR\tcode=2\tmsg={path}:2: expected key = value\n"
+
+
+def test_a_boolean_in_a_config_file_is_true_or_false(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[probe]\nunary = yes\n")
+    assert main(["--config", str(path), "probe-embedding"]) == EXIT_CONFIG
+    assert capsys.readouterr().out == (
+        "ERROR\tcode=2\tmsg=probe.unary = 'yes': must be true or false\n")
+
+
+def test_an_unknown_multiplier_family_is_rejected():
+    with pytest.raises(ValueError, match=re.escape("unknown multiplier family 'nope'")):
+        mult.MultiplierSpec("nope")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["probe-embedding", "--ensemble", "nope", "--trials", "1", "--nt", "8", "--nx", "8"],
+     "unknown ensemble 'nope'"),
+    (["probe-embedding", "--trials", "0"], "need at least one trial"),
+    (["probe-embedding", "--ensemble", "counterexample-family", "--n", "1"],
+     "counterexample family needs n >= 2"),
+    (["probe-kernel", "--variant", "nope"], "variant must be 'homogeneous' or 'inhomogeneous'"),
+], ids=["unknown-ensemble", "zero-trials", "family-n1", "kernel-variant"])
+def test_probe_options_the_probes_reject_exit_2(argv, message, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().out == f"ERROR\tcode=2\tmsg={message}\n"
+
+
+def test_a_lattice_ensemble_needs_a_grid():
+    spec = pr.EmbeddingSpec(left=IDX, right=IDX, target=IDX, n=2)
+    with pytest.raises(ValueError, match="^lattice ensembles need a grid$"):
+        pr.probe_embedding(spec, "cone-concentrated", 1, None)
+
+
+def test_a_first_iterate_kernel_sign_is_plus_or_minus():
+    with pytest.raises(ValueError, match=re.escape("sign must be 'plus' or 'minus'")):
+        pr.first_iterate_kernel("example1", 1.0, "nope", [1.0, 0.0], [0.0, 1.0])

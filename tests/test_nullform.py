@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,22 @@ def test_ralpha_evaluates_kernels_once_per_spatial_pair(monkeypatch):
     spatial_pairs = columns(u) * columns(v)
     assert sizes == {"delta_plus": [spatial_pairs], "delta_minus": [spatial_pairs]}
     assert len(occupied_modes(u)[0]) * len(occupied_modes(v)[0]) == 49 * spatial_pairs
+
+
+def test_ralpha_holds_no_array_of_all_pair_products():
+    # one complex (3N_t/2, M_u, M_v) array of the pair products of the occupied spatial columns
+    # is 61 MiB here; the sum runs block by block of time rows and never holds it
+    g = make_grid(2, 32, 32, TWO_PI, TWO_PI)
+    u, v = random_field(g, SPACETIME, 1), random_field(g, SPACETIME, 2)
+    columns = [len({tuple(k[1:]) for k in occupied_modes(f)[0]}) for f in (u, v)]
+    pair_array = 3 * g.N_t // 2 * columns[0] * columns[1] * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        apply_form(BilinearFormSpec("ralpha"), u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pair_array / 4
 
 
 def test_qtilde_raises_riesz_flag_and_is_real(grid2d):
