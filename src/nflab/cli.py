@@ -361,6 +361,8 @@ def cmd_probe_kernel(cfg) -> int:
 
 
 def cmd_counterexample(cfg) -> int:
+    if not cfg["ce.membership_samples"]:
+        cfg["ce.seed"] = None  # the seed selects membership samples only: record what acted
     params = [pr.CounterexampleParams(L=float(L), s=cfg["ce.s"], theta=cfg["ce.theta"],
                                       n=cfg["ce.n"]) for L in cfg["ce.L"].split(",")]
     pr.check_fit_scales([p.L for p in params])
@@ -393,21 +395,17 @@ def cmd_selftest(cfg) -> int:
     rng = np.random.default_rng(0)
     P = rng.standard_normal(grid.spacetime_shape)
     f = lat.transform(grid, P, lat.SPACETIME)
-    ok = True
     err = float(np.max(np.abs(lat.inverse_transform(f) - P)))
-    ok &= err <= 1e-12
-    print(f"selftest roundtrip max_err={err:.3e} {'ok' if err <= 1e-12 else 'FAIL'}")
     plan = abs(lat.mixed_norm(f, 2, 2) ** 2 - f.l2() ** 2) / f.l2() ** 2
-    ok &= plan <= 1e-10
-    print(f"selftest plancherel rel_err={plan:.3e} {'ok' if plan <= 1e-10 else 'FAIL'}")
-    adm = mult.is_wave_admissible(4, 4, 3) and abs(mult.strichartz_s(4, 4, 3) - 0.5) < 1e-15
-    ok &= adm
-    print(f"selftest admissible(4,4,3) {'ok' if adm else 'FAIL'}")
-    rep = nf.check_symbol_inequality("delta", 20000, 0)
-    ok &= rep.violations == 0
-    print(f"selftest delta-inequality violations={rep.violations} "
-          f"{'ok' if rep.violations == 0 else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    violations = nf.check_symbol_inequality("delta", 20000, 0).violations
+    rows = [(f"roundtrip max_err={err:.3e}", err <= 1e-12),
+            (f"plancherel rel_err={plan:.3e}", plan <= 1e-10),
+            ("admissible(4,4,3)", mult.is_wave_admissible(4, 4, 3)
+             and abs(mult.strichartz_s(4, 4, 3) - 0.5) < 1e-15),
+            (f"delta-inequality violations={violations}", violations == 0)]
+    for text, ok in rows:
+        print(f"selftest {text} {'ok' if ok else 'FAIL'}")
+    return EXIT_OK if all(ok for _, ok in rows) else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------

@@ -507,8 +507,10 @@ def sweep(func, items) -> list:
 # fine-lattice products
 #
 # Products of band-limited fields are formed on a lattice refined by `factor`
-# per axis (3/2 keeps quadratics alias-free on the coarse band).  Pads and
-# crops go one axis at a time in ifftn's order, last axis first.  A pad
+# per axis (3/2 keeps quadratics alias-free on the coarse band).  The factor
+# must exceed 1, since at 1 a product aliases; so every fine axis is longer
+# than its coarse one, and a pad keeps the -N/2 and +N/2 rows apart.  Pads
+# and crops go one axis at a time in ifftn's order, last axis first.  A pad
 # zero-pads only the axis it is about to transform, so rows that are still
 # all zero on the axes not yet padded are never transformed; a crop cuts an
 # axis to the band right after its forward transform, so later passes skip
@@ -522,10 +524,9 @@ def sweep(func, items) -> list:
 # taken on the coarse lattice, before any transform: each leading axis holds
 # the N + 1 frequencies -N/2..N/2 (the reflected partner of the coarse -N/2
 # row lands on +N/2), stored centred, and the last axis only the columns
-# 0..N/2 that the closing irfft reads.  At factor 1 the -N/2 and +N/2 halves
-# fall on one fine row and add.  A crop of real samples mirrors the pad: an
-# rfft, the columns 0..N/2 cut to the same centred bands B, and the coarse
-# column -k taken as conj B(-j, k).
+# 0..N/2 that the closing irfft reads.  A crop of real samples mirrors the
+# pad: an rfft, the columns 0..N/2 cut to the same centred bands B, and the
+# coarse column -k taken as conj B(-j, k).
 #
 # A FineLattice takes its evaluation's plan: the images (u, op) it pads, in
 # order of use.  A missed image is padded by `pmap` together with the next
@@ -537,8 +538,8 @@ def sweep(func, items) -> list:
 
 
 def _fine_shape(shape: tuple, factor: float) -> tuple:
-    if not (math.isfinite(factor) and factor >= 1.0):
-        raise ValueError(f"refinement factor must be finite and >= 1, got {factor!r}")
+    if not (math.isfinite(factor) and factor > 1.0):
+        raise ValueError(f"refinement factor must be finite and > 1, got {factor!r}")
     return tuple(int(math.ceil(N * factor / 2.0)) * 2 for N in shape)
 
 
@@ -573,17 +574,12 @@ def _centred_blocks(shape: tuple) -> tuple:
 
 
 def _ifft_band_padded(A: np.ndarray, ax: int, M: int) -> np.ndarray:
-    """Inverse transform of the centred band -h..h on axis ax, zero-padded to length M >= 2h.
-    At M = 2h the -h and +h rows fall on one fine row and add."""
+    """Inverse transform of the centred band -h..h on axis ax, zero-padded to length M > 2h."""
     lead, h = (slice(None),) * ax, A.shape[ax] // 2
     B = np.empty(A.shape[:ax] + (M,) + A.shape[ax + 1:], dtype=complex)
     B[lead + (slice(0, h + 1),)] = A[lead + (slice(h, None),)]
-    if M > 2 * h:
-        B[lead + (slice(h + 1, M - h),)] = 0.0
-        B[lead + (slice(M - h, M),)] = A[lead + (slice(0, h),)]
-    else:
-        B[lead + (slice(h + 1, M),)] = A[lead + (slice(1, h),)]
-        B[lead + (h,)] += A[lead + (0,)]
+    B[lead + (slice(h + 1, M - h),)] = 0.0
+    B[lead + (slice(M - h, M),)] = A[lead + (slice(0, h),)]
     return np.fft.ifft(B, axis=ax, norm="forward", out=B)
 
 
@@ -626,8 +622,6 @@ def fine_samples(fieldv: SpectralField, factor: float = 1.5) -> np.ndarray:
             Y = _ifft_padded(Y, ax, fine[ax])
         return Y
     W = _folded_half_spectrum(Y)
-    if fine[-1] == Y.shape[-1]:
-        W[..., -1] *= 2.0  # factor 1: the irfft's Nyquist column holds both N/2 halves
     for ax in reversed(range(W.ndim - 1)):
         W = _ifft_band_padded(W, ax, fine[ax])
     return np.fft.irfft(W, n=fine[-1], axis=-1, norm="forward")

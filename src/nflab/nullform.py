@@ -20,6 +20,8 @@ and on space-time pairs ((tau,a), (lam,b)):
 
 so tau = 0 takes the Delta_+ branch.  All three convolve time on the 3/2
 lattice, so their tau-sums on spacetime fields do not wrap around the band.
+Delta_+- read one pair geometry (_geometry), and the gap |a||b| -+ a.b that would cancel
+is rewritten through |a ^ b|^2 in one helper (_gap); the probe's kernels read both.
 """
 
 from __future__ import annotations
@@ -57,13 +59,13 @@ class BilinearFormSpec:
 
 
 # ---------------------------------------------------------------------------
-# stable Delta_{+/-} evaluation
+# one frequency-pair geometry and stable Delta_{+/-} evaluation
 #
 # Delta_+ = |a| + |b| - |a+b| cancels catastrophically for nearly parallel
 # pairs, so it is rewritten through the wedge product:
 #   |a||b| - a.b = |a ^ b|^2 / (|a||b| + a.b),
 #   Delta_+ = 2 (|a||b| - a.b) / (|a| + |b| + |a+b|),
-# and symmetrically for Delta_-.
+# and symmetrically for Delta_- (a.b negated).
 
 
 def _wedge_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,35 +93,41 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a, a))
 
 
-def _delta(a, b, plus: bool) -> np.ndarray:
-    """Delta_+ (plus) or Delta_-: one wedge rewrite, with a.b negated for Delta_-."""
+def _geometry(a, b) -> tuple:
+    """(|a|, |b|, |a+b|, a.b, |a ^ b|^2) of pairs a, b of shape (..., n), at least 2-D."""
     a, b = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (a, b))
-    return _delta_parts(_norm(a), _norm(b), _norm(a + b), _dot(a, b), _wedge_sq(a, b), plus)
+    return _norm(a), _norm(b), _norm(a + b), _dot(a, b), _wedge_sq(a, b)
+
+
+def _gap(prod, dot, wedge_sq) -> np.ndarray:
+    """prod - dot for prod = |a||b| and dot = a.b (or -a.b for |a||b| + a.b), evaluated
+    stably: |a ^ b|^2 / (prod + dot) where dot > 0."""
+    return np.where(dot > 0, wedge_sq / np.maximum(prod + dot, 1e-300), prod - dot)
 
 
 def _delta_parts(na, nb, ns, dot, wedge_sq, plus: bool) -> np.ndarray:
-    """_delta from |a|, |b|, |a+b|, a.b and |a ^ b|^2."""
-    dot = dot if plus else -dot
-    prod = np.where(dot > 0, wedge_sq / np.maximum(na * nb + dot, 1e-300), na * nb - dot)
+    """Delta_+ (plus) or Delta_- from the geometry |a|, |b|, |a+b|, a.b and |a ^ b|^2."""
+    prod = _gap(na * nb, dot if plus else -dot, wedge_sq)
     denom = np.maximum(na + nb + ns if plus else ns + np.abs(na - nb), 1e-300)
     return np.where(na + nb == 0.0, 0.0, 2.0 * prod / denom)
 
 
 def delta_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a| + |b| - |a+b|, evaluated stably; inputs (..., n)."""
-    return _delta(a, b, True)
+    return _delta_parts(*_geometry(a, b), True)
 
 
 def delta_minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a+b| - ||a| - |b||, evaluated stably; inputs (..., n)."""
-    return _delta(a, b, False)
+    return _delta_parts(*_geometry(a, b), False)
 
 
 def r_kernel(tau, a, lam, b) -> np.ndarray:
     """Two-branch kernel: Delta_+ where tau*lam >= 0, Delta_- where tau*lam < 0."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return np.where(tau * lam >= 0.0, delta_plus(a, b), delta_minus(a, b))
+    geo = _geometry(a, b)
+    return np.where(tau * lam >= 0.0, _delta_parts(*geo, True), _delta_parts(*geo, False))
 
 
 def kernel_value(spec: BilinearFormSpec, p: FrequencyPoint, q: FrequencyPoint) -> complex:
@@ -343,11 +351,10 @@ def _euclid(tau, xi):
 
 
 def _ineq_delta(tau, lam, xi, eta):
-    na, nb, ns, dot, w = _norm(xi), _norm(eta), _norm(xi + eta), _dot(xi, eta), _wedge_sq(xi, eta)
+    na, nb, ns, dot, w = _geometry(xi, eta)
     mn = np.minimum(na, nb)
     prod = np.maximum(na * nb, 1e-300)
-    m_minus = np.where(dot > 0, w / np.maximum(prod + dot, 1e-300), prod - dot)
-    m_plus = np.where(dot < 0, w / np.maximum(prod - dot, 1e-300), prod + dot)
+    m_minus, m_plus = _gap(prod, dot, w), _gap(prod, -dot, w)
     lhs = np.concatenate([mn * m_plus / prod, mn * m_minus / prod])
     rhs = np.concatenate([2.0 * _delta_parts(na, nb, ns, dot, w, False),
                           2.0 * _delta_parts(na, nb, ns, dot, w, True)])

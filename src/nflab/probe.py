@@ -39,8 +39,7 @@ from numpy.polynomial.legendre import leggauss
 from .lattice import (SPACETIME, Grid, SpectralField, modified_mixed_norm, pmap,
                       random_field)
 from .multiplier import SpaceIndex, weight, ws_norm
-from .nullform import (BilinearFormSpec, _delta_parts, _dot, _norm, apply_form, delta_minus,
-                       delta_plus)
+from .nullform import BilinearFormSpec, _delta_parts, _dot, _gap, _geometry, apply_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -267,18 +266,14 @@ def _sparse_ws_norm(points: np.ndarray, idx: SpaceIndex, values=1.0) -> float:
 
 def _smooth_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n (n >= 1): a length the FFT factors into small primes."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _check_scales(scales) -> None:
@@ -376,18 +371,15 @@ class KernelSpec:
 
 def kernel_eval(k: KernelSpec, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """K(xi, eta) on arrays of shape (..., n)."""
-    nx, ne = _norm(np.atleast_2d(xi)), _norm(np.atleast_2d(eta))
-    return _kernel(k, nx, ne, delta_plus(xi, eta) if k.sign == "plus" else delta_minus(xi, eta))
+    nx, ne, ns, dot, w = _geometry(xi, eta)
+    return _kernel(k, nx, ne, _delta_parts(nx, ne, ns, dot, w, k.sign == "plus"))
 
 
 def _kernel(k: KernelSpec, nx, ne, delta) -> np.ndarray:
     """K from |xi|, |eta| and Delta."""
     if k.variant == "homogeneous":
-        num = np.where(nx > 0, np.where(nx > 0, nx, 1.0) ** (-k.a), np.inf if k.a > 0 else 1.0)
-        num = num * np.where(ne > 0, np.where(ne > 0, ne, 1.0) ** (-k.b), np.inf if k.b > 0 else 1.0)
-        dz = delta <= 0
-        dfac = np.where(dz, np.inf if k.c > 0 else 1.0, np.where(dz, 1.0, delta) ** (-k.c))
-        return num * dfac
+        with np.errstate(divide="ignore"):  # 0^-p = inf for p > 0, and 0^0 = 1
+            return nx ** -k.a * ne ** -k.b * delta ** -k.c
     return (1.0 + nx) ** (-k.a) * (1.0 + ne) ** (-k.b) * (1.0 + delta) ** (-k.c)
 
 
@@ -744,30 +736,27 @@ def first_iterate_kernel(preset: str, s: float, sign: str, xi, eta,
                          general: bool = False) -> float:
     """Reduced (displayed) or general first-iterate kernel at one frequency pair.
 
-    general=True evaluates <xi+eta>^s |k_pm| / (<xi>^s <eta>^s) *
-    min(1, 1/(|xi+eta| (1 + Delta_pm))) with the bilinear symbol k_pm of the
-    preset; general=False returns the simplified kernels obtained after the
-    null cancellations.
+    With <x> = 1 + |x|, general=True evaluates <xi+eta>^s |k_pm| / (<xi>^s <eta>^s) *
+    min(1, 1/(|xi+eta| (1 + Delta_pm))), k_pm = |xi||eta| (example1), |xi||eta| -+ xi.eta
+    (example2) or |xi ^ eta| (example3), read from the pair geometry so that none cancels.
+    general=False returns the kernels left after the null cancellations: example1
+    <xi+eta>^(s-1) / (<xi>^(s-1) <eta>^(s-1) (1 + Delta_pm)), example2 <xi>^-s + <eta>^-s,
+    example3 (<xi>^(1/2-s) + <eta>^(1/2-s)) / (1 + Delta_pm)^(1/2).
     """
     if preset not in _PRESETS:
         raise ValueError(f"unknown preset {preset!r}")
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    nx, ne = float(np.linalg.norm(xi)), float(np.linalg.norm(eta))
-    ns = float(np.linalg.norm(xi + eta))
-    delta = float((delta_plus if sign == "plus" else delta_minus)(xi[None, :], eta[None, :])[0])
-    sgn = 1.0 if sign == "plus" else -1.0
+    plus = sign == "plus"
+    nx, ne, ns, dot, w2 = (float(x[0]) for x in _geometry(xi, eta))
+    delta = float(_delta_parts(nx, ne, ns, dot, w2, plus))
     if general:
-        dot = float(np.dot(xi, eta))
         if preset == "example1":
             k_pm = nx * ne
         elif preset == "example2":
-            k_pm = abs(sgn * nx * ne - dot)
+            k_pm = float(_gap(nx * ne, dot if plus else -dot, w2))
         else:
-            w2 = nx**2 * ne**2 - dot**2
-            k_pm = math.sqrt(max(w2, 0.0))
+            k_pm = math.sqrt(w2)
         shrink = min(1.0, 1.0 / (ns * (1.0 + delta))) if ns > 0 else 1.0
         return _elwt(ns) ** s * k_pm / (_elwt(nx) ** s * _elwt(ne) ** s) * shrink
     if preset == "example1":

@@ -26,6 +26,11 @@ def test_admissible_rejects_r_infinity(capsys):
     assert "not-admissible" in capsys.readouterr().out
 
 
+def test_admissible_rejects_q_below_two(capsys):
+    assert main(["admissible", "--q", "1.5", "--r", "4", "--n", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == "not-admissible\n"
+
+
 def test_admissible_with_bilinear_conditions(capsys):
     assert main(["admissible", "--q", "4", "--r", "4", "--n", "3",
                  "--sigma", "0.25", "--s1", "0.375", "--s2", "0.375"]) == EXIT_OK
@@ -431,6 +436,17 @@ def test_norms_of_a_stored_field_records_its_lattice(tmp_path):
                  "norms.seed=None"):
         assert f" {item} " in header
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_counterexample_without_membership_samples_records_no_seed(tmp_path):
+    # with no membership samples the seed selects nothing, so it is recorded as None
+    outs = [tmp_path / "seed0.csv", tmp_path / "seed7.csv"]
+    for out, seed in zip(outs, ("0", "7")):
+        assert main(["counterexample", "--n", "3", "--L", "8,16,32", "--seed", seed,
+                     "--out", str(out)]) == EXIT_OK
+    assert " ce.seed=None " in outs[0].read_text().splitlines()[0]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert (tmp_path / "seed0.csv.plot").read_bytes() == (tmp_path / "seed7.csv.plot").read_bytes()
 
 
 def test_family_records_only_what_acted(tmp_path):

@@ -475,7 +475,7 @@ def _pad_crop_field(rng, g, kind, which):
 
 @given(data=st.data(), n=st.integers(1, 3), kind=st.sampled_from([SPATIAL, SPACETIME]),
        which=st.sampled_from(["real", "real_flag", "complex"]),
-       factor=st.sampled_from([1.0, 1.5, 2.0, 2.5]), seed=st.integers(0, 2**16))
+       factor=st.sampled_from([1.5, 2.0, 2.5]), seed=st.integers(0, 2**16))
 @settings(max_examples=80, deadline=None)
 def test_pads_and_crops_match_the_complex_full_lattice_route(data, n, kind, which, factor,
                                                             seed):
@@ -623,7 +623,7 @@ def test_axis_by_axis_pads_and_crops_are_the_full_box_route_bit_for_bit(n, kind)
                 assert P.tobytes() == P_in.tobytes()
 
 
-@pytest.mark.parametrize("factor", [0.5, 0.0, -1.5, math.inf, math.nan])
+@pytest.mark.parametrize("factor", [1.0, 0.5, 0.0, -1.5, math.inf, math.nan])
 def test_bad_refinement_factor_rejected_before_any_transform(monkeypatch, grid2d, factor):
     u = random_field(grid2d, SPACETIME, 3)
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):

@@ -184,6 +184,11 @@ def test_r_infinity_rejected():
     assert not is_wave_admissible(2, math.inf, 2)
 
 
+def test_q_below_two_rejected():
+    for n in (2, 3, 5):
+        assert not is_wave_admissible(1.5, 4, n)
+
+
 @given(st.floats(2.0, 64.0), st.floats(2.0, 64.0), st.integers(2, 4))
 @settings(max_examples=200, deadline=None)
 def test_strichartz_s_formula(q, r, n):

@@ -1,6 +1,8 @@
 import dataclasses
+import decimal
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -907,6 +909,68 @@ def test_first_iterate_kernel_example3_hand_oracle():
     manual = ((1 + nx) ** (-s + 0.5) + (1 + ne) ** (-s + 0.5)) / math.sqrt(1 + dminus)
     got = first_iterate_kernel("example3", s, "minus", xi, eta)
     assert abs(got - manual) <= 1e-12
+
+
+def _displayed_first_iterate_kernel(preset, s, sign, xi, eta, general):
+    """The kernels of first_iterate_kernel's docstring at the exact values of float inputs:
+    |xi|^2, |eta|^2, |xi+eta|^2, xi.eta and |xi ^ eta|^2 in Fraction, the rest (roots, powers
+    and the gaps Delta_pm and |xi||eta| -+ xi.eta, subtracted as displayed) in 60 digits."""
+    xi, eta = [Fraction(x) for x in xi], [Fraction(x) for x in eta]
+    n = len(xi)
+    wedge_sq = sum((xi[i] * eta[j] - xi[j] * eta[i]) ** 2
+                   for i in range(n) for j in range(i + 1, n))
+    with decimal.localcontext(prec=60):
+        def dec(q):
+            return decimal.Decimal(q.numerator) / q.denominator
+
+        def norm(v):
+            return dec(sum(x * x for x in v)).sqrt()
+
+        nx, ne, ns = norm(xi), norm(eta), norm([a + b for a, b in zip(xi, eta)])
+        dot = dec(sum(a * b for a, b in zip(xi, eta)))
+        delta = nx + ne - ns if sign == "plus" else ns - abs(nx - ne)
+        s, one, half = decimal.Decimal(s), decimal.Decimal(1), decimal.Decimal("0.5")
+        if general:
+            signed = nx * ne if sign == "plus" else -nx * ne
+            k = {"example1": nx * ne, "example2": abs(signed - dot),
+                 "example3": dec(wedge_sq).sqrt()}[preset]
+            shrink = min(one, one / (ns * (1 + delta))) if ns > 0 else one
+            value = (1 + ns) ** s * k / ((1 + nx) ** s * (1 + ne) ** s) * shrink
+        elif preset == "example1":
+            value = (1 + ns) ** (s - 1) / ((1 + nx) ** (s - 1) * (1 + ne) ** (s - 1) * (1 + delta))
+        elif preset == "example2":
+            value = (1 + nx) ** -s + (1 + ne) ** -s
+        else:
+            value = ((1 + nx) ** (half - s) + (1 + ne) ** (half - s)) / (1 + delta).sqrt()
+        return float(value)
+
+
+_FIRST_ITERATE_BRANCHES = [(preset, sign, general)
+                           for preset in ("example1", "example2", "example3")
+                           for sign in ("plus", "minus") for general in (False, True)]
+
+
+@pytest.mark.parametrize("preset, sign, general", _FIRST_ITERATE_BRANCHES)
+@pytest.mark.parametrize("xi, eta", [((2.0, 1.0), (-1.0, 3.0)),
+                                     ((0.5, -1.5, 2.0), (3.0, 1.0, -0.25))])
+def test_first_iterate_kernel_branches_match_the_display(preset, sign, general, xi, eta):
+    got = first_iterate_kernel(preset, 1.4, sign, np.array(xi), np.array(eta), general=general)
+    want = _displayed_first_iterate_kernel(preset, 1.4, sign, xi, eta, general)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("preset, sign, general", _FIRST_ITERATE_BRANCHES)
+@pytest.mark.parametrize("xi, eta", [((1.0, 0.0), (t * 2.0, t * eps)) for t in (1.0, -1.0)
+                                     for eps in (1e-3, 1e-6, 1e-9, 1e-12)]
+                         + [((1.0, 0.5), (2.0, 1.0 + 1e-9)), ((1.0, 0.0, 0.0), (-2.0, 1e-9, 1e-9))])
+def test_first_iterate_kernel_near_parallel_pairs_keep_their_digits(preset, sign, general, xi, eta):
+    # |xi ^ eta| is about eps |xi||eta|: a k_pm built as |xi||eta| - xi.eta or from
+    # |xi|^2 |eta|^2 - (xi.eta)^2 cancels to 0 there, where at xi = (1, 0), eta = (2, 1e-9)
+    # the general example2 and example3 kernels are 5.6e-20 and 2.2e-10
+    got = first_iterate_kernel(preset, 1.0, sign, np.array(xi), np.array(eta), general=general)
+    want = _displayed_first_iterate_kernel(preset, 1.0, sign, xi, eta, general)
+    assert want > 0.0
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_first_iterate_example1_threshold_region():
