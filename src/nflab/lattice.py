@@ -511,30 +511,31 @@ def sweep(func, items) -> list:
 # must exceed 1, since at 1 a product aliases; so every fine axis is longer
 # than its coarse one, and a pad keeps the -N/2 and +N/2 rows apart.  Pads
 # and crops go one axis at a time in ifftn's order, last axis first.  A pad
-# zero-pads only the axis it is about to transform, so rows that are still
-# all zero on the axes not yet padded are never transformed; a crop cuts an
-# axis to the band right after its forward transform, so later passes skip
-# the rows it drops.  Every row that is transformed holds the values it holds
-# in a full-box ifftn/fftn of the same band and goes through the same 1-D
-# transform, so the pruned passes keep the full-box bits.  In-place transforms
-# act only on the engine's own temporaries.
+# zero-pads only the axis it is about to transform, and a crop cuts an axis to
+# the band right after its forward transform, so rows still all zero, or
+# dropped, are never transformed.  Every row that is transformed holds the
+# values and goes through the 1-D transform of a full-box ifftn/fftn, so the
+# pruned passes keep the full-box bits.  In-place transforms act only on the
+# engine's own temporaries.
 #
 # A real field's fine samples are the real part of its interpolant, whose
-# coefficients are the Hermitian fold W = (Y + conj Y(-Xi)) / 2.  The fold is
-# taken on the coarse lattice, before any transform: each leading axis holds
-# the N + 1 frequencies -N/2..N/2 (the reflected partner of the coarse -N/2
-# row lands on +N/2), stored centred, and the last axis only the columns
-# 0..N/2 that the closing irfft reads.  A crop of real samples mirrors the
-# pad: an rfft, the columns 0..N/2 cut to the same centred bands B, and the
-# coarse column -k taken as conj B(-j, k).
+# coefficients are the Hermitian fold W = (Y + conj Y(-Xi)) / 2, taken on the
+# coarse lattice: each leading axis holds the centred band -N/2..N/2 (the
+# reflected partner of the -N/2 row lands on +N/2), the last axis only the
+# columns 0..N/2 that the closing irfft reads.  A crop of real samples mirrors
+# it: an rfft, the same centred bands B, and coarse column -k = conj B(-j, k).
 #
-# A FineLattice takes its evaluation's plan: the images (u, op) it pads, in
-# order of use.  A missed image is padded by `pmap` together with the next
-# planned image not yet padded; a planned image is dropped at its last planned
-# use, an unplanned one kept to the end.  Products, sums and crops keep their
-# order and operands, so neither the pairing nor the drops move a bit.  Every
-# engine is planned: `dealiased_product` and `nullform.combine_forms` (every
-# q0, qij and qtilde sum, in the forms and every model nonlinearity) build them.
+# One operand's images share a pass tree (`fine_images`): the coefficients are
+# folded or scaled once, and each derivative i xi_mu, diagonal along axis mu,
+# is applied just before the pass over that axis, sharing every pass before
+# it.  On the folded band the +N/2 row takes xi = +N/2: the fold of the
+# derivative's coefficients, Nyquist rows included.  An R_0 R_j image mixes
+# the axes and is a one-leaf tree of its own.  A FineLattice takes its plan,
+# the images (u, op) in order of use: a miss pads every planned image of its
+# tree, beside the next planned tree on `pmap`, and an image is dropped at its
+# last planned use.  No image's bits depend on its siblings or the pairing.
+# `dealiased_product` and `nullform.combine_forms` (every q0, qij and qtilde
+# sum, in the forms and every model nonlinearity) build the engines.
 
 
 def _fine_shape(shape: tuple, factor: float) -> tuple:
@@ -544,22 +545,23 @@ def _fine_shape(shape: tuple, factor: float) -> tuple:
 
 
 def _ifft_padded(A: np.ndarray, ax: int, M: int) -> np.ndarray:
-    """Zero-pad axis ax of A to length M and inverse-transform it in place."""
-    lead, h = (slice(None),) * ax, A.shape[ax] // 2
+    """Zero-pad axis ax of A to length M and inverse-transform it in place.  An axis of even
+    length N holds its band in FFT order, one of odd length the centred band -h..h, h = N // 2."""
+    lead, N = (slice(None),) * ax, A.shape[ax]
+    h = N // 2
+    pos, neg = (slice(h, N), slice(0, h)) if N % 2 else (slice(0, h), slice(h, N))
     B = np.empty(A.shape[:ax] + (M,) + A.shape[ax + 1:], dtype=complex)
-    B[lead + (slice(0, h),)] = A[lead + (slice(0, h),)]
-    B[lead + (slice(h, M - h),)] = 0.0
-    B[lead + (slice(M - h, M),)] = A[lead + (slice(h, None),)]
+    B[lead + (slice(0, N - h),)] = A[lead + (pos,)]
+    B[lead + (slice(N - h, M - h),)] = 0.0
+    B[lead + (slice(M - h, M),)] = A[lead + (neg,)]
     return np.fft.ifft(B, axis=ax, norm="forward", out=B)
 
 
-def _cropped(F: np.ndarray, ax: int, N: int) -> np.ndarray:
-    """The length-N band of axis ax of F."""
+def _cropped(F: np.ndarray, ax: int, N: int, centred: bool = False) -> np.ndarray:
+    """The length-N band of axis ax of F in FFT order, or `centred` its band -N/2..N/2."""
     lead, h, M = (slice(None),) * ax, N // 2, F.shape[ax]
-    out = np.empty(F.shape[:ax] + (N,) + F.shape[ax + 1:], dtype=complex)
-    out[lead + (slice(0, h),)] = F[lead + (slice(0, h),)]
-    out[lead + (slice(h, N),)] = F[lead + (slice(M - h, M),)]
-    return out
+    pos, neg = F[lead + (slice(0, h + centred),)], F[lead + (slice(M - h, M),)]
+    return np.concatenate((neg, pos) if centred else (pos, neg), axis=ax)
 
 
 @functools.lru_cache(maxsize=32)
@@ -571,25 +573,6 @@ def _centred_blocks(shape: tuple) -> tuple:
               for h in (N // 2 for N in shape)]
     return tuple((tuple(b for b, _ in block), tuple(f for _, f in block))
                  for block in itertools.product(*halves))
-
-
-def _ifft_band_padded(A: np.ndarray, ax: int, M: int) -> np.ndarray:
-    """Inverse transform of the centred band -h..h on axis ax, zero-padded to length M > 2h."""
-    lead, h = (slice(None),) * ax, A.shape[ax] // 2
-    B = np.empty(A.shape[:ax] + (M,) + A.shape[ax + 1:], dtype=complex)
-    B[lead + (slice(0, h + 1),)] = A[lead + (slice(h, None),)]
-    B[lead + (slice(h + 1, M - h),)] = 0.0
-    B[lead + (slice(M - h, M),)] = A[lead + (slice(0, h),)]
-    return np.fft.ifft(B, axis=ax, norm="forward", out=B)
-
-
-def _band_cropped(F: np.ndarray, ax: int, N: int) -> np.ndarray:
-    """The centred band -N/2..N/2 of axis ax of F."""
-    lead, h, M = (slice(None),) * ax, N // 2, F.shape[ax]
-    out = np.empty(F.shape[:ax] + (N + 1,) + F.shape[ax + 1:], dtype=complex)
-    out[lead + (slice(0, h),)] = F[lead + (slice(M - h, M),)]
-    out[lead + (slice(h, N + 1),)] = F[lead + (slice(0, h + 1),)]
-    return out
 
 
 def _folded_half_spectrum(Y: np.ndarray) -> np.ndarray:
@@ -608,23 +591,43 @@ def _folded_half_spectrum(Y: np.ndarray) -> np.ndarray:
 
 
 def fine_samples(fieldv: SpectralField, factor: float = 1.5) -> np.ndarray:
-    """Values of the band-limited interpolant on a lattice refined by `factor`.
+    """Values of the band-limited interpolant on a lattice refined by `factor`, the real part
+    of it for a real-flagged field: the one-leaf case of `fine_images`."""
+    return fine_images(fieldv, [None], factor)[0]
 
-    A complex field is zero-padded and inverse-transformed axis by axis.  A real-flagged
-    field gives the real part of its interpolant: the Hermitian fold of its coefficients on
-    the non-negative half-spectrum of the last axis (`_folded_half_spectrum`), padded on the
-    leading axes and closed by an irfft.
-    """
+
+def fine_images(fieldv: SpectralField, ops, factor: float = 1.5) -> list:
+    """[fine_samples(symbol_image(fieldv, op), factor) for op in ops] by pass trees: one on
+    fieldv's folded or scaled coefficients for the identity and the derivatives, and one
+    one-leaf tree rooted at symbol_image(fieldv, op) per R_0 R_j."""
     fine = _fine_shape(fieldv.coeffs.shape, factor)
-    Y = plane_wave_coeffs(fieldv)
-    if not fieldv.real_flag:
-        for ax in reversed(range(Y.ndim)):
-            Y = _ifft_padded(Y, ax, fine[ax])
-        return Y
-    W = _folded_half_spectrum(Y)
-    for ax in reversed(range(W.ndim - 1)):
-        W = _ifft_band_padded(W, ax, fine[ax])
-    return np.fft.irfft(W, n=fine[-1], axis=-1, norm="forward")
+    tree = [op for op in ops if op is None or op[0] == "d"]
+    out = _pass_tree(fieldv, tree, fine) if tree else {}
+    out.update((op, _pass_tree(symbol_image(fieldv, op), [None], fine)[None])
+               for op in ops if op not in out)
+    return [out[op] for op in ops]
+
+
+def _pass_tree(f: SpectralField, leaves, fine: tuple) -> dict:
+    """op -> fine samples of symbol_image(f, op), op in leaves None or ("d", mu)."""
+    X, d, real = plane_wave_coeffs(f), f.coeffs.ndim, f.real_flag
+    order = [*range(d - 2, -1, -1), d - 1] if real else list(range(d - 1, -1, -1))
+    X = _folded_half_spectrum(X) if real else X
+
+    def passes(Z, axes):
+        for ax in axes:
+            Z = (np.fft.irfft(Z, n=fine[ax], axis=ax, norm="forward") if real and ax == d - 1
+                 else _ifft_padded(Z, ax, fine[ax]))
+        return Z
+
+    # a derivative branches off at the pass over its axis, the identity after the last pass
+    branches = sorted([(order.index(ax), op, xi) for op in leaves if op is not None
+                       for ax, xi in [_symbol_axis(f.grid, f.kind, op, real)]], key=lambda b: b[0])
+    out, done = {}, 0
+    for k, op, xi in branches + [(d, None, None)] * (None in leaves):
+        X, done = passes(X, order[done:k]), k
+        out[op] = X if op is None else passes(X * (1j * xi), order[k:])
+    return out
 
 
 def field_from_fine_samples(grid: Grid, kind: str, P_fine: np.ndarray,
@@ -640,13 +643,37 @@ def field_from_fine_samples(grid: Grid, kind: str, P_fine: np.ndarray,
     h = shape[-1] // 2
     B = np.fft.rfft(P_fine, axis=-1, norm="forward")[..., :h + 1]
     for ax in reversed(range(d)):
-        B = _band_cropped(np.fft.fft(B, axis=ax, norm="forward", out=B), ax, shape[ax])
+        B = _cropped(np.fft.fft(B, axis=ax, norm="forward", out=B), ax, shape[ax], centred=True)
     A = np.empty(shape, dtype=complex)
     B_reflected = B[(slice(None, None, -1),) * d]
     for band, fft in _centred_blocks(shape[:-1]):
         A[fft + (slice(0, h),)] = B[band + (slice(0, h),)]
         np.conjugate(B_reflected[band + (slice(h, 0, -1),)], out=A[fft + (slice(h, None),)])
     return from_plane_wave_coeffs(grid, A, kind, real_flag=real_flag)
+
+
+@functools.lru_cache(maxsize=64)
+def _symbol_axis(g: Grid, kind: str, op, centred: bool = False) -> tuple:
+    """(coefficient axis, xi_mu laid along it) of the symbol op = (name, mu) on a field of this
+    kind, op checked as symbol_image states; xi in FFT order or, `centred`, on a real field's
+    folded band -N/2..N/2, whose +N/2 row takes xi = +N/2 (columns 0..N/2 of the last axis)."""
+    name, mu = op
+    if name not in ("d", "rr"):
+        raise ValueError(f"unknown symbol {op!r}")
+    if kind != SPACETIME and (mu == 0 or name == "rr"):
+        raise ValueError(("d/dt" if name == "d" else f"R_0 R_{mu}") + " needs a spacetime field")
+    lo = 0 if name == "d" and kind == SPACETIME else 1
+    if mu not in range(lo, g.n + 1):
+        raise ValueError(f"symbol {op!r} needs an axis in {lo}..{g.n} on a {kind} field "
+                         f"of dimension n = {g.n}")
+    ax, ndim = mu - (kind != SPACETIME), len(g.shape_for(kind))
+    xi = g.tau() if mu == 0 else g.xi_axis()
+    if centred:
+        h = len(xi) // 2
+        xi = np.append(np.fft.fftshift(xi), -xi[h])[h if ax == ndim - 1 else 0:]
+    xi = xi.reshape([-1 if i == ax else 1 for i in range(ndim)])
+    xi.flags.writeable = False
+    return ax, xi
 
 
 def symbol_image(u: SpectralField, op=None) -> SpectralField:
@@ -658,19 +685,10 @@ def symbol_image(u: SpectralField, op=None) -> SpectralField:
     """
     if op is None:
         return u
-    name, mu = op
-    if name not in ("d", "rr"):
-        raise ValueError(f"unknown symbol {op!r}")
-    if u.kind != SPACETIME and (mu == 0 or name == "rr"):
-        raise ValueError(("d/dt" if name == "d" else f"R_0 R_{mu}") + " needs a spacetime field")
-    g = u.grid
-    lo = 0 if name == "d" and u.kind == SPACETIME else 1
-    if mu not in range(lo, g.n + 1):
-        raise ValueError(f"symbol {op!r} needs an axis in {lo}..{g.n} on a {u.kind} field "
-                         f"of dimension n = {g.n}")
-    comp = g.tau_broadcast() if mu == 0 else g.xi_component(mu - 1, u.kind)
-    if name == "d":
+    comp = _symbol_axis(u.grid, u.kind, op)[1]
+    if op[0] == "d":
         return u.copy_with(u.coeffs * (1j * comp))
+    g = u.grid
     ax2 = g.abs_xi(u.kind) ** 2
     sym = np.where(ax2 == 0.0, 0.0, -g.tau_broadcast() * comp / np.where(ax2 == 0.0, 1.0, ax2))
     return u.copy_with(u.coeffs * sym, real_flag=False, zero_mode_projected=True)
@@ -697,11 +715,14 @@ class FineLattice:
         key = (id(u), op)
         entry = self._images.setdefault(key, [u, op, 0, None])
         if entry[3] is None:
-            todo = [entry] + [e for e in self._images.values()
-                              if e[3] is None and e is not entry][:1]
-            pads = pmap(lambda e: fine_samples(symbol_image(e[0], e[1]), self.factor), todo)
-            for e, P in zip(todo, pads):
-                e[3] = P
+            todo = [e for e in self._images.values() if e[3] is None]
+            root = lambda e: (id(e[0]), e[1] if e[1] and e[1][0] == "rr" else None)  # noqa: E731
+            roots = list(dict.fromkeys(map(root, [entry] + todo)))[:2]
+            trees = [[e for e in todo if root(e) == r] for r in roots]
+            pads = pmap(lambda t: fine_images(t[0][0], [e[1] for e in t], self.factor), trees)
+            for tree, images in zip(trees, pads):
+                for e, P in zip(tree, images):
+                    e[3] = P
         entry[2] -= 1
         if entry[2] == 0:
             del self._images[key]

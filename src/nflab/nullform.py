@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (SPACETIME, FineLattice, FrequencyPoint, Grid, SpectralField, _cropped,
-                      _fine_shape, _measure, dealiased_product, symbol_image)
+                      _fine_shape, _malloc_policy, _measure, dealiased_product, symbol_image)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
 from .multiplier import weight
@@ -165,18 +165,6 @@ def _groups(spec: BilinearFormSpec, n: int) -> list:
     return [(("d", j), [(1, ("rr", j), None), (-1, None, ("rr", j))]) for j in range(1, n + 1)]
 
 
-def form_samples(eng: FineLattice, spec: BilinearFormSpec, u: SpectralField, v: SpectralField):
-    """Yield (outer symbol, fine samples) for each group of a q0, qij or qtilde form."""
-    for outer, prods in _groups(spec, eng.grid.n):
-        acc = 0
-        for sign, op_u, op_v in prods:
-            # not `*`, which may reuse an image at its last use (a temporary) as the output with
-            # the operands swapped: a complex product is not commutative bit for bit
-            t = np.multiply(eng.samples(u, op_u), eng.samples(v, op_v))
-            acc = acc + t if sign > 0 else acc - t
-        yield outer, acc
-
-
 def combine_forms(grid: Grid, *combos) -> list:
     """Per combo (terms, n_out): the components sum_t w_t[I] F_t(u_t, v_t), I < n_out, of its
     terms (F_t, u_t, v_t, w_t), F_t a q0, qij or qtilde form.  One fine lattice, planned for
@@ -196,12 +184,19 @@ def combine_forms(grid: Grid, *combos) -> list:
                 for outer, _ in _groups(spec, grid.n) for I in np.flatnonzero(w)}
         acc = {}
         for t, (spec, u, v, w) in enumerate(terms):
-            for outer, P in form_samples(eng, spec, u, v):
+            for outer, prods in _groups(spec, grid.n):
+                P = 0
+                for sign, op_u, op_v in prods:
+                    # not `*`, which may reuse an image at its last use (a temporary) as the
+                    # output with the operands swapped: complex products do not commute bitwise
+                    Q = np.multiply(eng.samples(u, op_u), eng.samples(v, op_v))
+                    P = np.add(P, Q, out=Q) if sign > 0 else np.subtract(P, Q, out=Q)
                 for I in np.flatnonzero(w):
                     key = (int(I), outer)
                     acc[key] = w[I] * P if key not in acc else acc[key] + w[I] * P
                     if last[key] == t:
                         acc[key] = symbol_image(eng.crop(acc[key], real), outer).coeffs
+                del P, Q  # a finished group sum is let go before the next group pads
         out = [np.zeros(grid.spacetime_shape, dtype=complex) for _ in range(n_out)]
         for (I, _), c in acc.items():
             out[I] += c
@@ -288,6 +283,7 @@ def _time_sign_parts(u: SpectralField, M: int):
 
 
 def _kernel_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
+    _malloc_policy()  # the kernel route never enters pmap, which sets it elsewhere
     g = u.grid
     if u.kind == SPACETIME:
         M = _fine_shape((g.N_t,), 1.5)[0]

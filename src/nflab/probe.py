@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .lattice import (SPACETIME, Grid, SpectralField, modified_mixed_norm, pmap,
+from .lattice import (SPACETIME, Grid, SpectralField, _malloc_policy, modified_mixed_norm, pmap,
                       random_field)
 from .multiplier import SpaceIndex, weight, ws_norm
 from .nullform import BilinearFormSpec, _delta_parts, _dot, _gap, _geometry, apply_form
@@ -457,6 +457,7 @@ def schur_ladder(k: KernelSpec, rungs) -> list[float]:
     if k.n < 2:
         raise ValueError(f"the Schur certificate needs n >= 2, got n={k.n!r}: it integrates "
                          "over the polar angle of eta, and S^0 has none")
+    _malloc_policy()  # the ladders never enter pmap, which sets it elsewhere
     tops, cuts = [], []
     for R, h in rungs:
         if not (math.isfinite(R) and math.isfinite(h)) or R < 1.0 or h <= 0:

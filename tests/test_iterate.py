@@ -61,7 +61,7 @@ def test_scalarq0_has_one_component():
      "q_coeff_second", (2, 3, 1, 2), (1, 3, 2, 2))])
 def test_q_tables_are_checked_before_any_pad(monkeypatch, n, spec, name, want, got):
     import nflab.lattice as lat
-    monkeypatch.setattr(lat, "fine_samples", lambda *a: pytest.fail("a field was padded"))
+    monkeypatch.setattr(lat, "fine_images", lambda *a: pytest.fail("a field was padded"))
     comps = [random_field(make_grid(n, 8, 8, TWO_PI, TWO_PI), SPACETIME, c, max_freq=2)
              for c in range(spec.N)]
     with pytest.raises(ValueError, match=re.escape(f"{name} must have shape {want}, got {got}")):
@@ -294,22 +294,24 @@ def _random_systems(n):
             SystemSpec("scalarQ0")]
 
 
-@pytest.mark.parametrize("kind, pads", [("YMmodel", 12), ("WMM", 8)])
-def test_nonlinearity_pads_each_input_once(monkeypatch, kind, pads):
-    # n = 3, N = 2: YMmodel needs the three gradients of u^J and of D^-1 u^J,
-    # WMM needs u^J and its three R_0 R_j images
+@pytest.mark.parametrize("kind, pads, trees", [("YMmodel", 12, 4), ("WMM", 8, 8)])
+def test_nonlinearity_pads_each_input_once(monkeypatch, kind, pads, trees):
+    # n = 3, N = 2: YMmodel needs the three gradients of u^J and of D^-1 u^J, one pad tree per
+    # field; WMM needs u^J and its three R_0 R_j images, one tree per image
     import nflab.lattice as lat
     comps = [random_field(_grid3(), SPACETIME, s, max_freq=2) for s in (1, 2)]
-    inputs = []
-    original = lat.fine_samples
+    images, roots = [], []
+    original = lat.fine_images
 
-    def counting(f, factor=1.5):
-        inputs.append(f.coeffs.tobytes())
-        return original(f, factor)
+    def counting(f, ops, factor=1.5):
+        images.extend((f.coeffs.tobytes(), op) for op in ops)
+        roots.append((f.coeffs.tobytes(), ops[0] if ops[0] and ops[0][0] == "rr" else None))
+        return original(f, ops, factor)
 
-    monkeypatch.setattr(lat, "fine_samples", counting)
+    monkeypatch.setattr(lat, "fine_images", counting)
     apply_nonlinearity(SystemSpec(kind, N=2), comps)
-    assert len(inputs) == len(set(inputs)) == pads
+    assert len(images) == len(set(images)) == pads
+    assert len(roots) == len(set(roots)) == trees
 
 
 def test_nonlinearity_equals_assembly_from_forms():

@@ -11,7 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nflab.lattice import (SPACETIME, SPATIAL, FineLattice, SpectralField, cutoff_profile,
-                           dealiased_product, field_from_fine_samples, fine_samples,
+                           dealiased_product, field_from_fine_samples, fine_images, fine_samples,
                            from_plane_wave_coeffs, from_time_spatial_rep,
                            inverse_transform, make_grid,
                            mixed_norm, modified_mixed_norm,
@@ -215,10 +215,12 @@ def test_symbol_axis_out_of_range_is_rejected_before_any_array(monkeypatch, kind
     import nflab.lattice as lat
     g = lat.make_grid(2, 8, 8, 2 * math.pi, 2 * math.pi)
     u = random_field(g, kind, 0)
-    for name in ("tau_broadcast", "xi_component", "abs_xi"):
+    for name in ("tau", "xi_axis", "tau_broadcast", "xi_component", "abs_xi"):
         monkeypatch.setattr(lat.Grid, name, lambda *a: pytest.fail("an array was built"))
     with pytest.raises(ValueError, match=re.escape(f"symbol {op!r} needs an axis in {valid}")):
         symbol_image(u, op)
+    with pytest.raises(ValueError, match=re.escape(f"symbol {op!r} needs an axis in {valid}")):
+        fine_images(u, [op])
 
 
 def test_unknown_symbol_is_named(grid2d):
@@ -621,6 +623,56 @@ def test_axis_by_axis_pads_and_crops_are_the_full_box_route_bit_for_bit(n, kind)
                 back = field_from_fine_samples(g, kind, P, real_flag=u.real_flag).coeffs
                 assert np.array_equal(back, _full_box_crop(g, kind, P))
                 assert P.tobytes() == P_in.tobytes()
+
+
+def _symbols(n, kind):
+    """Every symbol of the product engine on a field of this kind: the identity, each
+    derivative and, on a spacetime field, each R_0 R_j."""
+    ops = [None] + [("d", mu) for mu in range(0 if kind == SPACETIME else 1, n + 1)]
+    return ops + ([("rr", j) for j in range(1, n + 1)] if kind == SPACETIME else [])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", [SPATIAL, SPACETIME])
+@pytest.mark.parametrize("periods", [(TWO_PI, TWO_PI), (3.3, 9.1)])
+def test_pass_tree_images_match_one_pad_per_image(n, kind, periods):
+    # the oracle pads each image on its own: symbol_image, then fine_samples.  On the folded
+    # centred band the +N/2 row takes xi = +N/2, so Nyquist content agrees as well
+    g = make_grid(n, 8, 8 if n == 3 else 16, *periods)
+    rng = np.random.default_rng(60 + n)
+    ops = _symbols(n, kind)
+    for which in ("real", "real_flag", "complex"):
+        u = _pad_crop_field(rng, g, kind, which)
+        assert np.all(u.coeffs != 0)  # the tau = 0 plane, every Nyquist plane, the zero mode
+        for factor in (1.5, 2.0):
+            for op, got in zip(ops, fine_images(u, ops, factor)):
+                want = fine_samples(symbol_image(u, op), factor)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (which, op)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", [SPATIAL, SPACETIME])
+def test_an_image_keeps_its_bits_whatever_its_siblings(n, kind):
+    g = make_grid(n, 8, 8 if n == 3 else 16, 1.3, TWO_PI)
+    rng = np.random.default_rng(70 + n)
+    ops = _symbols(n, kind)
+    for which in ("real", "real_flag", "complex"):
+        u = _pad_crop_field(rng, g, kind, which)
+        alone = {op: fine_images(u, [op])[0] for op in ops}
+        draws = [list(rng.permutation(len(ops))[:rng.integers(1, len(ops) + 1)])
+                 for _ in range(4)]
+        for siblings in [ops, ops[::-1]] + [[ops[i] for i in draw] for draw in draws]:
+            for op, P in zip(siblings, fine_images(u, siblings)):
+                assert np.array_equal(P, alone[op]), (which, op, siblings)
+        # the identity and R_0 R_j keep the one-pad-per-image route's bits, and so does
+        # the padded product
+        for op in ops:
+            if op is None or op[0] == "rr":
+                assert np.array_equal(alone[op], _full_box_fine_samples(symbol_image(u, op), 1.5))
+        v = _pad_crop_field(rng, g, kind, which)
+        P = np.multiply(_full_box_fine_samples(u, 1.5), _full_box_fine_samples(v, 1.5))
+        assert np.array_equal(dealiased_product(u, v).coeffs, _full_box_crop(g, kind, P))
 
 
 @pytest.mark.parametrize("factor", [1.0, 0.5, 0.0, -1.5, math.inf, math.nan])

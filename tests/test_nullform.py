@@ -384,6 +384,24 @@ def test_ralpha_holds_no_array_of_all_pair_products():
     assert peak < pair_array / 4
 
 
+@pytest.mark.parametrize("real, arrays", [(True, 5.5), (False, 6.5)])
+def test_a_finished_group_sum_is_let_go_before_the_next_group_pads(monkeypatch, real, arrays):
+    # qtilde at (3, 16) has three groups; holding a group's sum (and its last product) while
+    # the next group pads its images costs about one more complex fine array than this bound
+    monkeypatch.setenv("NFLAB_THREADS", "1")
+    g = make_grid(3, 16, 16, TWO_PI, TWO_PI)
+    u, v = random_field(g, SPACETIME, 1, real=real), random_field(g, SPACETIME, 2, real=real)
+    fine_array = np.dtype(complex).itemsize * 24 ** 4
+    apply_form(BilinearFormSpec("qtilde"), u, v)
+    tracemalloc.start()
+    try:
+        apply_form(BilinearFormSpec("qtilde"), u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays * fine_array
+
+
 def test_qtilde_raises_riesz_flag_and_is_real(grid2d):
     u = random_field(grid2d, SPACETIME, 15, max_freq=3)
     v = random_field(grid2d, SPACETIME, 16, max_freq=3)

@@ -17,11 +17,12 @@ import pytest
 
 import nflab.lattice as lat
 from nflab import nullform as nf
+from nflab import probe as pr
 from nflab.iterate import CauchyData, SystemSpec, apply_nonlinearity, picard_run
 from nflab.lattice import SPACETIME, SPATIAL, make_grid, random_field
 from nflab.multiplier import SpaceIndex
 from nflab.nullform import BilinearFormSpec, apply_form
-from nflab.probe import EmbeddingSpec, probe_embedding
+from nflab.probe import EmbeddingSpec, KernelSpec, probe_embedding, schur_ladder
 
 TWO_PI = 2.0 * math.pi
 THREADS = ("1", "2", "3")
@@ -31,9 +32,11 @@ FORMS = [BilinearFormSpec("q0"), BilinearFormSpec("qij", i=1, j=2), BilinearForm
          BilinearFormSpec("splus", alpha=0.7), BilinearFormSpec("sminus", alpha=0.7)]
 
 
-def _pads(form: str, n: int) -> int:
-    """Distinct images a form pads for u != v: what a full memo pads."""
-    return {"q0": 2 * (n + 1), "qij": 4, "qtilde": 2 * n + 2, "product": 2}.get(form, 0)
+def _pads(form: str, n: int) -> tuple:
+    """(images, trees) a form pads for u != v: the distinct images, what a full memo pads,
+    and the pad trees, one per operand and one per R_0 R_j image."""
+    return {"q0": (2 * (n + 1), 2), "qij": (4, 2), "qtilde": (2 * n + 2, 2 * n + 2),
+            "product": (2, 2)}.get(form, (0, 0))
 
 
 def _systems():
@@ -42,14 +45,16 @@ def _systems():
     def table(*shape):
         return rng.uniform(-1.0, 1.0, size=shape)
 
-    # name -> (spec, pads of one evaluation on n = 3: the distinct images)
+    # name -> (spec, then for one evaluation on n = 3: its pads (the distinct images), the
+    # operands they are images of (u^J and, for YMmodel and MKGmodel, D^-1 u^J) and its pad
+    # trees (one per operand, and one per R_0 R_j image))
     return {
         "YMmodel": (SystemSpec("YMmodel", N=2, q_coeff=table(2, 3, 2, 2),
-                               q_coeff_second=table(2, 3, 2, 2)), 12),
-        "WMM": (SystemSpec("WMM", N=2, a_table=table(2, 2, 2)), 8),
-        "WM": (SystemSpec("WM", N=2, gamma_const=table(2, 2, 2)), 8),
-        "MKGmodel": (SystemSpec("MKGmodel", N1=1, N2=2), 9),
-        "scalarQ0": (SystemSpec("scalarQ0"), 4),
+                               q_coeff_second=table(2, 3, 2, 2)), 12, 4, 4),
+        "WMM": (SystemSpec("WMM", N=2, a_table=table(2, 2, 2)), 8, 2, 8),
+        "WM": (SystemSpec("WM", N=2, gamma_const=table(2, 2, 2)), 8, 2, 2),
+        "MKGmodel": (SystemSpec("MKGmodel", N1=1, N2=2), 9, 3, 3),
+        "scalarQ0": (SystemSpec("scalarQ0"), 4, 1, 1),
     }
 
 
@@ -87,7 +92,7 @@ def test_forms_keep_their_bits_at_every_thread_count(monkeypatch, n, real):
 
 @pytest.mark.parametrize("real", [True, False])
 def test_nonlinearities_keep_their_bits_at_every_thread_count(monkeypatch, real):
-    for name, (spec, _) in _systems().items():
+    for name, (spec, *_) in _systems().items():
         comps = _comps(spec, real)
         outs = _per_thread_count(monkeypatch, lambda: apply_nonlinearity(spec, comps))
         for out in outs[1:]:
@@ -96,7 +101,7 @@ def test_nonlinearities_keep_their_bits_at_every_thread_count(monkeypatch, real)
 
 def test_picard_csvs_and_probe_reports_keep_their_bytes_at_every_thread_count(monkeypatch):
     g = make_grid(3, 16, 8, TWO_PI, TWO_PI)
-    for name, (spec, _) in _systems().items():
+    for name, (spec, *_) in _systems().items():
         data = []
         for c in range(spec.N):
             f = random_field(g, SPATIAL, 30 + c, max_freq=2, decay=2.0)
@@ -127,7 +132,7 @@ def test_planning_moves_no_bit(monkeypatch, real):
     monkeypatch.setenv("NFLAB_THREADS", "2")
     u, v = _form_fields(3, real)
     cases = [(lambda s=s: apply_form(s, u, v).coeffs) for s in FORMS[:4]]
-    for spec, _ in _systems().values():
+    for spec, *_ in _systems().values():
         comps = _comps(spec, real)
         cases.append(lambda spec=spec, comps=comps: [
             f.coeffs for f in apply_nonlinearity(spec, comps)])
@@ -139,35 +144,61 @@ def test_planning_moves_no_bit(monkeypatch, real):
 
 
 def _counting_pads(monkeypatch):
-    inputs = []
-    original = lat.fine_samples
+    """(images, trees): the (operand, op) of each image a pad tree yields, and the (operand,
+    root) of each tree, root None or the R_0 R_j of a one-leaf tree."""
+    images, trees = [], []
+    original = lat.fine_images
 
-    def counting(f, factor=1.5):
-        inputs.append(f.coeffs.tobytes())
-        return original(f, factor)
+    def counting(f, ops, factor=1.5):
+        roots = {op if op is not None and op[0] == "rr" else None for op in ops}
+        assert len(roots) == 1  # a tree never mixes roots
+        trees.append((f.coeffs.tobytes(), roots.pop()))
+        images.extend((f.coeffs.tobytes(), op) for op in ops)
+        return original(f, ops, factor)
 
-    monkeypatch.setattr(lat, "fine_samples", counting)
-    return inputs
+    monkeypatch.setattr(lat, "fine_images", counting)
+    return images, trees
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_every_image_is_padded_once(monkeypatch, threads):
     monkeypatch.setenv("NFLAB_THREADS", threads)
-    inputs = _counting_pads(monkeypatch)
+    images, trees = _counting_pads(monkeypatch)
+
+    def padded_once(what, pads, n_trees):
+        assert len(images) == len(set(images)) == pads, what
+        assert len(trees) == len(set(trees)) == n_trees, what
+        images.clear()
+        trees.clear()
+
     for n in (2, 3):
         for real in (True, False):
             u, v = _form_fields(n, real)
             for spec in FORMS:
-                inputs.clear()
                 apply_form(spec, u, v)
-                assert len(inputs) == len(set(inputs)) == _pads(spec.form, n), spec.form
-            inputs.clear()
+                padded_once(spec.form, *_pads(spec.form, n))
             apply_form(BilinearFormSpec("q0"), u, u)
-            assert len(inputs) == len(set(inputs)) == n + 1
-    for name, (spec, pads) in _systems().items():
-        inputs.clear()
+            padded_once("q0(u, u)", n + 1, 1)
+    for name, (spec, pads, _, n_trees) in _systems().items():
         apply_nonlinearity(spec, _comps(spec, True))
-        assert len(inputs) == len(set(inputs)) == pads, name
+        padded_once(name, pads, n_trees)
+
+
+def test_each_operand_is_folded_once(monkeypatch):
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    folds = []
+    original = lat._folded_half_spectrum
+    monkeypatch.setattr(lat, "_folded_half_spectrum", lambda Y: folds.append(1) or original(Y))
+    for n in (2, 3):
+        u, v = _form_fields(n, True)
+        for spec in FORMS[:4]:
+            folds.clear()
+            apply_form(spec, u, v)
+            assert len(folds) == 2, spec.form
+    for name, (spec, _, operands, _) in _systems().items():
+        folds.clear()
+        apply_nonlinearity(spec, _comps(spec, True))
+        assert len(folds) == operands, name
 
 
 def test_engines_hold_no_planned_image_after_an_evaluation(monkeypatch):
@@ -184,7 +215,7 @@ def test_engines_hold_no_planned_image_after_an_evaluation(monkeypatch):
     u, v = _form_fields(2, False)
     for spec in FORMS[:4]:
         apply_form(spec, u, v)
-    for spec, _ in _systems().values():
+    for spec, *_ in _systems().values():
         apply_nonlinearity(spec, _comps(spec, True))
     assert [planned for _, planned in engines] == [True] * 9
     assert all(eng._images == {} for eng, _ in engines)
@@ -333,4 +364,22 @@ def test_one_thread_sets_the_malloc_policy_too(monkeypatch, fresh_policy):
     events = []
     _fake_libc(monkeypatch, events)
     assert lat.pmap(lambda x: -x, range(3)) == [0, -1, -2]
+    assert [(p, v) for p, v, _, _ in events] == POLICY
+
+
+@pytest.mark.parametrize("run", [
+    lambda: apply_form(BilinearFormSpec("splus", alpha=0.7), *_form_fields(2, True)),
+    lambda: apply_form(BilinearFormSpec("ralpha", alpha=0.7), *_form_fields(2, False)),
+    lambda: schur_ladder(KernelSpec(1.2, 0.2, 0.3, variant="inhomogeneous", n=2),
+                         [(2.0, 0.5), (4.0, 0.5)])], ids=["splus", "ralpha", "schur_ladder"])
+def test_work_that_never_enters_the_pool_sets_the_malloc_policy_too(monkeypatch, fresh_policy,
+                                                                     run):
+    # the kernel route and the Schur ladders run no pmap, which sets the policy elsewhere
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    for module in (lat, pr):
+        monkeypatch.setattr(module, "pmap", lambda *a, **k: pytest.fail("entered the pool"))
+    events = []
+    _fake_libc(monkeypatch, events)
+    run()
+    run()
     assert [(p, v) for p, v, _, _ in events] == POLICY

@@ -12,10 +12,11 @@ threshold rises after a large free) out of the next layer's row.
 
 The layers, at every (n, N) of --sizes on an N x N^n lattice of period 2 pi
 with `random_field` inputs at their default band: transform and inverse, the
-3/2-padded product, each bilinear form, `duhamel_mixed` and the modified
-mixed norm at (q, r) = (4, 4).  Once, whatever the sizes: `schur_bound`,
-`counterexample_lattice_ratio`, the `delta` symbol fuzzer at 10^6 samples and
-`picard_run` with J = 1 for each model system at (3, 16, 8).
+3/2-padded product, the n + 1 derivative pads of one real operand, each
+bilinear form, `duhamel_mixed` and the modified mixed norm at (q, r) = (4, 4).
+Once, whatever the sizes: `schur_bound`, `counterexample_lattice_ratio`, the
+`delta` symbol fuzzer at 10^6 samples and `picard_run` with J = 1 for each
+model system at (3, 16, 8).
 
 The file also records the core count, Python, numpy and glibc versions,
 NFLAB_THREADS, and the git revision with whether src/ differs from it.
@@ -53,9 +54,20 @@ FORMS = {"q0": nf.BilinearFormSpec("q0"), "qij": nf.BilinearFormSpec("qij", i=1,
          "qtilde": nf.BilinearFormSpec("qtilde"), "splus": nf.BilinearFormSpec("splus", alpha=0.7),
          "sminus": nf.BilinearFormSpec("sminus", alpha=0.7),
          "ralpha": nf.BilinearFormSpec("ralpha", alpha=0.7)}
-SIZED = ("transform", "inverse_transform", "product", *FORMS, "duhamel_mixed", "modified_norm")
+SIZED = ("transform", "inverse_transform", "product", "operand_pads", *FORMS, "duhamel_mixed",
+         "modified_norm")
 FIXED = ("schur_bound", "counterexample_lattice_ratio", "fuzzer_1e6",
          *(f"picard_J1.{name}" for name in SYSTEMS))
+
+
+def operand_pads(u):
+    """The n + 1 derivative pads of u under the malloc policy, as the engine's pool runs them:
+    one pass tree (`fine_images`), or one `fine_samples` per image in a tree without
+    `fine_images`, so the row can be timed on older commits."""
+    ops = [("d", mu) for mu in range(u.grid.n + 1)]
+    if hasattr(lat, "fine_images"):
+        return lambda: (lat._malloc_policy(), lat.fine_images(u, ops))
+    return lambda: (lat._malloc_policy(), [lat.fine_samples(lat.symbol_image(u, op)) for op in ops])
 
 
 def sized_layers(n: int, N: int) -> dict:
@@ -66,7 +78,8 @@ def sized_layers(n: int, N: int) -> dict:
     a_u = lat.time_spatial_rep(u)
     layers = {"transform": lambda: lat.transform(grid, samples, lat.SPACETIME),
               "inverse_transform": lambda: lat.inverse_transform(u),
-              "product": lambda: lat.dealiased_product(u, v)}
+              "product": lambda: lat.dealiased_product(u, v),
+              "operand_pads": operand_pads(u)}
     layers.update({name: (lambda s=spec: nf.apply_form(s, u, v)) for name, spec in FORMS.items()})
     layers["duhamel_mixed"] = lambda: prop.duhamel_mixed(grid, a_u)
     layers["modified_norm"] = lambda: lat.modified_mixed_norm(u, 4, 4)
