@@ -10,8 +10,8 @@ route: the row's type applied to the value's text, so `--q 4` and `[adm]
 q = 4` give the same value.  Every output file starts with a header line
 embedding the fully resolved configuration, so identical config plus seed
 reproduces byte-identical output.  NFLAB_THREADS caps the one worker pool
-(`lattice.sweep` and `lattice.pmap`) that serves the two sweeps, the probe
-trials, the family scales and the paired fine-lattice pads.
+(`lattice.pmap`) that serves the symbol-check inequalities, the probe trials,
+the family scales and the paired fine-lattice pads.
 
 Exit codes: 0 success; 2 configuration error (`ConfigError`, `ValueError`,
 `OSError`, a value its row's type rejects); 3 numerical-failure flag
@@ -205,8 +205,8 @@ def cmd_symbol_check(cfg) -> int:
             raise ConfigError(f"unknown inequality {nm!r}; known: {sorted(nf.INEQUALITY_REGISTRY)}")
     samples, seed = cfg["symbol.samples"], cfg["symbol.seed"]
     pairs = nf.frequency_pairs(samples, seed)  # one draw, shared by every inequality
-    reports = lat.sweep(lambda nm: nf.check_symbol_inequality(nm, samples, seed, pairs=pairs),
-                        names)
+    reports = lat.pmap(lambda nm: nf.check_symbol_inequality(nm, samples, seed, pairs=pairs),
+                       names)
     buf = [_header(cfg), "name,samples,violations,worst_margin,constant\n"]
     bad = 0
     for rep in reports:
@@ -366,7 +366,8 @@ def cmd_counterexample(cfg) -> int:
     params = [pr.CounterexampleParams(L=float(L), s=cfg["ce.s"], theta=cfg["ce.theta"],
                                       n=cfg["ce.n"]) for L in cfg["ce.L"].split(",")]
     pr.check_fit_scales([p.L for p in params])
-    recs = lat.sweep(pr.counterexample_norms, params)
+    # each scale is milliseconds of small-array quadrature: on the pool, GIL hand-offs cost more
+    recs = [pr.counterexample_norms(p) for p in params]
     fit_u = pr.scaling_fit([(r.L, r.norm_u) for r in recs])
     fit_v = pr.scaling_fit([(r.L, r.norm_v) for r in recs])
     fit_ratio = pr.scaling_fit([(r.L, r.ratio) for r in recs]) if all(

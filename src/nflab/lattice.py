@@ -424,34 +424,36 @@ def time_cutoff(u: SpectralField, width: float) -> SpectralField:
 # ---------------------------------------------------------------------------
 # worker pool
 #
-# One executor, sized by NFLAB_THREADS at its first use, runs independent work:
-# `sweep` on the workers while the caller waits, `pmap` with the caller working
-# beside them.  A call from inside an item runs inline, so no pool thread ever
-# waits on the pool.  Results come in item order; an item's error is raised in
-# the caller once the other items have finished.
+# One executor of NFLAB_THREADS - 1 workers, sized at its first use, runs `pmap`
+# items beside the caller, so pool threads never outnumber the malloc arenas.
+# A call from inside an item runs inline, so no pool thread ever waits on the
+# pool.  Results come in item order; an item's error is raised in the caller
+# once the other items have finished.
 
 _inline = threading.local()
 
-# glibc mallopt parameters: one arena, and a heap that keeps its freed pages
+# glibc mallopt parameters: an arena per pool thread, and heaps that keep their freed pages
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 @functools.cache
 def _malloc_policy() -> None:
-    """Keep freed fine-lattice temporaries in one resident heap (glibc only).
+    """Keep freed fine-lattice temporaries in resident heaps, one per pool thread (glibc only).
 
     At glibc's dynamic thresholds every freed 0.3-5 MB numpy temporary goes
-    back to the kernel and is faulted in again at the next allocation.  One
-    arena, set before the pool's first thread, keeps the workers' freed pages
-    in one heap; blocks under 32 MB come from it, and it is trimmed only past
-    64 MB of free top.  Without `mallopt` nothing changes.
+    back to the kernel and is faulted in again at the next allocation.  Set
+    before the pool's first thread, NFLAB_THREADS arenas give the caller and
+    each worker a heap of its own (numpy's FFT loops allocate with the GIL
+    released, and threads sharing an arena queue on its lock); blocks under
+    32 MB come from them, each trimmed only past 64 MB of free top.  Without
+    `mallopt` nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for param, value in ((_M_ARENA_MAX, 1), (_M_TRIM_THRESHOLD, 64 << 20),
+    for param, value in ((_M_ARENA_MAX, _threads()), (_M_TRIM_THRESHOLD, 64 << 20),
                          (_M_MMAP_THRESHOLD, 32 << 20)):
         mallopt(param, value)
 
@@ -465,10 +467,10 @@ def _threads() -> int:
 
 @functools.cache
 def _executor() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(_threads(), "nflab", setattr, (_inline, "on", True))
+    return ThreadPoolExecutor(_threads() - 1, "nflab", setattr, (_inline, "on", True))
 
 
-def pmap(func, items, caller_works: bool = True) -> list:
+def pmap(func, items) -> list:
     """[func(x) for x in items], the caller working through them beside the pool's workers."""
     _malloc_policy()
     items, loops = list(items), min(_threads(), len(items))
@@ -483,24 +485,18 @@ def pmap(func, items, caller_works: bool = True) -> list:
             except Exception as exc:
                 out[i] = (None, exc)
 
-    futures = [_executor().submit(drain) for _ in range(loops - caller_works)]
-    if caller_works:
-        _inline.on = True
-        try:
-            drain()
-        finally:
-            _inline.on = False
+    futures = [_executor().submit(drain) for _ in range(loops - 1)]
+    _inline.on = True
+    try:
+        drain()
+    finally:
+        _inline.on = False
     for f in futures:
         f.result()
     for _, exc in out:
         if exc is not None:
             raise exc
     return [result for result, _ in out]
-
-
-def sweep(func, items) -> list:
-    """[func(x) for x in items], run on the pool's workers while the caller waits."""
-    return pmap(func, items, caller_works=False)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .multiplier import weight
 FORMS = ("q0", "qij", "qtilde", "ralpha", "splus", "sminus", "product")
 
 _OCCUPIED_REL_TOL = 1e-14
+_FUZZ_ROWS = 1 << 15  # rows of the fuzz draw per block: each temporary stays under 1 MB
 
 
 @dataclass(frozen=True)
@@ -529,12 +530,13 @@ def check_symbol_inequality(name: str, samples: int, seed: int,
     total = 0
     violations = 0
     worst = -math.inf
-    for tau, lam, xi, eta in pairs:
-        lhs, rhs, unit = func(tau, lam, xi, eta)
-        scale = np.maximum(np.maximum(np.abs(rhs), 1e-3 * np.abs(unit)), 1e-300)
-        margin = (lhs - rhs) / scale
-        worst = max(worst, float(np.max(margin)))
-        violations += int(np.sum(margin > 1e-9))
-        total += len(lhs)
+    for tau, lam, xi, eta in pairs:  # in row blocks: every inequality is elementwise per row
+        for r in range(0, len(tau), _FUZZ_ROWS):
+            lhs, rhs, unit = func(*(x[r:r + _FUZZ_ROWS] for x in (tau, lam, xi, eta)))
+            scale = np.maximum(np.maximum(np.abs(rhs), 1e-3 * np.abs(unit)), 1e-300)
+            margin = (lhs - rhs) / scale
+            worst = max(worst, float(np.max(margin)))
+            violations += int(np.sum(margin > 1e-9))
+            total += len(lhs)
     return ViolationReport(name=name, samples=total, violations=violations,
                            worst_margin=worst, constant=const)

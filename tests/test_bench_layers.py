@@ -24,7 +24,7 @@ def test_one_repetition_writes_every_layer(tmp_path, monkeypatch):
     out = tmp_path / "BENCH_smoke.json"
     assert _tool().main(["--reps", "1", "--sizes", "2x16", "--out", str(out)]) == 0
     bench = json.loads(out.read_text())
-    assert bench["schema"] == "nflab-bench-layers/1"
+    assert bench["schema"] == "nflab-bench-layers/2"
     prov = bench["provenance"]
     assert set(prov) == {"cores", "python", "numpy", "libc", "NFLAB_THREADS", "pool_threads",
                          "git_revision", "src_modified", "reps"}
@@ -33,6 +33,7 @@ def test_one_repetition_writes_every_layer(tmp_path, monkeypatch):
         [(name, "2x16") for name in SIZED] + [(name, None) for name in FIXED])
     for row in bench["layers"]:
         assert set(row) == {"layer", "size", "median_ms", "q1_ms", "q3_ms", "minor_faults",
-                            "peak_rss_mb", "reps"}
+                            "voluntary_switches", "peak_rss_mb", "reps"}
         assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
-        assert row["minor_faults"] >= 0 and row["peak_rss_mb"] > 0 and row["reps"] == 1
+        assert row["minor_faults"] >= 0 and row["voluntary_switches"] >= 0
+        assert row["peak_rss_mb"] > 0 and row["reps"] == 1

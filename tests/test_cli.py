@@ -260,6 +260,20 @@ def test_thread_cap_keeps_output_deterministic(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_counterexample_scales_run_without_the_pool(tmp_path, monkeypatch):
+    # each scale is milliseconds of small-array quadrature: the scales run in a plain loop
+    monkeypatch.setattr(cli.lat, "pmap", lambda *a, **k: pytest.fail("entered the pool"))
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NFLAB_THREADS", threads)
+        out = tmp_path / f"ce{threads}.csv"
+        assert main(["counterexample", "--n", "3", "--s", "0.4", "--theta", "0.6",
+                     "--L", "8,16,32", "--membership-samples", "1000",
+                     "--out", str(out)]) == EXIT_OK
+        outs.append((out.read_bytes(), Path(f"{out}.plot").read_bytes()))
+    assert outs[0] == outs[1]
+
+
 def test_counterexample_csv_and_plot(tmp_path):
     out = tmp_path / "ce.csv"
     code = main(["counterexample", "--n", "3", "--s", "0.4", "--theta", "0.6",

@@ -488,6 +488,17 @@ def test_shared_draw_reports_equal_fresh_draw_reports(dims):
                 == check_symbol_inequality(name, 20000, 13, dims))
 
 
+@pytest.mark.parametrize("name", sorted(INEQUALITY_REGISTRY))
+def test_every_inequality_reports_the_same_on_a_row_split_of_the_draw(monkeypatch, name):
+    # the fuzzer checks the draw in row blocks, so every entry must be local to its rows
+    pairs = nullform.frequency_pairs(2000, 17)
+    monkeypatch.setattr(nullform, "_FUZZ_ROWS", 10**9)
+    whole = check_symbol_inequality(name, 2000, 17, pairs=pairs)
+    for rows in (7, 64, 999):
+        monkeypatch.setattr(nullform, "_FUZZ_ROWS", rows)
+        assert check_symbol_inequality(name, 2000, 17, pairs=pairs) == whole
+
+
 def test_shared_draw_is_read_only(monkeypatch):
     pairs = nullform.frequency_pairs(100, 0)
     for x in (x for arrays in pairs for x in arrays):

@@ -1,4 +1,4 @@
-"""The worker pool (`lattice.sweep`, `lattice.pmap`) and the planned fine-lattice engine.
+"""The worker pool (`lattice.pmap`) and the planned fine-lattice engine.
 
 Every output must keep its bits at any NFLAB_THREADS, every image must be padded
 exactly once, and an engine must let go of each planned image at its last use.
@@ -230,8 +230,7 @@ def _finishes(target, seconds=20.0):
     return out[0]
 
 
-@pytest.mark.parametrize("outer", [lat.sweep, lat.pmap])
-def test_a_call_from_inside_an_item_runs_inline(monkeypatch, outer):
+def test_a_call_from_inside_an_item_runs_inline(monkeypatch):
     monkeypatch.setenv("NFLAB_THREADS", "2")
 
     def item(i):
@@ -239,12 +238,11 @@ def test_a_call_from_inside_an_item_runs_inline(monkeypatch, outer):
         inner = lat.pmap(lambda j: (i * j, threading.get_ident() == here), range(4))
         return [x for x, _ in inner], all(same for _, same in inner)
 
-    got = _finishes(lambda: outer(item, range(6)))
+    got = _finishes(lambda: lat.pmap(item, range(6)))
     assert got == [([i * j for j in range(4)], True) for i in range(6)]
 
 
-@pytest.mark.parametrize("run", [lat.sweep, lat.pmap])
-def test_an_item_error_is_raised_after_the_other_items_finish(monkeypatch, run):
+def test_an_item_error_is_raised_after_the_other_items_finish(monkeypatch):
     monkeypatch.setenv("NFLAB_THREADS", "2")
     finished = []
 
@@ -256,10 +254,10 @@ def test_an_item_error_is_raised_after_the_other_items_finish(monkeypatch, run):
         return i
 
     with pytest.raises(KeyError, match="item 1"):
-        run(item, range(6))
+        lat.pmap(item, range(6))
     assert sorted(finished) == [0, 2, 4, 5]
     # the pool still works
-    assert _finishes(lambda: run(lambda x: x * x, range(7))) == [x * x for x in range(7)]
+    assert _finishes(lambda: lat.pmap(lambda x: x * x, range(7))) == [x * x for x in range(7)]
 
 
 def test_pmap_keeps_item_order_and_uses_a_worker(monkeypatch):
@@ -289,11 +287,10 @@ def test_every_item_runs_once_under_contention(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for run in (lat.pmap, lat.sweep):
-            seen = [[] for _ in range(3000)]
-            got = _finishes(lambda: run(lambda i: seen[i].append(i) or -i, range(3000)))
-            assert got == [-i for i in range(3000)]
-            assert all(s == [i] for i, s in enumerate(seen))
+        seen = [[] for _ in range(3000)]
+        got = _finishes(lambda: lat.pmap(lambda i: seen[i].append(i) or -i, range(3000)))
+        assert got == [-i for i in range(3000)]
+        assert all(s == [i] for i, s in enumerate(seen))
     finally:
         sys.setswitchinterval(interval)
         lat._executor().shutdown()
@@ -329,11 +326,15 @@ def _fake_libc(monkeypatch, events, fails=None):
     monkeypatch.setattr(lat.ctypes, "CDLL", Lib)
 
 
-POLICY = [(-8, 1), (-1, 64 << 20), (-3, 32 << 20)]  # M_ARENA_MAX, M_TRIM_ and M_MMAP_THRESHOLD
+def _policy(threads: str) -> list:
+    """(param, value) of each mallopt call: M_ARENA_MAX, M_TRIM_ and M_MMAP_THRESHOLD."""
+    return [(-8, int(threads)), (-1, 64 << 20), (-3, 32 << 20)]
 
 
-def test_the_malloc_policy_is_set_once_before_the_pool_has_a_thread(monkeypatch, fresh_policy):
-    monkeypatch.setenv("NFLAB_THREADS", "2")
+@pytest.mark.parametrize("threads", THREADS[1:])
+def test_the_malloc_policy_is_set_once_before_the_pool_has_a_thread(monkeypatch, fresh_policy,
+                                                                     threads):
+    monkeypatch.setenv("NFLAB_THREADS", threads)
     events = []
     _fake_libc(monkeypatch, events)
     executor = functools.cache(lambda: events.append("executor") or ThreadPoolExecutor(
@@ -346,16 +347,51 @@ def test_the_malloc_policy_is_set_once_before_the_pool_has_a_thread(monkeypatch,
     finally:
         executor().shutdown()
     c_int = ctypes.c_int
-    assert events == [(p, v, (c_int, c_int), c_int) for p, v in POLICY] + ["executor"]
+    assert events == [(p, v, (c_int, c_int), c_int) for p, v in _policy(threads)] + ["executor"]
+
+
+def _workers() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("nflab_")]
+
+
+def test_pool_threads_never_outnumber_the_arenas(monkeypatch, fresh_policy):
+    # the caller works beside NFLAB_THREADS - 1 workers, each thread on an arena of its own
+    monkeypatch.setenv("NFLAB_THREADS", "3")
+    lat._executor().shutdown()
+    lat._executor.cache_clear()
+    events = []
+    _fake_libc(monkeypatch, events)
+    executor = lat._executor
+    monkeypatch.setattr(lat, "_executor", lambda: events.append(len(_workers())) or executor())
+
+    def nested(i):
+        return sum(lat.pmap(lambda j: i * j, range(4)))
+
+    def failing(i):
+        if i == 5:
+            raise KeyError(i)
+        time.sleep(0.005)
+        return i
+
+    try:
+        assert _finishes(lambda: lat.pmap(lambda x: x * x, range(9))) == [x * x for x in range(9)]
+        assert _finishes(lambda: lat.pmap(nested, range(9))) == [6 * i for i in range(9)]
+        with pytest.raises(KeyError):
+            lat.pmap(failing, range(12))
+        assert len(_workers()) <= 2
+    finally:
+        executor().shutdown()
+        executor.cache_clear()
+    assert [(p, v) for p, v, _, _ in events[:3]] == _policy("3")
+    assert events[3] == 0  # no worker had started when the arenas were capped
 
 
 @pytest.mark.parametrize("fails", ["dlopen", "mallopt"])
-@pytest.mark.parametrize("run", [lat.pmap, lat.sweep])
-def test_the_pool_runs_where_there_is_no_mallopt(monkeypatch, fresh_policy, fails, run):
+def test_the_pool_runs_where_there_is_no_mallopt(monkeypatch, fresh_policy, fails):
     monkeypatch.setenv("NFLAB_THREADS", "2")
     events = []
     _fake_libc(monkeypatch, events, fails)
-    assert _finishes(lambda: run(lambda x: x + 1, range(5))) == [1, 2, 3, 4, 5]
+    assert _finishes(lambda: lat.pmap(lambda x: x + 1, range(5))) == [1, 2, 3, 4, 5]
     assert events == []
 
 
@@ -364,7 +400,7 @@ def test_one_thread_sets_the_malloc_policy_too(monkeypatch, fresh_policy):
     events = []
     _fake_libc(monkeypatch, events)
     assert lat.pmap(lambda x: -x, range(3)) == [0, -1, -2]
-    assert [(p, v) for p, v, _, _ in events] == POLICY
+    assert [(p, v) for p, v, _, _ in events] == _policy("1")
 
 
 @pytest.mark.parametrize("run", [
@@ -372,14 +408,15 @@ def test_one_thread_sets_the_malloc_policy_too(monkeypatch, fresh_policy):
     lambda: apply_form(BilinearFormSpec("ralpha", alpha=0.7), *_form_fields(2, False)),
     lambda: schur_ladder(KernelSpec(1.2, 0.2, 0.3, variant="inhomogeneous", n=2),
                          [(2.0, 0.5), (4.0, 0.5)])], ids=["splus", "ralpha", "schur_ladder"])
+@pytest.mark.parametrize("threads", THREADS)
 def test_work_that_never_enters_the_pool_sets_the_malloc_policy_too(monkeypatch, fresh_policy,
-                                                                     run):
+                                                                     threads, run):
     # the kernel route and the Schur ladders run no pmap, which sets the policy elsewhere
-    monkeypatch.setenv("NFLAB_THREADS", "2")
+    monkeypatch.setenv("NFLAB_THREADS", threads)
     for module in (lat, pr):
         monkeypatch.setattr(module, "pmap", lambda *a, **k: pytest.fail("entered the pool"))
     events = []
     _fake_libc(monkeypatch, events)
     run()
     run()
-    assert [(p, v) for p, v, _, _ in events] == POLICY
+    assert [(p, v) for p, v, _, _ in events] == _policy(threads)

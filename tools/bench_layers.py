@@ -5,8 +5,9 @@ Usage: python tools/bench_layers.py [--reps 5] [--sizes 2x16,2x32,3x16] [--out B
 Each layer is one whole public call, run in a child process of its own
 (`--layer NAME [--size NxN]` runs one and prints its row), once as a warm-up
 and then `reps` times.  A row holds the median and quartiles of the wall
-times, the median number of minor page faults per call (getrusage, the whole
-process, pool threads included) and the child's peak RSS.  One process per
+times, the median numbers of minor page faults and of voluntary context
+switches per call (getrusage, the whole process, pool threads included: a
+thread that waits on a lock switches out) and the child's peak RSS.  One process per
 layer keeps the allocator state one layer leaves (glibc's dynamic mmap
 threshold rises after a large free) out of the next layer's row.
 
@@ -47,7 +48,7 @@ from nflab import probe as pr  # noqa: E402
 from nflab import propagate as prop  # noqa: E402
 from nflab.multiplier import SpaceIndex  # noqa: E402
 
-SCHEMA = "nflab-bench-layers/1"
+SCHEMA = "nflab-bench-layers/2"
 TWO_PI = 2.0 * math.pi
 SYSTEMS = ("YMmodel", "WMM", "WM", "MKGmodel", "scalarQ0")
 FORMS = {"q0": nf.BilinearFormSpec("q0"), "qij": nf.BilinearFormSpec("qij", i=1, j=2),
@@ -123,20 +124,24 @@ def fixed_layers() -> dict:
 
 
 def time_layer(name: str, size, reps: int) -> dict:
-    """Median and quartiles (ms) of `reps` calls after one warm-up, median minor faults per
-    call and the process's peak RSS (MB): what each child process prints."""
+    """Median and quartiles (ms) of `reps` calls after one warm-up, median minor faults and
+    voluntary context switches per call and the process's peak RSS (MB): what each child
+    process prints."""
     call = (sized_layers(*size) if size else fixed_layers())[name]
     call()
-    times, faults = [], []
+    times, faults, switches = [], [], []
     for _ in range(reps):
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        r0 = resource.getrusage(resource.RUSAGE_SELF)
         t0 = time.perf_counter()
         call()
         times.append(1e3 * (time.perf_counter() - t0))
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+        r1 = resource.getrusage(resource.RUSAGE_SELF)
+        faults.append(r1.ru_minflt - r0.ru_minflt)
+        switches.append(r1.ru_nvcsw - r0.ru_nvcsw)
     q1, _, q3 = statistics.quantiles(times, n=4) if reps > 1 else times * 3
     return {"median_ms": statistics.median(times), "q1_ms": q1, "q3_ms": q3,
             "minor_faults": statistics.median(faults),
+            "voluntary_switches": statistics.median(switches),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "reps": reps}
 
