@@ -366,7 +366,7 @@ def cmd_counterexample(cfg) -> int:
     params = [pr.CounterexampleParams(L=float(L), s=cfg["ce.s"], theta=cfg["ce.theta"],
                                       n=cfg["ce.n"]) for L in cfg["ce.L"].split(",")]
     pr.check_fit_scales([p.L for p in params])
-    # each scale is milliseconds of small-array quadrature: on the pool, GIL hand-offs cost more
+    # each scale is a few ms of quadrature: serial until a pool's gain on them shows end to end
     recs = [pr.counterexample_norms(p) for p in params]
     fit_u = pr.scaling_fit([(r.L, r.norm_u) for r in recs])
     fit_v = pr.scaling_fit([(r.L, r.norm_v) for r in recs])
@@ -382,8 +382,9 @@ def cmd_counterexample(cfg) -> int:
     rows.append("\n")
     failures = 0
     if cfg["ce.membership_samples"]:
-        failures = sum(pr.membership_check(p, cfg["ce.membership_samples"],
-                                           cfg["ce.seed"]) for p in params)
+        m, seed = cfg["ce.membership_samples"], cfg["ce.seed"]
+        draw = pr.membership_draw(m, cfg["ce.n"], seed)  # one unit draw serves every scale
+        failures = sum(pr.membership_check(p, m, seed, draw=draw) for p in params)
         rows.append(f"# membership_failures={failures}\n")
     _write(cfg["ce.out"], "".join(rows))
     if cfg["ce.out"]:

@@ -17,14 +17,15 @@ Three kinds of evidence are produced, none of which claims a proof:
   looked up by raveling the sums over h's bounding box and a searchsorted
   into h's sorted keys;
 * counterexample_norms integrates the slab/shell indicator family over its
-  explicit sets by product quadrature (one shell integrator serves the sets
-  B and C), for scaling-law regression in the family scale L; both
-  quadratures take every node and weight from one Gauss-Legendre rule,
-  _gauss_nodes; counterexample_lattice_ratio convolves the family's
-  lattice indicators in light-cone coordinates (tau - xi_1, xi_1, xi'),
-  where the slab A is the product {-1, 0, 1} x [ceil(L/2), floor(L)] x
-  Ann_L: two running sums along the first two axes and one FFT over the
-  n - 1 transverse axes per sheared slab, on 5-smooth lengths.
+  explicit sets by product quadrature (one shell integrator serves the sets B
+  and C, with one integrand call per offset panel), for scaling-law regression
+  in the family scale L; both quadratures take every node and weight from one
+  Gauss-Legendre rule, _gauss_nodes; membership_check maps one unit draw,
+  membership_draw, at every scale; counterexample_lattice_ratio convolves the
+  family's lattice indicators in light-cone coordinates (tau - xi_1, xi_1,
+  xi'), where the slab A is the product {-1, 0, 1} x [ceil(L/2), floor(L)] x
+  Ann_L: two running sums along the first two axes and one FFT over the n - 1
+  transverse axes per sheared slab, on 5-smooth lengths.
 """
 
 from __future__ import annotations
@@ -387,6 +388,7 @@ _GAUSS_N = 8
 _ANGLE_GRADE = 4
 _RADIAL_LEVELS = 44
 _CE_GAUSS = 32
+_MEMBERSHIP_ROWS = 1 << 15  # rows per membership block: each temporary stays under 1 MB
 
 
 @functools.lru_cache(maxsize=None)
@@ -623,7 +625,8 @@ def _shell_quadrature(n, x_lo, x_hi, rho_hi, tau_half, integrand):
     """(value, measure): the sums of integrand^2 and of 1 over x_1 in [x_lo, x_hi],
     rho' = |x'| <= rho_hi and an offset o in [-tau_half, tau_half], with the
     measure sigma rho'^(n-2).  The offset panel is split at o = 0, so a kink
-    there is resolved; integrand(o, x_1, rho', |x|) is called once per offset node.
+    there is resolved; integrand(o, x_1, rho', |x|) is called once per panel, on its nodes
+    o as an (m, 1, 1) array, and summed per node.
     """
     x1, wx1 = _gauss_nodes(x_lo, x_hi)
     rp, wrp = _gauss_nodes(0.0, rho_hi)
@@ -634,8 +637,10 @@ def _shell_quadrature(n, x_lo, x_hi, rho_hi, tau_half, integrand):
     cell = float(np.sum(surf_x * WXR))
     val = meas = 0.0
     for lo, hi in ((-tau_half, 0.0), (0.0, tau_half)):
-        for o, w in zip(*_gauss_nodes(lo, hi)):
-            val += float(np.sum(integrand(o, X1, RP, abs_xi) ** 2 * surf_x * WXR)) * w
+        o, wo = _gauss_nodes(lo, hi)
+        sums = np.sum(integrand(o[:, None, None], X1, RP, abs_xi) ** 2 * surf_x * WXR, axis=(1, 2))
+        for v, w in zip(sums, wo):
+            val += float(v) * w
             meas += cell * w
     return val, meas
 
@@ -674,11 +679,10 @@ def counterexample_norms(p: CounterexampleParams) -> CounterexampleRecord:
     # --- C: xi_1 in [L^2, 2 L^2], rho' <= L, |o| <= 1, with the product-lower-bound
     # integrand; the null symbol (eta_j xi_1 - eta_1 xi_j)/|eta| is evaluated at the
     # center of A with |xi_j| replaced by its maximum rho' (a genuine lower bound, ~ L^2)
-    eta_center = np.zeros(n)
-    eta_center[:2] = 0.75 * L  # only |eta_center| enters: any second axis gives these bits
-    ec_norm = float(np.linalg.norm(eta_center))
+    ec_norm = float(np.linalg.norm([0.75 * L] * 2))  # |eta_center| = |0.75 L (e_1 + e_2)|
     val_c, measure_C = _shell_quadrature(n, L * L, 2.0 * L * L, L, 1.0, lambda o, x1, rp, ax: (
-        weight("d", s - 1.0, None, ax) * abs(o) ** (th - 1.0)
+        # |o|^(theta-1) per node in scalar pow: numpy's array power can differ by an ulp
+        weight("d", s - 1.0, None, ax) * np.reshape([abs(x) ** (th - 1.0) for x in o.flat], o.shape)
         * np.maximum((0.75 * L * x1 - 0.75 * L * rp) / ec_norm, 0.0) * measure_A))
     lhs_lower = math.sqrt(val_c)
     return CounterexampleRecord(L=L, norm_u=norm_u, norm_v=norm_v,
@@ -687,39 +691,49 @@ def counterexample_norms(p: CounterexampleParams) -> CounterexampleRecord:
                                 measure_A=measure_A, measure_C=float(measure_C))
 
 
-def _shell_draw(rng, lo: float, hi: float, m: int, d: int):
-    """m points x of R^d, (m, d), with |x| uniform in [lo, hi] and a uniform direction: (|x|, x)."""
-    r = rng.uniform(lo, hi, m)
+def _directions(rng, m: int, d: int) -> np.ndarray:
+    """m uniform directions of R^d, (d, m) in C order, from one (m, d) normal draw."""
     dirs = rng.standard_normal((m, d))
-    norm = np.maximum(np.sqrt(_dot(dirs, dirs)), 1e-12)
-    x = np.divide(dirs.T, norm, order="C")  # (d, m) in C order: loops run along the m points
-    return r, np.multiply(x, r, out=x).T
+    return np.divide(dirs.T, np.maximum(np.sqrt(_dot(dirs, dirs)), 1e-12), order="C")
 
 
-def membership_check(p: CounterexampleParams, samples: int, seed: int = 0) -> int:
-    """Count failures of (Theta in A, Xi in C) => Xi - Theta in B."""
+def membership_draw(samples: int, n: int, seed: int):
+    """The read-only unit draw that membership_check maps at every scale: six uniforms u_k, each
+    (samples,), and the eta', xi' directions, each (n - 1, samples), taken from default_rng(seed)
+    in the order u_0, u_1, u_2 (|eta'|), eta', u_3, u_4 (|xi'|), xi', u_5."""
     rng = np.random.default_rng(seed)
-    n, L = p.n, p.L
-    m = samples
-    # Theta = (lam, eta) uniform in A
-    eta1 = rng.uniform(L / 2.0, L, m)
-    lam = eta1 + rng.uniform(-1.0, 1.0, m)
-    _, eta_prim = _shell_draw(rng, L / 2.0, L, m, n - 1)
-    # Xi = (tau, xi) uniform in C
-    xi1 = rng.uniform(L * L, 2.0 * L * L, m)
-    rhop, xi_prim = _shell_draw(rng, 0.0, L, m, n - 1)
-    abs_xi = np.sqrt(xi1**2 + rhop**2)
-    tau = abs_xi + rng.uniform(-1.0, 1.0, m)
+    draws = [_directions(rng, samples, n - 1) if k in (3, 6) else rng.random(samples)
+             for k in range(8)]
+    for x in draws:
+        x.flags.writeable = False
+    return draws[:3] + draws[4:6] + draws[7:], [draws[3], draws[6]]
 
-    d1 = xi1 - eta1
-    dprim = np.subtract(xi_prim, eta_prim, out=xi_prim)  # Xi' is not read again
-    dprim_sq = _dot(dprim, dprim)
-    dtau = tau - lam
-    abs_d = np.sqrt(d1**2 + dprim_sq)
-    ok = (np.abs(dtau - abs_d) <= 8.0 + 1e-9)
-    ok &= (d1 >= L * L / 2.0 - 1e-9) & (d1 <= 4.0 * L * L + 1e-9)
-    ok &= np.sqrt(dprim_sq) <= 2.0 * L + 1e-9
-    return int(np.sum(~ok))
+
+def membership_check(p: CounterexampleParams, samples: int, seed: int = 0, *, draw=None) -> int:
+    """Count failures of (Theta in A, Xi in C) => Xi - Theta in B, in row blocks.  draw, when
+    given, is the shared membership_draw(samples, p.n, seed), checked by its shapes."""
+    n, L = p.n, p.L
+    if draw is None:
+        draw = membership_draw(samples, n, seed)
+    elif [x.shape for x in draw[0] + draw[1]] != [(samples,)] * 6 + [(n - 1, samples)] * 2:
+        raise ValueError(f"draw is not a membership_draw({samples!r}, {n!r}, seed)")
+    # Theta = (lam, eta) in A, Xi = (tau, xi) in C: uniform k as rng.uniform(lo[k], hi[k]) maps it
+    lo = (L / 2.0, -1.0, L / 2.0, L * L, 0.0, -1.0)  # lo + (hi - lo) u, numpy's own arithmetic
+    hi = (L, 1.0, L, 2.0 * L * L, L, 1.0)
+    failures = 0
+    for r in range(0, samples, _MEMBERSHIP_ROWS):
+        eta_dir, xi_dir = (x[:, r:r + _MEMBERSHIP_ROWS] for x in draw[1])
+        eta1, lam_off, abs_eta_prim, xi1, rhop, tau_off = (
+            a + (b - a) * x[r:r + _MEMBERSHIP_ROWS] for a, b, x in zip(lo, hi, draw[0]))
+        d1 = xi1 - eta1
+        dprim = (xi_dir * rhop - eta_dir * abs_eta_prim).T  # directions are (d, rows)
+        dprim_sq = _dot(dprim, dprim)
+        dtau = np.sqrt(xi1**2 + rhop**2) + tau_off - (eta1 + lam_off)  # tau - lam
+        ok = (np.abs(dtau - np.sqrt(d1**2 + dprim_sq)) <= 8.0 + 1e-9)
+        ok &= (d1 >= L * L / 2.0 - 1e-9) & (d1 <= 4.0 * L * L + 1e-9)
+        ok &= np.sqrt(dprim_sq) <= 2.0 * L + 1e-9
+        failures += int(np.sum(~ok))
+    return failures
 
 
 # ---------------------------------------------------------------------------

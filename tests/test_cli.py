@@ -274,6 +274,24 @@ def test_counterexample_scales_run_without_the_pool(tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
+def test_counterexample_draws_membership_samples_once(tmp_path, monkeypatch):
+    # one unit draw serves the four scales of the README command, at its golden bytes
+    draws = []
+    draw = cli.pr.membership_draw
+    monkeypatch.setattr(cli.pr, "membership_draw", lambda *a: draws.append(a) or draw(*a))
+    want = README_GOLDEN / "counterexample"
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NFLAB_THREADS", threads)
+        out = tmp_path / f"ce{threads}.csv"
+        draws.clear()
+        assert main(["counterexample", "--n", "3", "--s", "0.4", "--theta", "0.6",
+                     "--L", "8,16,32,64", "--membership-samples", "1000000",
+                     "--out", str(out)]) == EXIT_OK
+        assert draws == [(1000000, 3, 0)]
+        assert out.read_bytes() == (want / "ce.csv").read_bytes()
+        assert Path(f"{out}.plot").read_bytes() == (want / "ce.csv.plot").read_bytes()
+
+
 def test_counterexample_csv_and_plot(tmp_path):
     out = tmp_path / "ce.csv"
     code = main(["counterexample", "--n", "3", "--s", "0.4", "--theta", "0.6",

@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import math
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from nflab import probe
 from nflab.probe import (CounterexampleParams, EmbeddingSpec, KernelSpec, _smooth_length,
                          _sparse_ws_norm, counterexample_lattice_ratio, counterexample_norms,
                          discrete_schur_constant, embedding_ratio,
-                         first_iterate_kernel, kernel_eval, membership_check,
+                         first_iterate_kernel, kernel_eval, membership_check, membership_draw,
                          probe_embedding, scaling_fit, schur_bound, schur_ladder,
                          trilinear_form)
 
@@ -563,17 +564,131 @@ def test_counterexample_membership_chain():
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_shell_draw_is_the_row_norm_route_bit_for_bit(d):
-    # the membership draw and its left-to-right row sums against numpy's (m, d) row
-    # reductions, kept here as the reference: same stream, same bits, for d = n - 1 < 8
+    # the membership directions, scaled by their radii, and their left-to-right row sums
+    # against numpy's (m, d) row reductions, kept here as the reference: same stream, same
+    # bits, for d = n - 1 < 8
     lo, hi, m = 2.5, 7.0, 5000
-    r, x = probe._shell_draw(np.random.default_rng(d), lo, hi, m, d)
+    rng = np.random.default_rng(d)
+    r = rng.uniform(lo, hi, m)
+    x = probe._directions(rng, m, d) * r
     rng = np.random.default_rng(d)
     want_r = rng.uniform(lo, hi, m)
     dirs = rng.standard_normal((m, d))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
     want = want_r[:, None] * dirs
-    assert np.array_equal(r, want_r) and np.array_equal(x, want)
+    assert np.array_equal(r, want_r) and np.array_equal(x.T, want)
     assert np.array_equal(probe._dot(want, want), np.sum(want**2, axis=1))
+
+
+def _membership_samples_per_scale(p, m, seed):
+    """Theta = (lam, eta_1, eta') and Xi = (tau, xi_1, xi') of one scale, drawn for that scale
+    alone: a fresh default_rng(seed), rng.uniform, rng.standard_normal and row-norm
+    directions, in this order.  The reference for the shared membership draw."""
+    rng = np.random.default_rng(seed)
+    L, d = p.L, p.n - 1
+
+    def shell(lo, hi):
+        r = rng.uniform(lo, hi, m)
+        dirs = rng.standard_normal((m, d))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
+        return r, r[:, None] * dirs
+
+    eta1 = rng.uniform(L / 2.0, L, m)
+    lam = eta1 + rng.uniform(-1.0, 1.0, m)
+    _, eta_prim = shell(L / 2.0, L)
+    xi1 = rng.uniform(L * L, 2.0 * L * L, m)
+    rhop, xi_prim = shell(0.0, L)
+    tau = np.sqrt(xi1**2 + rhop**2) + rng.uniform(-1.0, 1.0, m)
+    return (lam, eta1, eta_prim), (tau, xi1, xi_prim)
+
+
+def _membership_samples_of_draw(p, draw):
+    """The same samples from a membership draw: uniform k as rng.uniform(lo, hi) maps it."""
+    (u_eta1, u_lam, u_eta, u_xi1, u_xi, u_tau), (eta_dir, xi_dir) = draw
+    L = p.L
+
+    def uniform(u, lo, hi):
+        return lo + (hi - lo) * u
+
+    eta1 = uniform(u_eta1, L / 2.0, L)
+    lam = eta1 + uniform(u_lam, -1.0, 1.0)
+    eta_prim = (eta_dir * uniform(u_eta, L / 2.0, L)).T
+    xi1 = uniform(u_xi1, L * L, 2.0 * L * L)
+    rhop = uniform(u_xi, 0.0, L)
+    xi_prim = (xi_dir * rhop).T
+    tau = np.sqrt(xi1**2 + rhop**2) + uniform(u_tau, -1.0, 1.0)
+    return (lam, eta1, eta_prim), (tau, xi1, xi_prim)
+
+
+def _membership_failures(p, samples):
+    """The checks of (Theta in A, Xi in C) => Xi - Theta in B on given samples, written out."""
+    (lam, eta1, eta_prim), (tau, xi1, xi_prim) = samples
+    L = p.L
+    d1, dprim = xi1 - eta1, xi_prim - eta_prim
+    rho = np.linalg.norm(dprim, axis=1)
+    ok = np.abs(tau - lam - np.sqrt(d1**2 + rho**2)) <= 8.0 + 1e-9
+    ok &= (d1 >= L * L / 2.0 - 1e-9) & (d1 <= 4.0 * L * L + 1e-9) & (rho <= 2.0 * L + 1e-9)
+    return int(np.sum(~ok))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_membership_draw_rebuilds_every_scale_bit_for_bit(n, seed, monkeypatch):
+    m = 3001
+    draw = membership_draw(m, n, seed)
+    assert not any(x.flags.writeable for part in draw for x in part)
+    seen = {"_dot": [], "abs": []}
+    dot = probe._dot
+    monkeypatch.setattr(probe, "_dot", lambda a, b: seen["_dot"].append(a.copy()) or dot(a, b))
+    spy_np = types.SimpleNamespace(**{**vars(np),
+                                      "abs": lambda a: seen["abs"].append(a) or np.abs(a)})
+    for L in (4.0, 6.5, 8.0, 33.3, 64.0):
+        p = CounterexampleParams(L=L, s=0.4, theta=0.6, n=n)
+        want = _membership_samples_per_scale(p, m, seed)
+        got = _membership_samples_of_draw(p, draw)
+        for w, g in zip((x for pair in want for x in pair), (x for pair in got for x in pair)):
+            assert np.array_equal(w, g)
+        # the check itself sees these samples: its Xi' - Theta' rows and its
+        # tau - lam - |Xi - Theta|, bit for bit
+        (lam, eta1, eta_prim), (tau, xi1, xi_prim) = want
+        d1, dprim = xi1 - eta1, xi_prim - eta_prim
+        for spied in seen.values():
+            spied.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(probe, "np", spy_np)
+            assert membership_check(p, m, seed, draw=draw) == _membership_failures(p, want) == 0
+        assert len(seen["_dot"]) == 1 and np.array_equal(seen["_dot"][0], dprim)
+        assert len(seen["abs"]) == 1 and np.array_equal(
+            seen["abs"][0], tau - lam - np.sqrt(d1**2 + np.sum(dprim**2, axis=1)))
+        assert membership_check(p, m, seed) == 0  # draws its own when given none
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_membership_count_is_the_same_on_a_row_split_of_the_draw(n, monkeypatch):
+    # a draw moved off the family's sets, so that each of the three checks fails on some rows
+    m, L = 40000, 8.0
+    p = CounterexampleParams(L=L, s=0.4, theta=0.6, n=n)
+    u, dirs = ([x.copy() for x in part] for part in membership_draw(m, n, 5))
+    u[3][::7] = -0.75  # xi_1 = L^2 / 4: Xi_1 - Theta_1 below L^2 / 2
+    u[5][1::11] = 30.0  # tau far off the cone: |tau - lam - |xi - eta|| > 8
+    dirs[1][:, 2::13] *= 5.0  # |xi'| up to 5 L: |Xi' - Theta'| above 2 L
+    want = _membership_failures(p, _membership_samples_of_draw(p, (u, dirs)))
+    assert want > m // 5
+    counts = []
+    for rows in (7, 999, 1 << 15, m):
+        monkeypatch.setattr(probe, "_MEMBERSHIP_ROWS", rows)
+        counts.append(membership_check(p, m, 5, draw=(u, dirs)))
+    assert counts == [want] * 4
+
+
+def test_membership_check_rejects_a_draw_of_another_shape_before_any_work(monkeypatch):
+    draws = [membership_draw(samples, n, 0) for samples, n in ((999, 3), (1001, 3), (1000, 2),
+                                                                (1000, 4))]
+    monkeypatch.setattr(probe, "_dot", lambda *a: pytest.fail("checked rows"))
+    p = CounterexampleParams(L=8.0, s=0.4, theta=0.6, n=3)
+    for draw in draws:
+        with pytest.raises(ValueError, match="membership_draw"):
+            membership_check(p, 1000, 0, draw=draw)
 
 
 def test_counterexample_rejects_small_dimension_and_scale():

@@ -16,7 +16,9 @@ with `random_field` inputs at their default band: transform and inverse, the
 3/2-padded product, the n + 1 derivative pads of one real operand, each
 bilinear form, `duhamel_mixed` and the modified mixed norm at (q, r) = (4, 4).
 Once, whatever the sizes: `schur_bound`, `counterexample_lattice_ratio`, the
-`delta` symbol fuzzer at 10^6 samples and `picard_run` with J = 1 for each
+counterexample family's norms and its membership checks at 10^6 samples (draw
+included) at the four scales L = 8..64 of the README's `counterexample` command,
+the `delta` symbol fuzzer at 10^6 samples and `picard_run` with J = 1 for each
 model system at (3, 16, 8).
 
 The file also records the core count, Python, numpy and glibc versions,
@@ -57,7 +59,8 @@ FORMS = {"q0": nf.BilinearFormSpec("q0"), "qij": nf.BilinearFormSpec("qij", i=1,
          "ralpha": nf.BilinearFormSpec("ralpha", alpha=0.7)}
 SIZED = ("transform", "inverse_transform", "product", "operand_pads", *FORMS, "duhamel_mixed",
          "modified_norm")
-FIXED = ("schur_bound", "counterexample_lattice_ratio", "fuzzer_1e6",
+FIXED = ("schur_bound", "counterexample_lattice_ratio", "counterexample_norms", "membership_1e6",
+         "fuzzer_1e6",
          *(f"picard_J1.{name}" for name in SYSTEMS))
 
 
@@ -69,6 +72,18 @@ def operand_pads(u):
     if hasattr(lat, "fine_images"):
         return lambda: (lat._malloc_policy(), lat.fine_images(u, ops))
     return lambda: (lat._malloc_policy(), [lat.fine_samples(lat.symbol_image(u, op)) for op in ops])
+
+
+def membership_checks(params, samples: int):
+    """The membership checks of every scale in params, draw included: one shared draw, or one
+    draw per scale in a tree without `membership_draw`, so the row can be timed on older commits."""
+    if not hasattr(pr, "membership_draw"):
+        return lambda: [pr.membership_check(p, samples, 0) for p in params]
+
+    def shared():
+        draw = pr.membership_draw(samples, params[0].n, 0)
+        return [pr.membership_check(p, samples, 0, draw=draw) for p in params]
+    return shared
 
 
 def sized_layers(n: int, N: int) -> dict:
@@ -108,12 +123,15 @@ def fixed_layers() -> dict:
         it.SystemSpec("MKGmodel", N1=1, N2=2),
         it.SystemSpec("scalarQ0"))))
     idx = SpaceIndex(1.2, 0.6)
+    scales = [pr.CounterexampleParams(L=L, s=0.4, theta=0.6, n=3) for L in (8.0, 16.0, 32.0, 64.0)]
     family = pr.EmbeddingSpec(SpaceIndex(0.5, 0.1), SpaceIndex(-0.5, 0.6), SpaceIndex(-0.5, -0.4),
                               n=2)
     layers = {
         "schur_bound": lambda: pr.schur_bound(
             pr.KernelSpec(1.2, 0.2, 0.3, variant="homogeneous", n=3), 16.0, 0.1),
         "counterexample_lattice_ratio": lambda: pr.counterexample_lattice_ratio(family, 8),
+        "counterexample_norms": lambda: [pr.counterexample_norms(p) for p in scales],
+        "membership_1e6": membership_checks(scales, 10**6),
         "fuzzer_1e6": lambda: nf.check_symbol_inequality("delta", 10**6, 0),
     }
     for name, spec in systems.items():
