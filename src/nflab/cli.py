@@ -9,9 +9,9 @@ the file and unknown keys are rejected.  Flag text and file values take one
 route: the row's type applied to the value's text, so `--q 4` and `[adm]
 q = 4` give the same value.  Every output file starts with a header line
 embedding the fully resolved configuration, so identical config plus seed
-reproduces byte-identical output.  NFLAB_THREADS caps the one worker pool
-(`lattice.pmap`) that serves the symbol-check inequalities, the probe trials,
-the family scales and the paired fine-lattice pads.
+reproduces byte-identical output at any NFLAB_THREADS, which caps the one worker
+pool (`lattice.pmap`): symbol-check inequalities, probe trials, family scales,
+paired fine-lattice pads and the row blocks of crop passes and kernel sums.
 
 Exit codes: 0 success; 2 configuration error (`ConfigError`, `ValueError`,
 `OSError`, a value its row's type rejects); 3 numerical-failure flag

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (SPACETIME, FineLattice, FrequencyPoint, Grid, SpectralField, _cropped,
-                      _fine_shape, _malloc_policy, _measure, dealiased_product, symbol_image)
+                      _fine_shape, _measure, dealiased_product, pmap, symbol_image)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
 from .multiplier import weight
@@ -260,7 +260,8 @@ def _pair_sum(spec: BilinearFormSpec, g: Grid, su, sv, U, V, opp=None):
     W = np.empty((len(U), len(cols)), dtype=complex)
     # products and sums in blocks of time rows, so the temporaries stay in cache
     rows = max(1, 2**13 // max(1, ker.size))
-    for lo in range(0, len(U), rows):
+
+    def block(lo):  # each block writes its own rows of W, on the pool
         blk = slice(lo, lo + rows)
         G = U[blk, :, None] * V[blk, None, :]
         G *= ker
@@ -270,6 +271,7 @@ def _pair_sum(spec: BilinearFormSpec, g: Grid, su, sv, U, V, opp=None):
             O *= dker
             G += O
         W[blk] = np.add.reduceat(G.reshape(len(G), -1)[:, order], starts, axis=1)
+    pmap(block, range(0, len(U), rows))
     return cols, W
 
 
@@ -284,7 +286,6 @@ def _time_sign_parts(u: SpectralField, M: int):
 
 
 def _kernel_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:
-    _malloc_policy()  # the kernel route never enters pmap, which sets it elsewhere
     g = u.grid
     if u.kind == SPACETIME:
         M = _fine_shape((g.N_t,), 1.5)[0]

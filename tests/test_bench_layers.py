@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
-SIZED = ["transform", "inverse_transform", "product", "operand_pads", "q0", "qij", "qtilde",
+SIZED = ["transform", "inverse_transform", "product", "crop", "operand_pads", "q0", "qij", "qtilde",
          "splus", "sminus", "ralpha", "duhamel_mixed", "modified_norm"]
 FIXED = ["schur_bound", "counterexample_lattice_ratio", "counterexample_norms", "membership_1e6",
          "fuzzer_1e6"] + [

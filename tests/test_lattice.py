@@ -625,6 +625,27 @@ def test_axis_by_axis_pads_and_crops_are_the_full_box_route_bit_for_bit(n, kind)
                 assert P.tobytes() == P_in.tobytes()
 
 
+# (n, kind) -> (N_t, N_x): each first crop pass at factor 1.5 holds 3 * 2^15 elements or more,
+# so it runs in NFLAB_THREADS row blocks (a 1-D crop has one row)
+CROP_SIZES = {(1, SPATIAL): (8, 256), (1, SPACETIME): (256, 256), (2, SPATIAL): (8, 256),
+              (2, SPACETIME): (32, 32), (3, SPATIAL): (8, 32), (3, SPACETIME): (16, 16)}
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", [SPATIAL, SPACETIME])
+def test_crops_are_the_full_box_route_at_every_thread_count(monkeypatch, threads, n, kind):
+    monkeypatch.setenv("NFLAB_THREADS", threads)
+    g = make_grid(n, *CROP_SIZES[n, kind], TWO_PI, TWO_PI)
+    rng = np.random.default_rng(40 + n)
+    for factor in (1.5, 2.0):
+        fine = tuple(int(math.ceil(N * factor / 2.0)) * 2 for N in g.shape_for(kind))
+        real = rng.standard_normal(fine)
+        for P in (real, real + 1j * rng.standard_normal(fine)):
+            got = field_from_fine_samples(g, kind, P, real_flag=not np.iscomplexobj(P)).coeffs
+            assert np.array_equal(got, _full_box_crop(g, kind, P))
+
+
 def _symbols(n, kind):
     """Every symbol of the product engine on a field of this kind: the identity, each
     derivative and, on a spacetime field, each R_0 R_j."""

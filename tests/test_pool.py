@@ -404,14 +404,12 @@ def test_one_thread_sets_the_malloc_policy_too(monkeypatch, fresh_policy):
 
 
 @pytest.mark.parametrize("run", [
-    lambda: apply_form(BilinearFormSpec("splus", alpha=0.7), *_form_fields(2, True)),
-    lambda: apply_form(BilinearFormSpec("ralpha", alpha=0.7), *_form_fields(2, False)),
     lambda: schur_ladder(KernelSpec(1.2, 0.2, 0.3, variant="inhomogeneous", n=2),
-                         [(2.0, 0.5), (4.0, 0.5)])], ids=["splus", "ralpha", "schur_ladder"])
+                         [(2.0, 0.5), (4.0, 0.5)])], ids=["schur_ladder"])
 @pytest.mark.parametrize("threads", THREADS)
 def test_work_that_never_enters_the_pool_sets_the_malloc_policy_too(monkeypatch, fresh_policy,
                                                                      threads, run):
-    # the kernel route and the Schur ladders run no pmap, which sets the policy elsewhere
+    # the Schur ladders run no pmap, which sets the policy elsewhere
     monkeypatch.setenv("NFLAB_THREADS", threads)
     for module in (lat, pr):
         monkeypatch.setattr(module, "pmap", lambda *a, **k: pytest.fail("entered the pool"))
@@ -420,3 +418,130 @@ def test_work_that_never_enters_the_pool_sets_the_malloc_policy_too(monkeypatch,
     run()
     run()
     assert [(p, v) for p, v, _, _ in events] == _policy(threads)
+
+
+@pytest.mark.parametrize("form, kind", [("splus", SPATIAL), ("splus", SPACETIME),
+                                        ("ralpha", SPACETIME)])
+@pytest.mark.parametrize("threads", THREADS)
+def test_kernel_forms_set_the_malloc_policy_through_the_pool(monkeypatch, fresh_policy, threads,
+                                                              form, kind):
+    # the kernel sum's row blocks run on pmap, a spatial field's one block included
+    monkeypatch.setenv("NFLAB_THREADS", threads)
+    g = make_grid(2, 16, 16, TWO_PI, TWO_PI)
+    u, v = (random_field(g, kind, seed, max_freq=2, real=form == "splus") for seed in (1, 2))
+    events = []
+    _fake_libc(monkeypatch, events)
+    for _ in range(2):
+        apply_form(BilinearFormSpec(form, alpha=0.7), u, v)
+    assert [(p, v) for p, v, _, _ in events] == _policy(threads)
+
+
+def test_pmap_does_not_wait_on_a_drain_no_worker_started(monkeypatch):
+    # the one worker is held busy, so the caller runs every item and the queued drain never
+    # starts: pmap returns while the worker is still busy
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    lat._executor().shutdown()
+    lat._executor.cache_clear()
+    release = threading.Event()
+    try:
+        busy = lat._executor().submit(release.wait, 5.0)
+        got = _finishes(lambda: lat.pmap(lambda x: x * x, range(5)))
+        assert got == [x * x for x in range(5)]
+        assert not busy.done()
+        release.set()
+        assert busy.result() is True
+        assert _finishes(lambda: lat.pmap(lambda x: -x, range(5))) == [0, -1, -2, -3, -4]
+    finally:
+        release.set()
+        lat._executor().shutdown()
+        lat._executor.cache_clear()
+
+
+def _spied_pmap(monkeypatch, module):
+    """Patch module.pmap so that each item records the name of the thread it runs on.  An
+    item on the caller waits (at most 10 s) until a worker has run one, so a call that
+    enters the pool puts items on a worker whatever the timing."""
+    names, worker_ran = [], threading.Event()
+    original = lat.pmap
+
+    def item(func, x):
+        names.append(threading.current_thread().name)
+        if names[-1].startswith("nflab_"):
+            worker_ran.set()
+        worker_ran.wait(10.0)
+        return func(x)
+
+    monkeypatch.setattr(module, "pmap", lambda func, items: original(
+        functools.partial(item, func), items), raising=False)
+    return names
+
+
+def _crop_input(real: bool):
+    g = make_grid(3, 16, 16, TWO_PI, TWO_PI)
+    u, v = _form_fields(3, real)
+    return g, lat.fine_samples(u) * lat.fine_samples(v)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_a_crop_puts_rows_on_a_worker(monkeypatch, real):
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    g, P = _crop_input(real)
+    want = _finishes(lambda: lat.field_from_fine_samples(g, SPACETIME, P, real).coeffs)
+    names = _spied_pmap(monkeypatch, lat)
+    got = _finishes(lambda: lat.field_from_fine_samples(g, SPACETIME, P, real).coeffs)
+    assert np.array_equal(got, want)
+    # one item per row block: more items than the 4 passes, some of them on a worker
+    assert len(names) > 4
+    assert any(name.startswith("nflab_") for name in names)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_a_small_crop_stays_on_the_caller(monkeypatch, real):
+    # every pass of a (2, 16, 16) crop holds fewer than 2 * 2^15 elements: one block each
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    u, v = _form_fields(2, real)
+    P = lat.fine_samples(u) * lat.fine_samples(v)
+    names = []
+    original = lat.pmap
+    monkeypatch.setattr(lat, "pmap", lambda func, items: original(
+        lambda x: names.append(threading.current_thread().name) or func(x), items))
+    caller = _finishes(lambda: lat.field_from_fine_samples(u.grid, SPACETIME, P, real)
+                       and threading.current_thread().name)
+    assert names == [caller] * 3
+
+
+@pytest.mark.parametrize("form", ["splus", "ralpha"])
+def test_a_kernel_sum_puts_row_blocks_on_a_worker(monkeypatch, form):
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    spec = BilinearFormSpec(form, alpha=0.7)
+    u, v = _form_fields(2, form == "splus")
+    want = apply_form(spec, u, v).coeffs
+    names = _spied_pmap(monkeypatch, nf)
+    got = _finishes(lambda: apply_form(spec, u, v).coeffs)
+    assert np.array_equal(got, want)
+    # 25 occupied columns a side: blocks of 2^13 // 25^2 = 13 of the 24 time rows
+    assert len(names) == 24 // 13 + 1
+    assert any(name.startswith("nflab_") for name in names)
+
+
+def test_crops_and_kernel_sums_inside_an_item_run_inline(monkeypatch):
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    g, P = _crop_input(True)
+    u, v = _form_fields(2, False)
+    spec = BilinearFormSpec("ralpha", alpha=0.7)
+    runs = [lambda: lat.field_from_fine_samples(g, SPACETIME, P, True).coeffs,
+            lambda: apply_form(spec, u, v).coeffs]
+    want = [run() for run in runs]
+    inline = []  # per nested item: does it run on the thread that called its pmap?
+    original = lat.pmap
+
+    def spy(func, items):
+        caller = threading.get_ident()
+        return original(lambda x: inline.append(threading.get_ident() == caller) or func(x),
+                        items)
+
+    for module in (lat, nf):
+        monkeypatch.setattr(module, "pmap", spy, raising=False)
+    got = _finishes(lambda: original(lambda run: run(), runs))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(inline) > 4 + 1 and all(inline)  # the crop's passes and the kernel sum split

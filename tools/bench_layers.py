@@ -13,7 +13,8 @@ threshold rises after a large free) out of the next layer's row.
 
 The layers, at every (n, N) of --sizes on an N x N^n lattice of period 2 pi
 with `random_field` inputs at their default band: transform and inverse, the
-3/2-padded product, the n + 1 derivative pads of one real operand, each
+3/2-padded product, one crop of a real and one of a complex fine-lattice
+product, the n + 1 derivative pads of one real operand, each
 bilinear form, `duhamel_mixed` and the modified mixed norm at (q, r) = (4, 4).
 Once, whatever the sizes: `schur_bound`, `counterexample_lattice_ratio`, the
 counterexample family's norms and its membership checks at 10^6 samples (draw
@@ -57,8 +58,8 @@ FORMS = {"q0": nf.BilinearFormSpec("q0"), "qij": nf.BilinearFormSpec("qij", i=1,
          "qtilde": nf.BilinearFormSpec("qtilde"), "splus": nf.BilinearFormSpec("splus", alpha=0.7),
          "sminus": nf.BilinearFormSpec("sminus", alpha=0.7),
          "ralpha": nf.BilinearFormSpec("ralpha", alpha=0.7)}
-SIZED = ("transform", "inverse_transform", "product", "operand_pads", *FORMS, "duhamel_mixed",
-         "modified_norm")
+SIZED = ("transform", "inverse_transform", "product", "crop", "operand_pads", *FORMS,
+         "duhamel_mixed", "modified_norm")
 FIXED = ("schur_bound", "counterexample_lattice_ratio", "counterexample_norms", "membership_1e6",
          "fuzzer_1e6",
          *(f"picard_J1.{name}" for name in SYSTEMS))
@@ -72,6 +73,14 @@ def operand_pads(u):
     if hasattr(lat, "fine_images"):
         return lambda: (lat._malloc_policy(), lat.fine_images(u, ops))
     return lambda: (lat._malloc_policy(), [lat.fine_samples(lat.symbol_image(u, op)) for op in ops])
+
+
+def crops(grid, fields):
+    """One crop (`field_from_fine_samples`) of the fine-lattice product of a real and of a
+    complex pair of fields, under the malloc policy, as the engine runs them."""
+    pairs = [(lat.fine_samples(u) * lat.fine_samples(v), u.real_flag) for u, v in fields]
+    return lambda: (lat._malloc_policy(), [lat.field_from_fine_samples(grid, lat.SPACETIME, P, real)
+                                           for P, real in pairs])
 
 
 def membership_checks(params, samples: int):
@@ -90,11 +99,13 @@ def sized_layers(n: int, N: int) -> dict:
     """name -> call, for the layers timed at lattice size (n, N)."""
     grid = lat.make_grid(n, N, N, TWO_PI, TWO_PI)
     u, v = (lat.random_field(grid, lat.SPACETIME, seed) for seed in (1, 2))
+    u_c, v_c = (lat.random_field(grid, lat.SPACETIME, seed, real=False) for seed in (1, 2))
     samples = lat.inverse_transform(u)
     a_u = lat.time_spatial_rep(u)
     layers = {"transform": lambda: lat.transform(grid, samples, lat.SPACETIME),
               "inverse_transform": lambda: lat.inverse_transform(u),
               "product": lambda: lat.dealiased_product(u, v),
+              "crop": crops(grid, [(u, v), (u_c, v_c)]),
               "operand_pads": operand_pads(u)}
     layers.update({name: (lambda s=spec: nf.apply_form(s, u, v)) for name, spec in FORMS.items()})
     layers["duhamel_mixed"] = lambda: prop.duhamel_mixed(grid, a_u)
