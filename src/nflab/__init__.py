@@ -21,6 +21,6 @@ from .iterate import SystemSpec, IterationTrace, apply_nonlinearity, picard_run,
 from .probe import (EmbeddingSpec, KernelSpec, CounterexampleParams, ProbeReport,
                     probe_embedding, embedding_ratio, schur_bound, trilinear_form,
                     discrete_schur_constant, counterexample_norms, membership_check,
-                    first_iterate_kernel, scaling_fit)
+                    membership_draw, first_iterate_kernel, scaling_fit)
 
 __version__ = "0.1.0"

@@ -52,21 +52,17 @@ def _fail(code: int, msg: str) -> int:
     return code
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
+_UNCOMMENTED = re.compile(r'(?:[^#"]|"(?:[^"\\]|\\.)*"?)*')  # text before a '#' outside quotes
 
 
 def read_config(path: str) -> dict:
-    """Flat key = value lines under [section] brackets -> {'section.key': value}."""
-    out = {}
+    """Flat key = value lines under [section] brackets -> {'section.key': value}, each key once
+    per section; a value is its JSON where it parses as JSON, else its text."""
+    out, seen = {}, {}
     section = ""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _UNCOMMENTED.match(raw)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
@@ -74,9 +70,14 @@ def read_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            full = f"{section}.{key.strip()}" if section else key.strip()
-            out[full] = _parse_value(val)
+            key, val = (x.strip() for x in line.split("=", 1))
+            full = f"{section}.{key}" if section else key
+            if seen.setdefault(full, lineno) != lineno:
+                raise ConfigError(f"{path}:{lineno}: {full} given twice, first on line {seen[full]}")
+            try:
+                out[full] = json.loads(val)
+            except json.JSONDecodeError:
+                out[full] = val
     return out
 
 
@@ -203,10 +204,8 @@ def cmd_symbol_check(cfg) -> int:
     for nm in names:
         if nm not in nf.INEQUALITY_REGISTRY:
             raise ConfigError(f"unknown inequality {nm!r}; known: {sorted(nf.INEQUALITY_REGISTRY)}")
-    samples, seed = cfg["symbol.samples"], cfg["symbol.seed"]
-    pairs = nf.frequency_pairs(samples, seed)  # one draw, shared by every inequality
-    reports = lat.pmap(lambda nm: nf.check_symbol_inequality(nm, samples, seed, pairs=pairs),
-                       names)
+    pairs = nf.frequency_pairs(cfg["symbol.samples"], cfg["symbol.seed"])  # one draw for all
+    reports = lat.pmap(lambda nm: nf.check_symbol_inequality(nm, pairs), names)
     buf = [_header(cfg), "name,samples,violations,worst_margin,constant\n"]
     bad = 0
     for rep in reports:
@@ -382,9 +381,9 @@ def cmd_counterexample(cfg) -> int:
     rows.append("\n")
     failures = 0
     if cfg["ce.membership_samples"]:
-        m, seed = cfg["ce.membership_samples"], cfg["ce.seed"]
-        draw = pr.membership_draw(m, cfg["ce.n"], seed)  # one unit draw serves every scale
-        failures = sum(pr.membership_check(p, m, seed, draw=draw) for p in params)
+        # one unit draw serves every scale
+        draw = pr.membership_draw(cfg["ce.membership_samples"], cfg["ce.n"], cfg["ce.seed"])
+        failures = sum(pr.membership_check(p, draw) for p in params)
         rows.append(f"# membership_failures={failures}\n")
     _write(cfg["ce.out"], "".join(rows))
     if cfg["ce.out"]:
@@ -399,7 +398,7 @@ def cmd_selftest(cfg) -> int:
     f = lat.transform(grid, P, lat.SPACETIME)
     err = float(np.max(np.abs(lat.inverse_transform(f) - P)))
     plan = abs(lat.mixed_norm(f, 2, 2) ** 2 - f.l2() ** 2) / f.l2() ** 2
-    violations = nf.check_symbol_inequality("delta", 20000, 0).violations
+    violations = nf.check_symbol_inequality("delta", nf.frequency_pairs(20000, 0)).violations
     rows = [(f"roundtrip max_err={err:.3e}", err <= 1e-12),
             (f"plancherel rel_err={plan:.3e}", plan <= 1e-10),
             ("admissible(4,4,3)", mult.is_wave_admissible(4, 4, 3)

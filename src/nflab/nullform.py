@@ -40,7 +40,7 @@ from .multiplier import weight
 FORMS = ("q0", "qij", "qtilde", "ralpha", "splus", "sminus", "product")
 
 _OCCUPIED_REL_TOL = 1e-14
-_FUZZ_ROWS = 1 << 15  # rows of the fuzz draw per block: each temporary stays under 1 MB
+_DRAW_ROWS = 1 << 15  # rows of a seeded draw per block: each temporary stays under 1 MB
 
 
 @dataclass(frozen=True)
@@ -498,42 +498,32 @@ def _draw_frequency_pairs(rng, m: int, n: int):
     return tau, lam, xi, eta
 
 
-def _pair_shapes(samples: int, dims) -> list:
-    """Checked samples and dims -> the shape (samples // len(dims) at least 1, n) of xi per n."""
+def frequency_pairs(samples: int, seed: int, dims=(2, 3)) -> list:
+    """The fuzz draw: per n in dims, samples // len(dims) (at least 1) read-only pairs
+    (tau, lam, xi, eta) with xi, eta of shape (m, n), all from one default_rng(seed)."""
     if not samples >= 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     if len(dims) == 0 or min(dims) < 1:
         raise ValueError(f"dims must be a nonempty list of dimensions >= 1, got {dims!r}")
-    return [(max(1, samples // len(dims)), n) for n in dims]
-
-
-def frequency_pairs(samples: int, seed: int, dims=(2, 3)) -> list:
-    """The fuzz draw: per n in dims, samples // len(dims) (at least 1) read-only pairs
-    (tau, lam, xi, eta) with xi, eta of shape (m, n), all from one default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    draws = [_draw_frequency_pairs(rng, m, n) for m, n in _pair_shapes(samples, dims)]
+    draws = [_draw_frequency_pairs(rng, max(1, samples // len(dims)), n) for n in dims]
     for x in (x for d in draws for x in d):
         x.setflags(write=False)
     return draws
 
 
-def check_symbol_inequality(name: str, samples: int, seed: int,
-                            dims=(2, 3), *, pairs=None) -> ViolationReport:
-    """Fuzz a registered pointwise inequality; slack is 1e-9 of its natural scale.  pairs, when
-    given, is the shared draw frequency_pairs(samples, seed, dims), checked by its shapes."""
+def check_symbol_inequality(name: str, pairs) -> ViolationReport:
+    """Fuzz a registered pointwise inequality on a draw of frequency_pairs; slack is 1e-9 of
+    its natural scale."""
     if name not in INEQUALITY_REGISTRY:
         raise KeyError(f"unknown inequality {name!r}; known: {sorted(INEQUALITY_REGISTRY)}")
     func, const = INEQUALITY_REGISTRY[name]
-    if pairs is None:
-        pairs = frequency_pairs(samples, seed, dims)
-    elif [p[2].shape for p in pairs] != _pair_shapes(samples, dims):
-        raise ValueError(f"pairs is not a draw of frequency_pairs({samples!r}, seed, {dims!r})")
     total = 0
     violations = 0
     worst = -math.inf
     for tau, lam, xi, eta in pairs:  # in row blocks: every inequality is elementwise per row
-        for r in range(0, len(tau), _FUZZ_ROWS):
-            lhs, rhs, unit = func(*(x[r:r + _FUZZ_ROWS] for x in (tau, lam, xi, eta)))
+        for r in range(0, len(tau), _DRAW_ROWS):
+            lhs, rhs, unit = func(*(x[r:r + _DRAW_ROWS] for x in (tau, lam, xi, eta)))
             scale = np.maximum(np.maximum(np.abs(rhs), 1e-3 * np.abs(unit)), 1e-300)
             margin = (lhs - rhs) / scale
             worst = max(worst, float(np.max(margin)))

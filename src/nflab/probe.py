@@ -20,8 +20,8 @@ Three kinds of evidence are produced, none of which claims a proof:
   explicit sets by product quadrature (one shell integrator serves the sets B
   and C, with one integrand call per offset panel), for scaling-law regression
   in the family scale L; both quadratures take every node and weight from one
-  Gauss-Legendre rule, _gauss_nodes; membership_check maps one unit draw,
-  membership_draw, at every scale; counterexample_lattice_ratio convolves the
+  Gauss-Legendre rule, _gauss_nodes; membership_check maps the caller's unit
+  draw (membership_draw) at one scale; counterexample_lattice_ratio convolves the
   family's lattice indicators in light-cone coordinates (tau - xi_1, xi_1,
   xi'), where the slab A is the product {-1, 0, 1} x [ceil(L/2), floor(L)] x
   Ann_L: two running sums along the first two axes and one FFT over the n - 1
@@ -40,7 +40,7 @@ from numpy.polynomial.legendre import leggauss
 from .lattice import (SPACETIME, Grid, SpectralField, _malloc_policy, modified_mixed_norm, pmap,
                       random_field)
 from .multiplier import SpaceIndex, weight, ws_norm
-from .nullform import BilinearFormSpec, _delta_parts, _dot, _gap, _geometry, apply_form
+from .nullform import BilinearFormSpec, _DRAW_ROWS, _delta_parts, _dot, _gap, _geometry, apply_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -388,7 +388,6 @@ _GAUSS_N = 8
 _ANGLE_GRADE = 4
 _RADIAL_LEVELS = 44
 _CE_GAUSS = 32
-_MEMBERSHIP_ROWS = 1 << 15  # rows per membership block: each temporary stays under 1 MB
 
 
 @functools.lru_cache(maxsize=None)
@@ -709,22 +708,20 @@ def membership_draw(samples: int, n: int, seed: int):
     return draws[:3] + draws[4:6] + draws[7:], [draws[3], draws[6]]
 
 
-def membership_check(p: CounterexampleParams, samples: int, seed: int = 0, *, draw=None) -> int:
-    """Count failures of (Theta in A, Xi in C) => Xi - Theta in B, in row blocks.  draw, when
-    given, is the shared membership_draw(samples, p.n, seed), checked by its shapes."""
+def membership_check(p: CounterexampleParams, draw) -> int:
+    """Count failures of (Theta in A, Xi in C) => Xi - Theta in B on a membership_draw made for
+    p.n, in row blocks."""
     n, L = p.n, p.L
-    if draw is None:
-        draw = membership_draw(samples, n, seed)
-    elif [x.shape for x in draw[0] + draw[1]] != [(samples,)] * 6 + [(n - 1, samples)] * 2:
-        raise ValueError(f"draw is not a membership_draw({samples!r}, {n!r}, seed)")
+    if len(draw[1][0]) != n - 1:
+        raise ValueError(f"draw is a membership_draw for n = {len(draw[1][0]) + 1}, not {n}")
     # Theta = (lam, eta) in A, Xi = (tau, xi) in C: uniform k as rng.uniform(lo[k], hi[k]) maps it
     lo = (L / 2.0, -1.0, L / 2.0, L * L, 0.0, -1.0)  # lo + (hi - lo) u, numpy's own arithmetic
     hi = (L, 1.0, L, 2.0 * L * L, L, 1.0)
     failures = 0
-    for r in range(0, samples, _MEMBERSHIP_ROWS):
-        eta_dir, xi_dir = (x[:, r:r + _MEMBERSHIP_ROWS] for x in draw[1])
+    for r in range(0, len(draw[0][0]), _DRAW_ROWS):
+        eta_dir, xi_dir = (x[:, r:r + _DRAW_ROWS] for x in draw[1])
         eta1, lam_off, abs_eta_prim, xi1, rhop, tau_off = (
-            a + (b - a) * x[r:r + _MEMBERSHIP_ROWS] for a, b, x in zip(lo, hi, draw[0]))
+            a + (b - a) * x[r:r + _DRAW_ROWS] for a, b, x in zip(lo, hi, draw[0]))
         d1 = xi1 - eta1
         dprim = (xi_dir * rhop - eta_dir * abs_eta_prim).T  # directions are (d, rows)
         dprim_sq = _dot(dprim, dprim)

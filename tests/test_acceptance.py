@@ -22,7 +22,7 @@ from nflab.multiplier import (MultiplierSpec, SpaceIndex, apply, check_thmB,
 from nflab.nullform import (INEQUALITY_REGISTRY, BilinearFormSpec, apply_form,
                             check_symbol_inequality, frequency_pairs)
 from nflab.probe import (CounterexampleParams, EmbeddingSpec, KernelSpec,
-                         counterexample_norms, membership_check,
+                         counterexample_norms, membership_check, membership_draw,
                          probe_embedding, scaling_fit, schur_bound)
 from nflab.propagate import (CauchyData, duhamel, duhamel_mixed, half_wave,
                              homogeneous, homogeneous_velocity, pm_decompose,
@@ -117,7 +117,7 @@ def test_criterion_3_symbol_inequality_fuzzing():
         assert len(names) == 10
         pairs = frequency_pairs(10**6, 2026)  # one draw, shared by every inequality
         for name in names:
-            rep = check_symbol_inequality(name, 10**6, seed=2026, pairs=pairs)
+            rep = check_symbol_inequality(name, pairs)
             assert rep.samples >= 10**6
             assert rep.violations == 0, f"{name}: {rep.violations} violations"
             assert rep.worst_margin <= 1e-9
@@ -137,7 +137,7 @@ def test_criterion_4_counterexample_scaling():
             assert abs(fr.slope - (1.5 - s - theta)) <= 0.15
             assert (fr.slope > 0) == want_positive
         failures = membership_check(CounterexampleParams(L=8, s=0.4, theta=0.6, n=3),
-                                    10**6, seed=0)
+                                    membership_draw(10**6, 3, 0))
         assert failures == 0
 
 

@@ -71,7 +71,7 @@ def test_symbol_check_draws_once_for_every_inequality(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.nf, "frequency_pairs",
                         lambda *a, **k: draws.append(a) or real_draw(*a, **k))
     monkeypatch.setattr(cli.nf, "check_symbol_inequality",
-                        lambda *a, **k: shared.append(k["pairs"]) or real_check(*a, **k))
+                        lambda name, pairs: shared.append(pairs) or real_check(name, pairs))
     assert main(["symbol-check", "--name", "all", "--samples", "2000", "--seed", "3",
                  "--out", str(tmp_path / "sym.csv")]) == EXIT_OK
     assert draws == [(2000, 3)]
@@ -134,6 +134,33 @@ def test_read_config_parses_sections_and_values(tmp_path):
     conf = read_config(str(cfg))
     assert conf == {"grid.n": 2, "grid.T_per": 6.5,
                     "probe.ensemble": "cone-concentrated"}
+
+
+@pytest.mark.parametrize("line, value", [
+    ('out = "a#b.csv"', "a#b.csv"), ('out = "a#b.csv"  # a comment', "a#b.csv"),
+    ('out = "say \\"#1\\"" # "quoted"', 'say "#1"'), ("out = a # b", "a"),
+    ('out = "a" # "b#c"', "a"), ('out = "x=#y" # z', "x=#y")])
+def test_a_hash_starts_a_comment_only_outside_quotes(tmp_path, line, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[symbol]\n{line}\n")
+    assert read_config(str(cfg)) == {"symbol.out": value}
+
+
+def test_a_quoted_hash_names_the_output_file(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f'[symbol]\nsamples = 100\nout = "{tmp_path}/a#b.csv"  # the table\n')
+    assert main(["--config", str(cfg), "symbol-check"]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a#b.csv", "c.cfg"]
+
+
+def test_a_key_given_twice_in_a_section_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[symbol]\nsamples = 1000\nseed = 2\n\n[symbol]\nsamples = 2000\n")
+    assert main(["--config", str(cfg), "symbol-check"]) == EXIT_CONFIG
+    assert capsys.readouterr().out == (
+        f"ERROR\tcode=2\tmsg={cfg}:6: symbol.samples given twice, first on line 2\n")
+    cfg.write_text("[adm]\nq = 4\n[kernel]\nq = 5\n")  # one key name in two sections
+    assert read_config(str(cfg)) == {"adm.q": 4, "kernel.q": 5}
 
 
 def test_iterate_zero_data_trace(tmp_path):

@@ -461,14 +461,14 @@ def test_registry_has_the_documented_entries():
 
 @pytest.mark.parametrize("name", sorted(INEQUALITY_REGISTRY))
 def test_symbol_inequalities_fuzz_clean(name):
-    rep = check_symbol_inequality(name, 100000, seed=7)
+    rep = check_symbol_inequality(name, nullform.frequency_pairs(100000, 7))
     assert rep.violations == 0
     assert rep.worst_margin <= 1e-9
 
 
 def test_unknown_inequality_name():
     with pytest.raises(KeyError):
-        check_symbol_inequality("not-a-lemma", 10, 0)
+        check_symbol_inequality("not-a-lemma", nullform.frequency_pairs(10, 0))
 
 
 def test_frequency_pairs_is_the_fuzzers_draw():
@@ -480,23 +480,15 @@ def test_frequency_pairs_is_the_fuzzers_draw():
         assert all(_same_bits(x, y) for x, y in zip(arrays, want))
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (1, 4)])
-def test_shared_draw_reports_equal_fresh_draw_reports(dims):
-    pairs = nullform.frequency_pairs(20000, 13, dims)
-    for name in sorted(INEQUALITY_REGISTRY):
-        assert (check_symbol_inequality(name, 20000, 13, dims, pairs=pairs)
-                == check_symbol_inequality(name, 20000, 13, dims))
-
-
 @pytest.mark.parametrize("name", sorted(INEQUALITY_REGISTRY))
 def test_every_inequality_reports_the_same_on_a_row_split_of_the_draw(monkeypatch, name):
     # the fuzzer checks the draw in row blocks, so every entry must be local to its rows
     pairs = nullform.frequency_pairs(2000, 17)
-    monkeypatch.setattr(nullform, "_FUZZ_ROWS", 10**9)
-    whole = check_symbol_inequality(name, 2000, 17, pairs=pairs)
+    monkeypatch.setattr(nullform, "_DRAW_ROWS", 10**9)
+    whole = check_symbol_inequality(name, pairs)
     for rows in (7, 64, 999):
-        monkeypatch.setattr(nullform, "_FUZZ_ROWS", rows)
-        assert check_symbol_inequality(name, 2000, 17, pairs=pairs) == whole
+        monkeypatch.setattr(nullform, "_DRAW_ROWS", rows)
+        assert check_symbol_inequality(name, pairs) == whole
 
 
 def test_shared_draw_is_read_only(monkeypatch):
@@ -511,22 +503,7 @@ def test_shared_draw_is_read_only(monkeypatch):
 
     monkeypatch.setitem(INEQUALITY_REGISTRY, "in-place", (scaling_in_place, 1.0))
     with pytest.raises(ValueError, match="read-only"):
-        check_symbol_inequality("in-place", 100, 0, pairs=pairs)
-    with pytest.raises(ValueError, match="read-only"):
-        check_symbol_inequality("in-place", 100, 0)
-
-
-@pytest.mark.parametrize("samples, dims", [(10**6, (2, 3)), (100, (3, 2)), (100, (2,)),
-                                           (101, (2, 3, 1)), (0, (2, 3)), (100, ())])
-def test_shared_draw_made_for_other_arguments_is_rejected(monkeypatch, samples, dims):
-    pairs = nullform.frequency_pairs(100, 0)
-    monkeypatch.setitem(INEQUALITY_REGISTRY, "never-run",
-                        (lambda *a: pytest.fail("checked a mismatched draw"), 1.0))
-    with pytest.raises(ValueError, match="pairs is not a draw|must be"):
-        check_symbol_inequality("never-run", samples, 0, dims, pairs=pairs)
-    # 101 samples over two dimensions make the same 50 pairs per dimension as 100
-    assert (check_symbol_inequality("delta", 101, 0, pairs=pairs)
-            == check_symbol_inequality("delta", 101, 0))
+        check_symbol_inequality("in-place", pairs)
 
 
 @pytest.mark.parametrize("samples, dims, shown", [
@@ -536,7 +513,7 @@ def test_fuzzer_rejects_bad_arguments_before_drawing(monkeypatch, samples, dims,
     monkeypatch.setattr(nullform, "_draw_frequency_pairs",
                         lambda *a: pytest.fail("drew frequency pairs"))
     with pytest.raises(ValueError, match=re.escape(shown)):
-        check_symbol_inequality("delta", samples, 0, dims)
+        nullform.frequency_pairs(samples, 0, dims)
 
 
 def _composed_ineq_delta(tau, lam, xi, eta):
@@ -569,9 +546,9 @@ def test_delta_inequality_keeps_the_bits_of_the_composed_kernels(monkeypatch, n)
             for got, want in zip(ineq(t, t, a, b), _composed_ineq_delta(t, t, a, b)):
                 assert _same_bits(got, want)
     pairs = nullform.frequency_pairs(20000, 9, dims=(n,))
-    fused = check_symbol_inequality("delta", 20000, 9, (n,), pairs=pairs)
+    fused = check_symbol_inequality("delta", pairs)
     monkeypatch.setitem(INEQUALITY_REGISTRY, "delta", (_composed_ineq_delta, 2.0))
-    assert fused == check_symbol_inequality("delta", 20000, 9, (n,), pairs=pairs)
+    assert fused == check_symbol_inequality("delta", pairs)
 
 
 def test_hyperbolic_triangle_degenerate_equality():

@@ -559,7 +559,7 @@ def test_shell_quadrature_is_the_offset_loops_bit_for_bit(n, L, s, theta):
 
 def test_counterexample_membership_chain():
     p = CounterexampleParams(L=8, s=0.4, theta=0.6, n=3)
-    assert membership_check(p, 200000, seed=3) == 0
+    assert membership_check(p, membership_draw(200000, 3, 3)) == 0
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -656,11 +656,10 @@ def test_membership_draw_rebuilds_every_scale_bit_for_bit(n, seed, monkeypatch):
             spied.clear()
         with monkeypatch.context() as patch:
             patch.setattr(probe, "np", spy_np)
-            assert membership_check(p, m, seed, draw=draw) == _membership_failures(p, want) == 0
+            assert membership_check(p, draw) == _membership_failures(p, want) == 0
         assert len(seen["_dot"]) == 1 and np.array_equal(seen["_dot"][0], dprim)
         assert len(seen["abs"]) == 1 and np.array_equal(
             seen["abs"][0], tau - lam - np.sqrt(d1**2 + np.sum(dprim**2, axis=1)))
-        assert membership_check(p, m, seed) == 0  # draws its own when given none
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -676,19 +675,18 @@ def test_membership_count_is_the_same_on_a_row_split_of_the_draw(n, monkeypatch)
     assert want > m // 5
     counts = []
     for rows in (7, 999, 1 << 15, m):
-        monkeypatch.setattr(probe, "_MEMBERSHIP_ROWS", rows)
-        counts.append(membership_check(p, m, 5, draw=(u, dirs)))
+        monkeypatch.setattr(probe, "_DRAW_ROWS", rows)
+        counts.append(membership_check(p, (u, dirs)))
     assert counts == [want] * 4
 
 
 def test_membership_check_rejects_a_draw_of_another_shape_before_any_work(monkeypatch):
-    draws = [membership_draw(samples, n, 0) for samples, n in ((999, 3), (1001, 3), (1000, 2),
-                                                                (1000, 4))]
+    draws = [membership_draw(1000, n, 0) for n in (2, 4)]
     monkeypatch.setattr(probe, "_dot", lambda *a: pytest.fail("checked rows"))
     p = CounterexampleParams(L=8.0, s=0.4, theta=0.6, n=3)
     for draw in draws:
         with pytest.raises(ValueError, match="membership_draw"):
-            membership_check(p, 1000, 0, draw=draw)
+            membership_check(p, draw)
 
 
 def test_counterexample_rejects_small_dimension_and_scale():

@@ -19,8 +19,13 @@ bilinear form, `duhamel_mixed` and the modified mixed norm at (q, r) = (4, 4).
 Once, whatever the sizes: `schur_bound`, `counterexample_lattice_ratio`, the
 counterexample family's norms and its membership checks at 10^6 samples (draw
 included) at the four scales L = 8..64 of the README's `counterexample` command,
-the `delta` symbol fuzzer at 10^6 samples and `picard_run` with J = 1 for each
-model system at (3, 16, 8).
+the `delta` symbol fuzzer at 10^6 samples (draw included) and `picard_run` with
+J = 1 for each model system at (3, 16, 8).
+
+The rows call the current API: one pass tree per operand (`fine_images`), and
+checkers that take their draw (`check_symbol_inequality(name, pairs)`,
+`membership_check(p, draw)`).  To time an older commit, run the version of this
+tool from that commit.
 
 The file also records the core count, Python, numpy and glibc versions,
 NFLAB_THREADS, and the git revision with whether src/ differs from it.
@@ -67,12 +72,9 @@ FIXED = ("schur_bound", "counterexample_lattice_ratio", "counterexample_norms", 
 
 def operand_pads(u):
     """The n + 1 derivative pads of u under the malloc policy, as the engine's pool runs them:
-    one pass tree (`fine_images`), or one `fine_samples` per image in a tree without
-    `fine_images`, so the row can be timed on older commits."""
+    one pass tree (`fine_images`)."""
     ops = [("d", mu) for mu in range(u.grid.n + 1)]
-    if hasattr(lat, "fine_images"):
-        return lambda: (lat._malloc_policy(), lat.fine_images(u, ops))
-    return lambda: (lat._malloc_policy(), [lat.fine_samples(lat.symbol_image(u, op)) for op in ops])
+    return lambda: (lat._malloc_policy(), lat.fine_images(u, ops))
 
 
 def crops(grid, fields):
@@ -84,15 +86,11 @@ def crops(grid, fields):
 
 
 def membership_checks(params, samples: int):
-    """The membership checks of every scale in params, draw included: one shared draw, or one
-    draw per scale in a tree without `membership_draw`, so the row can be timed on older commits."""
-    if not hasattr(pr, "membership_draw"):
-        return lambda: [pr.membership_check(p, samples, 0) for p in params]
-
-    def shared():
+    """The membership checks of every scale in params on one shared draw, draw included."""
+    def checks():
         draw = pr.membership_draw(samples, params[0].n, 0)
-        return [pr.membership_check(p, samples, 0, draw=draw) for p in params]
-    return shared
+        return [pr.membership_check(p, draw) for p in params]
+    return checks
 
 
 def sized_layers(n: int, N: int) -> dict:
@@ -143,7 +141,7 @@ def fixed_layers() -> dict:
         "counterexample_lattice_ratio": lambda: pr.counterexample_lattice_ratio(family, 8),
         "counterexample_norms": lambda: [pr.counterexample_norms(p) for p in scales],
         "membership_1e6": membership_checks(scales, 10**6),
-        "fuzzer_1e6": lambda: nf.check_symbol_inequality("delta", 10**6, 0),
+        "fuzzer_1e6": lambda: nf.check_symbol_inequality("delta", nf.frequency_pairs(10**6, 0)),
     }
     for name, spec in systems.items():
         data = [_cauchy(grid, 10 + 11 * c) for c in range(spec.N)]
