@@ -11,7 +11,7 @@ q = 4` give the same value.  Every output file starts with a header line
 embedding the fully resolved configuration, so identical config plus seed
 reproduces byte-identical output at any NFLAB_THREADS, which caps the one worker
 pool (`lattice.pmap`): symbol-check inequalities, probe trials, family scales,
-paired fine-lattice pads and the row blocks of crop passes and kernel sums.
+paired fine-lattice pads and the row blocks of kernel sums.
 
 Exit codes: 0 success; 2 configuration error (`ConfigError`, `ValueError`,
 `OSError`, a value its row's type rejects); 3 numerical-failure flag
@@ -52,7 +52,8 @@ def _fail(code: int, msg: str) -> int:
     return code
 
 
-_UNCOMMENTED = re.compile(r'(?:[^#"]|"(?:[^"\\]|\\.)*"?)*')  # text before a '#' outside quotes
+# text before a '#' outside quotes, and in group 1 a quoted tail that never closes
+_UNCOMMENTED = re.compile(r'(?:[^#"]|"(?:[^"\\]|\\.)*")*("(?:[^"\\]|\\.)*)?')
 
 
 def read_config(path: str) -> dict:
@@ -62,7 +63,7 @@ def read_config(path: str) -> dict:
     section = ""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = _UNCOMMENTED.match(raw)[0].strip()
+            line = (m := _UNCOMMENTED.match(raw))[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
@@ -74,6 +75,8 @@ def read_config(path: str) -> dict:
             full = f"{section}.{key}" if section else key
             if seen.setdefault(full, lineno) != lineno:
                 raise ConfigError(f"{path}:{lineno}: {full} given twice, first on line {seen[full]}")
+            if m[1] is not None:
+                raise ConfigError(f"{path}:{lineno}: {full} has a quoted value that never closes")
             try:
                 out[full] = json.loads(val)
             except json.JSONDecodeError:

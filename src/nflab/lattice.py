@@ -511,8 +511,8 @@ def pmap(func, items) -> list:
 # the band right after its forward transform, so rows still all zero, or
 # dropped, are never transformed.  Every row that is transformed holds the
 # values and goes through the 1-D transform of a full-box ifftn/fftn, so the
-# pruned passes keep the full-box bits; a crop pass runs its rows in blocks on
-# the pool.  In-place transforms act only on the engine's own temporaries.
+# pruned passes keep the full-box bits.  In-place transforms act only on the
+# engine's own temporaries.
 #
 # A real field's fine samples are the real part of its interpolant, whose
 # coefficients are the Hermitian fold W = (Y + conj Y(-Xi)) / 2, taken on the
@@ -626,34 +626,20 @@ def _pass_tree(f: SpectralField, leaves, fine: tuple) -> dict:
     return out
 
 
-def _fft_rows(fft, A: np.ndarray, ax: int, out: np.ndarray) -> np.ndarray:
-    """out = fft(A, axis=ax, norm="forward"), the rows cut along axis 0 (1 if ax is 0) into up to
-    _threads() blocks on `pmap`, each of 2^15 elements or more, which outweigh a hand-off.
-    pocketfft transforms each 1-D row on its own, so no bit depends on the blocks."""
-    if A.ndim == 1:
-        return fft(A, norm="forward", out=out)
-    other = int(ax == 0)
-    S, k = A.shape[other], max(1, min(_threads(), A.shape[other], A.size >> 15))
-    blocks = [(slice(None),) * other + (slice(i * S // k, (i + 1) * S // k),) for i in range(k)]
-    pmap(lambda b: fft(A[b], axis=ax, norm="forward", out=out[b]), blocks)
-    return out
-
-
 def field_from_fine_samples(grid: Grid, kind: str, P_fine: np.ndarray,
                             real_flag: bool = False) -> SpectralField:
     """Transform fine-lattice samples and truncate to the representable band."""
     shape = grid.shape_for(kind)
     d = P_fine.ndim - 1
     if np.iscomplexobj(P_fine):
-        A = _cropped(_fft_rows(np.fft.fft, P_fine, d, np.empty_like(P_fine)), d, shape[-1])
+        A = _cropped(np.fft.fft(P_fine, axis=-1, norm="forward"), d, shape[-1])
         for ax in reversed(range(d)):
-            A = _cropped(_fft_rows(np.fft.fft, A, ax, A), ax, shape[ax])
+            A = _cropped(np.fft.fft(A, axis=ax, norm="forward", out=A), ax, shape[ax])
         return from_plane_wave_coeffs(grid, A, kind, real_flag=real_flag)
     h = shape[-1] // 2
-    B = np.empty(P_fine.shape[:-1] + (P_fine.shape[-1] // 2 + 1,), dtype=complex)
-    B = _fft_rows(np.fft.rfft, P_fine, d, B)[..., :h + 1]
+    B = np.fft.rfft(P_fine, axis=-1, norm="forward")[..., :h + 1]
     for ax in reversed(range(d)):
-        B = _cropped(_fft_rows(np.fft.fft, B, ax, B), ax, shape[ax], centred=True)
+        B = _cropped(np.fft.fft(B, axis=ax, norm="forward", out=B), ax, shape[ax], centred=True)
     A = np.empty(shape, dtype=complex)
     B_reflected = B[(slice(None, None, -1),) * d]
     for band, fft in _centred_blocks(shape[:-1]):

@@ -41,6 +41,7 @@ FORMS = ("q0", "qij", "qtilde", "ralpha", "splus", "sminus", "product")
 
 _OCCUPIED_REL_TOL = 1e-14
 _DRAW_ROWS = 1 << 15  # rows of a seeded draw per block: each temporary stays under 1 MB
+_FUZZ_DIMS = (2, 3)  # the spatial dimensions n of the fuzz draw, each an equal share
 
 
 @dataclass(frozen=True)
@@ -498,15 +499,13 @@ def _draw_frequency_pairs(rng, m: int, n: int):
     return tau, lam, xi, eta
 
 
-def frequency_pairs(samples: int, seed: int, dims=(2, 3)) -> list:
-    """The fuzz draw: per n in dims, samples // len(dims) (at least 1) read-only pairs
-    (tau, lam, xi, eta) with xi, eta of shape (m, n), all from one default_rng(seed)."""
+def frequency_pairs(samples: int, seed: int) -> list:
+    """The fuzz draw: per n in _FUZZ_DIMS, samples // len(_FUZZ_DIMS) (at least 1) read-only
+    pairs (tau, lam, xi, eta) with xi, eta of shape (m, n), all from one default_rng(seed)."""
     if not samples >= 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
-    if len(dims) == 0 or min(dims) < 1:
-        raise ValueError(f"dims must be a nonempty list of dimensions >= 1, got {dims!r}")
     rng = np.random.default_rng(seed)
-    draws = [_draw_frequency_pairs(rng, max(1, samples // len(dims)), n) for n in dims]
+    draws = [_draw_frequency_pairs(rng, max(1, samples // len(_FUZZ_DIMS)), n) for n in _FUZZ_DIMS]
     for x in (x for d in draws for x in d):
         x.setflags(write=False)
     return draws

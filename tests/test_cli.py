@@ -163,6 +163,17 @@ def test_a_key_given_twice_in_a_section_is_a_config_error(tmp_path, capsys):
     assert read_config(str(cfg)) == {"adm.q": 4, "kernel.q": 5}
 
 
+@pytest.mark.parametrize("value", ['"abc', '"abc  # the table', '"say \\"hi\\"', '"a" "b'])
+def test_a_quoted_value_that_never_closes_is_a_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)  # where a relative `out` would land
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[symbol]\nsamples = 100\nout = {value}\n")
+    assert main(["--config", str(cfg), "symbol-check"]) == EXIT_CONFIG
+    assert capsys.readouterr().out == (
+        f"ERROR\tcode=2\tmsg={cfg}:3: symbol.out has a quoted value that never closes\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
 def test_iterate_zero_data_trace(tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["iterate", "--system", "scalarQ0", "--J", "3", "--n", "2",

@@ -625,8 +625,8 @@ def test_axis_by_axis_pads_and_crops_are_the_full_box_route_bit_for_bit(n, kind)
                 assert P.tobytes() == P_in.tobytes()
 
 
-# (n, kind) -> (N_t, N_x): each first crop pass at factor 1.5 holds 3 * 2^15 elements or more,
-# so it runs in NFLAB_THREADS row blocks (a 1-D crop has one row)
+# (n, kind) -> (N_t, N_x): at factor 1.5 each crop but the 1-D one holds 3 * 2^15 fine
+# samples or more
 CROP_SIZES = {(1, SPATIAL): (8, 256), (1, SPACETIME): (256, 256), (2, SPATIAL): (8, 256),
               (2, SPACETIME): (32, 32), (3, SPATIAL): (8, 32), (3, SPACETIME): (16, 16)}
 

@@ -421,11 +421,13 @@ def test_work_that_never_enters_the_pool_sets_the_malloc_policy_too(monkeypatch,
 
 
 @pytest.mark.parametrize("form, kind", [("splus", SPATIAL), ("splus", SPACETIME),
-                                        ("ralpha", SPACETIME)])
+                                        ("ralpha", SPACETIME), ("q0", SPACETIME),
+                                        ("product", SPACETIME)])
 @pytest.mark.parametrize("threads", THREADS)
 def test_kernel_forms_set_the_malloc_policy_through_the_pool(monkeypatch, fresh_policy, threads,
                                                               form, kind):
-    # the kernel sum's row blocks run on pmap, a spatial field's one block included
+    # the kernel sum's row blocks run on pmap, a spatial field's one block included; a product
+    # form enters it only through its pads (FineLattice.samples), since crops run no pmap
     monkeypatch.setenv("NFLAB_THREADS", threads)
     g = make_grid(2, 16, 16, TWO_PI, TWO_PI)
     u, v = (random_field(g, kind, seed, max_freq=2, real=form == "splus") for seed in (1, 2))
@@ -476,40 +478,6 @@ def _spied_pmap(monkeypatch, module):
     return names
 
 
-def _crop_input(real: bool):
-    g = make_grid(3, 16, 16, TWO_PI, TWO_PI)
-    u, v = _form_fields(3, real)
-    return g, lat.fine_samples(u) * lat.fine_samples(v)
-
-
-@pytest.mark.parametrize("real", [True, False])
-def test_a_crop_puts_rows_on_a_worker(monkeypatch, real):
-    monkeypatch.setenv("NFLAB_THREADS", "2")
-    g, P = _crop_input(real)
-    want = _finishes(lambda: lat.field_from_fine_samples(g, SPACETIME, P, real).coeffs)
-    names = _spied_pmap(monkeypatch, lat)
-    got = _finishes(lambda: lat.field_from_fine_samples(g, SPACETIME, P, real).coeffs)
-    assert np.array_equal(got, want)
-    # one item per row block: more items than the 4 passes, some of them on a worker
-    assert len(names) > 4
-    assert any(name.startswith("nflab_") for name in names)
-
-
-@pytest.mark.parametrize("real", [True, False])
-def test_a_small_crop_stays_on_the_caller(monkeypatch, real):
-    # every pass of a (2, 16, 16) crop holds fewer than 2 * 2^15 elements: one block each
-    monkeypatch.setenv("NFLAB_THREADS", "2")
-    u, v = _form_fields(2, real)
-    P = lat.fine_samples(u) * lat.fine_samples(v)
-    names = []
-    original = lat.pmap
-    monkeypatch.setattr(lat, "pmap", lambda func, items: original(
-        lambda x: names.append(threading.current_thread().name) or func(x), items))
-    caller = _finishes(lambda: lat.field_from_fine_samples(u.grid, SPACETIME, P, real)
-                       and threading.current_thread().name)
-    assert names == [caller] * 3
-
-
 @pytest.mark.parametrize("form", ["splus", "ralpha"])
 def test_a_kernel_sum_puts_row_blocks_on_a_worker(monkeypatch, form):
     monkeypatch.setenv("NFLAB_THREADS", "2")
@@ -524,13 +492,11 @@ def test_a_kernel_sum_puts_row_blocks_on_a_worker(monkeypatch, form):
     assert any(name.startswith("nflab_") for name in names)
 
 
-def test_crops_and_kernel_sums_inside_an_item_run_inline(monkeypatch):
+def test_kernel_sums_inside_an_item_run_inline(monkeypatch):
     monkeypatch.setenv("NFLAB_THREADS", "2")
-    g, P = _crop_input(True)
     u, v = _form_fields(2, False)
     spec = BilinearFormSpec("ralpha", alpha=0.7)
-    runs = [lambda: lat.field_from_fine_samples(g, SPACETIME, P, True).coeffs,
-            lambda: apply_form(spec, u, v).coeffs]
+    runs = [lambda: apply_form(spec, u, v).coeffs, lambda: apply_form(spec, v, u).coeffs]
     want = [run() for run in runs]
     inline = []  # per nested item: does it run on the thread that called its pmap?
     original = lat.pmap
@@ -540,8 +506,7 @@ def test_crops_and_kernel_sums_inside_an_item_run_inline(monkeypatch):
         return original(lambda x: inline.append(threading.get_ident() == caller) or func(x),
                         items)
 
-    for module in (lat, nf):
-        monkeypatch.setattr(module, "pmap", spy, raising=False)
+    monkeypatch.setattr(nf, "pmap", spy)
     got = _finishes(lambda: original(lambda run: run(), runs))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert len(inline) > 4 + 1 and all(inline)  # the crop's passes and the kernel sum split
+    assert len(inline) > 1 and all(inline)  # each kernel sum split into row blocks
