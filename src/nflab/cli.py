@@ -58,7 +58,7 @@ _UNCOMMENTED = re.compile(r'(?:[^#"]|"(?:[^"\\]|\\.)*")*("(?:[^"\\]|\\.)*)?')
 
 def read_config(path: str) -> dict:
     """Flat key = value lines under [section] brackets -> {'section.key': value}, each key once
-    per section; a value is its JSON where it parses as JSON, else its text."""
+    per section; a value is its JSON where it parses, else its text unless it opens with '"'."""
     out, seen = {}, {}
     section = ""
     with open(path) as fh:
@@ -75,11 +75,12 @@ def read_config(path: str) -> dict:
             full = f"{section}.{key}" if section else key
             if seen.setdefault(full, lineno) != lineno:
                 raise ConfigError(f"{path}:{lineno}: {full} given twice, first on line {seen[full]}")
-            if m[1] is not None:
-                raise ConfigError(f"{path}:{lineno}: {full} has a quoted value that never closes")
             try:
                 out[full] = json.loads(val)
             except json.JSONDecodeError:
+                if m[1] or val.startswith('"'):  # an unclosed quote never parses as JSON
+                    why = "never closes" if m[1] else "is not one JSON string"
+                    raise ConfigError(f"{path}:{lineno}: {full} has a quoted value that {why}")
                 out[full] = val
     return out
 

@@ -526,12 +526,12 @@ def pmap(func, items) -> list:
 # is applied just before the pass over that axis, sharing every pass before
 # it.  On the folded band the +N/2 row takes xi = +N/2: the fold of the
 # derivative's coefficients, Nyquist rows included.  An R_0 R_j image mixes
-# the axes and is a one-leaf tree of its own.  A FineLattice takes its plan,
-# the images (u, op) in order of use: a miss pads every planned image of its
-# tree, beside the next planned tree on `pmap`, and an image is dropped at its
-# last planned use.  No image's bits depend on its siblings or the pairing.
-# `dealiased_product` and `nullform.combine_forms` (every q0, qij and qtilde
-# sum, in the forms and every model nonlinearity) build the engines.
+# the axes and is a one-leaf tree of its own.  `nullform.combine_forms` (every
+# q0, qij and qtilde sum) plans a FineLattice with the images (u, op) in order
+# of use: a miss pads every planned image of its tree, beside the next planned
+# tree on `pmap`, and an image is dropped at its last planned use.  No image's
+# bits depend on its siblings or the pairing.  `dealiased_product` pads each
+# distinct operand with `fine_samples`, on one `pmap` call.
 
 
 def _fine_shape(shape: tuple, factor: float) -> tuple:
@@ -691,16 +691,11 @@ def symbol_image(u: SpectralField, op=None) -> SpectralField:
 
 
 class FineLattice:
-    """One evaluation's workspace for sums of products on a refined lattice.
+    """One evaluation's workspace for product sums on the 3/2 lattice: `samples(u, op)` pads
+    u's image under a diagonal symbol (`symbol_image`) once, and `plan` lists the images
+    (u, op) it pads, in order of use (see the comment above)."""
 
-    `samples(u, op)` pads u's image under a diagonal symbol (`symbol_image`) once per
-    workspace; callers sum products of samples and `crop` each finished sum once.  `plan`
-    lists the images (u, op) it pads, in order of use (see the comment above).
-    """
-
-    def __init__(self, grid: Grid, kind: str = SPACETIME, factor: float = 1.5, plan=()):
-        self.grid, self.kind, self.factor = grid, kind, factor
-        _fine_shape(grid.shape_for(kind), factor)  # a bad factor fails here, before any pad
+    def __init__(self, plan=()):
         # (id(u), op) -> [u, op, planned uses left, samples], in order of first use; the entry
         # holds the field itself, so its id is not reused while the entry lives
         self._images = {}
@@ -715,7 +710,7 @@ class FineLattice:
             root = lambda e: (id(e[0]), e[1] if e[1] and e[1][0] == "rr" else None)  # noqa: E731
             roots = list(dict.fromkeys(map(root, [entry] + todo)))[:2]
             trees = [[e for e in todo if root(e) == r] for r in roots]
-            pads = pmap(lambda t: fine_images(t[0][0], [e[1] for e in t], self.factor), trees)
+            pads = pmap(lambda t: fine_images(t[0][0], [e[1] for e in t]), trees)
             for tree, images in zip(trees, pads):
                 for e, P in zip(tree, images):
                     e[3] = P
@@ -724,16 +719,14 @@ class FineLattice:
             del self._images[key]
         return entry[3]
 
-    def crop(self, P_fine: np.ndarray, real_flag: bool) -> SpectralField:
-        return field_from_fine_samples(self.grid, self.kind, P_fine, real_flag=real_flag)
-
 
 def dealiased_product(u: SpectralField, v: SpectralField, factor: float = 1.5) -> SpectralField:
     """Pointwise product with 3/2 zero-padding per axis (alias-free quadratics)."""
     if u.grid != v.grid or u.kind != v.kind:
         raise ValueError("fields must share grid and kind")
-    eng = FineLattice(u.grid, u.kind, factor, plan=[(u, None), (v, None)])
-    out = eng.crop(np.multiply(eng.samples(u), eng.samples(v)), u.real_flag and v.real_flag)
+    P, *Q = pmap(lambda f: fine_samples(f, factor), [u] if u is v else [u, v])
+    P = np.multiply(P, Q.pop() if Q else P)  # both pads go before the crop
+    out = field_from_fine_samples(u.grid, u.kind, P, real_flag=u.real_flag and v.real_flag)
     out.zero_mode_projected = u.zero_mode_projected or v.zero_mode_projected
     return out
 

@@ -16,10 +16,10 @@ Kernels on spatial frequency pairs (a, b):
 
 and on space-time pairs ((tau,a), (lam,b)):
 
-    ralpha  Delta_+(a,b)^alpha  if tau*lam >= 0,   Delta_-(a,b)^alpha  else
+    ralpha  Delta_+(a,b)^alpha  if (tau >= 0) == (lam >= 0),   Delta_-(a,b)^alpha  else
 
-so tau = 0 takes the Delta_+ branch.  All three convolve time on the 3/2
-lattice, so their tau-sums on spacetime fields do not wrap around the band.
+so tau = 0 sides with tau > 0, as in propagate.pm_decompose.  All three convolve time on
+the 3/2 lattice, so their tau-sums on spacetime fields do not wrap around the band.
 Delta_+- read one pair geometry (_geometry), and the gap |a||b| -+ a.b that would cancel
 is rewritten through |a ^ b|^2 in one helper (_gap); the probe's kernels read both.
 """
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (SPACETIME, FineLattice, FrequencyPoint, Grid, SpectralField, _cropped,
-                      _fine_shape, _measure, dealiased_product, pmap, symbol_image)
+                      _fine_shape, _measure, dealiased_product, field_from_fine_samples, pmap,
+                      symbol_image)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
 from .multiplier import weight
@@ -125,11 +126,11 @@ def delta_minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def r_kernel(tau, a, lam, b) -> np.ndarray:
-    """Two-branch kernel: Delta_+ where tau*lam >= 0, Delta_- where tau*lam < 0."""
+    """Two-branch kernel: Delta_+ where tau >= 0 and lam >= 0 agree, Delta_- where not."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     geo = _geometry(a, b)
-    return np.where(tau * lam >= 0.0, _delta_parts(*geo, True), _delta_parts(*geo, False))
+    return np.where((tau >= 0) == (lam >= 0), _delta_parts(*geo, True), _delta_parts(*geo, False))
 
 
 def kernel_value(spec: BilinearFormSpec, p: FrequencyPoint, q: FrequencyPoint) -> complex:
@@ -174,9 +175,9 @@ def combine_forms(grid: Grid, *combos) -> list:
     last term is summed, and the crops are added in the order the groups first appear.  The
     outputs are real when all the combo's inputs are, and zero-mode-projected when one is or
     a term is qtilde."""
-    eng = FineLattice(grid, plan=[image for terms, _ in combos for spec, u, v, _ in terms
-                                  for _, prods in _groups(spec, grid.n)
-                                  for _, op_u, op_v in prods for image in ((u, op_u), (v, op_v))])
+    eng = FineLattice([image for terms, _ in combos for spec, u, v, _ in terms
+                       for _, prods in _groups(spec, grid.n)
+                       for _, op_u, op_v in prods for image in ((u, op_u), (v, op_v))])
     outs = []
     for terms, n_out in combos:
         real = all(u.real_flag and v.real_flag for _, u, v, _ in terms)
@@ -197,7 +198,8 @@ def combine_forms(grid: Grid, *combos) -> list:
                     key = (int(I), outer)
                     acc[key] = w[I] * P if key not in acc else acc[key] + w[I] * P
                     if last[key] == t:
-                        acc[key] = symbol_image(eng.crop(acc[key], real), outer).coeffs
+                        crop = field_from_fine_samples(grid, SPACETIME, acc[key], real)
+                        acc[key] = symbol_image(crop, outer).coeffs
                 del P, Q  # a finished group sum is let go before the next group pads
         out = [np.zeros(grid.spacetime_shape, dtype=complex) for _ in range(n_out)]
         for (I, _), c in acc.items():
@@ -218,7 +220,7 @@ def _qtilde(u: SpectralField, v: SpectralField) -> SpectralField:
 
 # ---------------------------------------------------------------------------
 # kernel route: Delta_{+/-} depend on the spatial frequencies only and R^alpha
-# on the sign of tau*lam, so each form is one sum over spatial column pairs
+# on the sides of tau and lam, so each form is one sum over spatial column pairs
 
 
 def occupied_modes(u: SpectralField):
@@ -277,13 +279,13 @@ def _pair_sum(spec: BilinearFormSpec, g: Grid, su, sv, U, V, opp=None):
 
 
 def _time_sign_parts(u: SpectralField, M: int):
-    """Occupied columns of u and their samples U, U+, U- (tau>0, tau<0 parts) on M time points."""
+    """Occupied columns of u and their samples U, U+, U- (tau>=0, tau<0 parts) on M time points."""
     su, A = _columns(u.coeffs)
     h = len(A) // 2
     P = np.zeros((2, M, A.shape[1]), dtype=complex)
-    P[0, 1:h], P[1, M - h:] = A[1:h], A[h:]
+    P[0, :h], P[1, M - h:] = A[:h], A[h:]
     plus, minus = np.fft.ifft(P, axis=1, norm="forward")
-    return su, plus + minus + A[0], plus, minus
+    return su, plus + minus, plus, minus
 
 
 def _kernel_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> SpectralField:

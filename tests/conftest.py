@@ -31,13 +31,13 @@ def axis_mode_field(grid, max_k, seed):
     return SpectralField(grid=grid, kind=SPATIAL, coeffs=c)
 
 
-def banded_spacetime_field(grid, kt_max, kx_max, seed, avoid_zero_tau=True):
+def banded_spacetime_field(grid, kt_max, kx_max, seed):
     """Random spacetime spectrum with band limits small enough that pairwise
-    frequency sums stay inside the lattice band (no wrap in convolutions)."""
+    frequency sums stay inside the lattice band (no wrap in convolutions); the
+    tau = 0 plane is included."""
     rng = np.random.default_rng(seed)
     c = np.zeros(grid.spacetime_shape, dtype=complex)
-    kts = [k for k in range(-kt_max, kt_max + 1) if not (avoid_zero_tau and k == 0)]
-    for kt in kts:
+    for kt in range(-kt_max, kt_max + 1):
         for idx in np.ndindex(*(2 * kx_max + 1,) * grid.n):
             ks = tuple(i - kx_max for i in idx)
             pos = (kt % grid.N_t,) + tuple(k % grid.N_x for k in ks)

@@ -174,6 +174,20 @@ def test_a_quoted_value_that_never_closes_is_a_config_error(tmp_path, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+@pytest.mark.parametrize("value", ['"a" "b"', '"a"b', '"a" 1  # a comment', '"a\\q"'])
+def test_a_quoted_value_must_be_one_string(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)  # where a relative `out` would land
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[symbol]\nsamples = 100\nout = {value}\n")
+    assert main(["--config", str(cfg), "symbol-check"]) == EXIT_CONFIG
+    assert capsys.readouterr().out == (
+        f"ERROR\tcode=2\tmsg={cfg}:3: symbol.out has a quoted value that is not one JSON "
+        "string\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+    cfg.write_text('[symbol]\nout = "a b"  # a comment\n')
+    assert read_config(str(cfg)) == {"symbol.out": "a b"}
+
+
 def test_iterate_zero_data_trace(tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["iterate", "--system", "scalarQ0", "--J", "3", "--n", "2",

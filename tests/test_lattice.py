@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from nflab.lattice import (SPACETIME, SPATIAL, FineLattice, SpectralField, cutoff_profile,
+from nflab.lattice import (SPACETIME, SPATIAL, SpectralField, cutoff_profile,
                            dealiased_product, field_from_fine_samples, fine_images, fine_samples,
                            from_plane_wave_coeffs, from_time_spatial_rep,
                            inverse_transform, make_grid,
@@ -705,9 +705,24 @@ def test_bad_refinement_factor_rejected_before_any_transform(monkeypatch, grid2d
     with pytest.raises(ValueError, match=shown):
         fine_samples(u, factor)
     with pytest.raises(ValueError, match=shown):
-        FineLattice(grid2d, SPACETIME, factor)
-    with pytest.raises(ValueError, match=shown):
         dealiased_product(u, u, factor=factor)
+
+
+def test_dealiased_product_pads_each_distinct_operand_through_fine_samples(monkeypatch, grid2d):
+    import nflab.lattice as lat
+    calls = []
+    original = fine_samples
+    monkeypatch.setattr(lat, "fine_samples",
+                        lambda f, factor=1.5: calls.append((f, factor)) or original(f, factor))
+    u, v = random_field(grid2d, SPACETIME, 3), random_field(grid2d, SPACETIME, 4, real=False)
+    got = dealiased_product(u, v, factor=1.75).coeffs  # a real pad times a complex one
+    assert sorted(map(id, (f for f, _ in calls))) == sorted((id(u), id(v)))
+    assert [factor for _, factor in calls] == [1.75, 1.75]
+    P = np.multiply(original(u, 1.75), original(v, 1.75))
+    assert np.array_equal(got, field_from_fine_samples(grid2d, SPACETIME, P).coeffs)
+    calls.clear()
+    dealiased_product(u, u)
+    assert [(id(f), factor) for f, factor in calls] == [(id(u), 1.5)]
 
 
 def _full_box_time_spatial_rep(fieldv):

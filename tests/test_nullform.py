@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -271,10 +272,10 @@ def _direct_double_sum(spec, u, v):
     iu, cu = occupied_modes(u)
     iv, cv = occupied_modes(v)
     st_kind = u.kind == SPACETIME
-    memo = {}  # kernel_value depends on (tau, lam) only through the sign of tau * lam
+    memo = {}  # kernel_value depends on (tau, lam) only through (tau >= 0) == (lam >= 0)
 
     def kernel(p, q):
-        key = (st_kind and p[0] * q[0] < 0, p[-g.n:], q[-g.n:])
+        key = (st_kind and (p[0] >= 0) == (q[0] >= 0), p[-g.n:], q[-g.n:])
         if key not in memo:
             tau = (p[0] * TWO_PI / g.T_per, q[0] * TWO_PI / g.T_per) if st_kind else (0.0, 0.0)
             memo[key] = kernel_value(
@@ -330,19 +331,21 @@ def test_occupied_modes_of_the_zero_field_are_empty(grid2d):
                                                               np.complex128)
 
 
-def test_ralpha_tau_zero_takes_delta_plus_branch(grid2d):
-    # tau * lam = 0 is in the Delta_+ branch; tau * lam < 0 in the Delta_- branch
+def test_ralpha_tau_zero_sides_with_positive_tau(grid2d):
+    # Delta_+ where (tau >= 0) == (lam >= 0), Delta_- where not: tau = 0 is on the side of
+    # tau > 0, as pm_decompose puts the tau = 0 plane in u_plus
     a, b = np.array([2, 1]), np.array([-1, 3])
     spec = BilinearFormSpec("ralpha", alpha=0.7)
-    v = single_mode_field(grid2d, -2, b)
     N = grid2d.N_x
-    for kt, delta in ((0, delta_plus), (3, delta_minus)):
-        out = apply_form(spec, single_mode_field(grid2d, kt, a), v).coeffs
-        pos = ((kt - 2) % grid2d.N_t,) + tuple((a + b) % N)
+    for kt, lk in itertools.product((0, 3, -3), (0, 2, -2)):
+        delta = delta_plus if (kt >= 0) == (lk >= 0) else delta_minus
+        out = apply_form(spec, single_mode_field(grid2d, kt, a),
+                         single_mode_field(grid2d, lk, b)).coeffs
+        pos = ((kt + lk) % grid2d.N_t,) + tuple((a + b) % N)
         want = float(delta(a[None, :], b[None, :])[0]) ** 0.7 / math.sqrt(grid2d.volume)
-        assert abs(out[pos] - want) <= 1e-14
+        assert abs(out[pos] - want) <= 1e-14, (kt, lk)
         out[pos] = 0.0
-        assert np.max(np.abs(out)) <= 1e-15
+        assert np.max(np.abs(out)) <= 1e-15, (kt, lk)
     assert abs(float(delta_plus(a[None, :], b[None, :])[0])
                - float(delta_minus(a[None, :], b[None, :])[0])) > 0.5
 

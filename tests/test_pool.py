@@ -122,8 +122,8 @@ def test_picard_csvs_and_probe_reports_keep_their_bytes_at_every_thread_count(mo
         assert reports[1:] == reports[:1] * 2, ensemble
 
 
-def _unplanned(grid, kind=SPACETIME, factor=1.5, plan=(), engine=lat.FineLattice):
-    return engine(grid, kind, factor)
+def _unplanned(plan=(), engine=lat.FineLattice):
+    return engine()
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -206,8 +206,8 @@ def test_engines_hold_no_planned_image_after_an_evaluation(monkeypatch):
     engines = []
 
     class Recorded(lat.FineLattice):
-        def __init__(self, *a, plan=(), **k):
-            super().__init__(*a, plan=plan, **k)
+        def __init__(self, plan=()):
+            super().__init__(plan)
             engines.append((self, bool(plan)))
 
     for module in (lat, nf):
@@ -217,7 +217,7 @@ def test_engines_hold_no_planned_image_after_an_evaluation(monkeypatch):
         apply_form(spec, u, v)
     for spec, *_ in _systems().values():
         apply_nonlinearity(spec, _comps(spec, True))
-    assert [planned for _, planned in engines] == [True] * 9
+    assert [planned for _, planned in engines] == [True] * 8  # the product builds none
     assert all(eng._images == {} for eng, _ in engines)
 
 
@@ -427,7 +427,7 @@ def test_work_that_never_enters_the_pool_sets_the_malloc_policy_too(monkeypatch,
 def test_kernel_forms_set_the_malloc_policy_through_the_pool(monkeypatch, fresh_policy, threads,
                                                               form, kind):
     # the kernel sum's row blocks run on pmap, a spatial field's one block included; a product
-    # form enters it only through its pads (FineLattice.samples), since crops run no pmap
+    # form enters it only through its pads' pmap call, since crops run no pmap
     monkeypatch.setenv("NFLAB_THREADS", threads)
     g = make_grid(2, 16, 16, TWO_PI, TWO_PI)
     u, v = (random_field(g, kind, seed, max_freq=2, real=form == "splus") for seed in (1, 2))

@@ -1146,9 +1146,9 @@ def test_cone_draw_equals_the_per_mode_loop_bit_for_bit(n, N, T_per, L_per):
 
 
 @pytest.mark.parametrize("seed, report", [
-    (0, (0.03973855853192607, 2, "cone-concentrated", 0.007092977134486433,
+    (0, (0.03998891896696112, 2, "cone-concentrated", 0.009078689471811357,
          "bounded-consistent", None, None, [], [], 0)),
-    (5, (0.038413612526945175, 1, "cone-concentrated", 0.006646360648913546,
+    (5, (0.039176901861900794, 1, "cone-concentrated", 0.010100861608938933,
          "bounded-consistent", None, None, [], [], 0)),
 ])
 def test_ralpha_cone_probe_is_golden(seed, report):
