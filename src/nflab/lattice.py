@@ -377,8 +377,7 @@ def modified_mixed_norm_detailed(u: SpectralField, q, r):
             if not improved:
                 converged = True
                 break
-    ascent = max(cur, lower)
-    ascent = min(ascent, upper)
+    ascent = min(cur, upper)
     return lower, ascent, upper, converged
 
 
@@ -527,8 +526,8 @@ def pmap(func, items) -> list:
 # it.  On the folded band the +N/2 row takes xi = +N/2: the fold of the
 # derivative's coefficients, Nyquist rows included.  An R_0 R_j image mixes
 # the axes and is a one-leaf tree of its own.  `nullform.combine_forms` (every
-# q0, qij and qtilde sum) plans a FineLattice with the images (u, op) in order
-# of use: a miss pads every planned image of its tree, beside the next planned
+# q0, qij and qtilde sum) walks `planned_pads` over the images (u, op) in order
+# of use: a miss pads every planned image of its tree, beside the next unpadded
 # tree on `pmap`, and an image is dropped at its last planned use.  No image's
 # bits depend on its siblings or the pairing.  `dealiased_product` pads each
 # distinct operand with `fine_samples`, on one `pmap` call.
@@ -690,34 +689,26 @@ def symbol_image(u: SpectralField, op=None) -> SpectralField:
     return u.copy_with(u.coeffs * sym, real_flag=False, zero_mode_projected=True)
 
 
-class FineLattice:
-    """One evaluation's workspace for product sums on the 3/2 lattice: `samples(u, op)` pads
-    u's image under a diagonal symbol (`symbol_image`) once, and `plan` lists the images
-    (u, op) it pads, in order of use (see the comment above)."""
+def _pad_tree(tree) -> zip:
+    """((id(f), op), fine samples) for each image op of the pass tree (f, ops)."""
+    f, ops = tree
+    return zip([(id(f), op) for op in ops], fine_images(f, list(ops)))
 
-    def __init__(self, plan=()):
-        # (id(u), op) -> [u, op, planned uses left, samples], in order of first use; the entry
-        # holds the field itself, so its id is not reused while the entry lives
-        self._images = {}
-        for u, op in plan:
-            self._images.setdefault((id(u), op), [u, op, 0, None])[2] += 1
 
-    def samples(self, u: SpectralField, op=None) -> np.ndarray:
-        key = (id(u), op)
-        entry = self._images.setdefault(key, [u, op, 0, None])
-        if entry[3] is None:
-            todo = [e for e in self._images.values() if e[3] is None]
-            root = lambda e: (id(e[0]), e[1] if e[1] and e[1][0] == "rr" else None)  # noqa: E731
-            roots = list(dict.fromkeys(map(root, [entry] + todo)))[:2]
-            trees = [[e for e in todo if root(e) == r] for r in roots]
-            pads = pmap(lambda t: fine_images(t[0][0], [e[1] for e in t]), trees)
-            for tree, images in zip(trees, pads):
-                for e, P in zip(tree, images):
-                    e[3] = P
-        entry[2] -= 1
-        if entry[2] == 0:
-            del self._images[key]
-        return entry[3]
+def planned_pads(plan):
+    """Yield the fine samples of each image (u, op) of the list `plan`, the images of one
+    evaluation's product sums in order of use, each padded once and let go at its last use
+    (see the comment above).  `plan` holds its fields, so their ids stay theirs."""
+    trees, last, pads = {}, {}, {}
+    for i, (u, op) in enumerate(plan):
+        trees.setdefault((id(u), op if op and op[0] == "rr" else None), (u, {}))[1][op] = None
+        last[id(u), op] = i
+    for i, (u, op) in enumerate(plan):
+        if (id(u), op) not in pads:  # the first use of the first unpadded tree; padded
+            # straight into `pads`, since a list of images held in a local outlives their use
+            pads.update(kv for images in pmap(_pad_tree, [trees.pop(r) for r in list(trees)[:2]])
+                        for kv in images)
+        yield pads.pop((id(u), op)) if last[id(u), op] == i else pads[id(u), op]
 
 
 def dealiased_product(u: SpectralField, v: SpectralField, factor: float = 1.5) -> SpectralField:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (SPACETIME, FineLattice, FrequencyPoint, Grid, SpectralField, _cropped,
-                      _fine_shape, _measure, dealiased_product, field_from_fine_samples, pmap,
+from .lattice import (SPACETIME, FrequencyPoint, Grid, SpectralField, _cropped, _fine_shape,
+                      _measure, dealiased_product, field_from_fine_samples, planned_pads, pmap,
                       symbol_image)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
@@ -170,14 +170,14 @@ def _groups(spec: BilinearFormSpec, n: int) -> list:
 
 def combine_forms(grid: Grid, *combos) -> list:
     """Per combo (terms, n_out): the components sum_t w_t[I] F_t(u_t, v_t), I < n_out, of its
-    terms (F_t, u_t, v_t, w_t), F_t a q0, qij or qtilde form.  One fine lattice, planned for
-    every combo, pads each image once; each group of each output is cropped once, when its
-    last term is summed, and the crops are added in the order the groups first appear.  The
-    outputs are real when all the combo's inputs are, and zero-mode-projected when one is or
-    a term is qtilde."""
-    eng = FineLattice([image for terms, _ in combos for spec, u, v, _ in terms
-                       for _, prods in _groups(spec, grid.n)
-                       for _, op_u, op_v in prods for image in ((u, op_u), (v, op_v))])
+    terms (F_t, u_t, v_t, w_t), F_t a q0, qij or qtilde form.  One walk of `planned_pads` over
+    every combo's images pads each image once; each group of each output is cropped once,
+    when its last term is summed, and the crops are added in the order the groups first
+    appear.  The outputs are real when all the combo's inputs are, and zero-mode-projected
+    when one is or a term is qtilde."""
+    pads = planned_pads([image for terms, _ in combos for spec, u, v, _ in terms
+                         for _, prods in _groups(spec, grid.n)
+                         for _, op_u, op_v in prods for image in ((u, op_u), (v, op_v))])
     outs = []
     for terms, n_out in combos:
         real = all(u.real_flag and v.real_flag for _, u, v, _ in terms)
@@ -192,7 +192,7 @@ def combine_forms(grid: Grid, *combos) -> list:
                 for sign, op_u, op_v in prods:
                     # not `*`, which may reuse an image at its last use (a temporary) as the
                     # output with the operands swapped: complex products do not commute bitwise
-                    Q = np.multiply(eng.samples(u, op_u), eng.samples(v, op_v))
+                    Q = np.multiply(next(pads), next(pads))
                     P = np.add(P, Q, out=Q) if sign > 0 else np.subtract(P, Q, out=Q)
                 for I in np.flatnonzero(w):
                     key = (int(I), outer)

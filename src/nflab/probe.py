@@ -173,8 +173,6 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
     """Worst-case ratio study; verdict per the fixed slope/drift rules.  A lattice ensemble
     evaluates each trial on `grid` (sup, witness, 0/0 exclusions) and on `grid.refined()`, whose
     sup sets the refinement drift; the counterexample family reports no drift."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if ensemble == "counterexample-family":
         ignored = [name for name, used in (
             ("form", spec.form.form != "product"),
@@ -200,6 +198,10 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
                          f"not to {ensemble!r}")
     if grid is None:
         raise ValueError("lattice ensembles need a grid")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if spec.unary and spec.form.form != "product":
+        raise ValueError("a unary probe measures target(u) / source(u); it takes no form")
     grids = (grid, grid.refined())
 
     def trial(k):

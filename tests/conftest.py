@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nflab.lattice import SPACETIME, SPATIAL, SpectralField, make_grid
+from nflab.lattice import SPACETIME, SPATIAL, SpectralField, make_grid, transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,3 +50,14 @@ def single_mode_field(grid, kt, ks, amp=1.0):
     pos = (kt % grid.N_t,) + tuple(k % grid.N_x for k in ks)
     c[pos] = amp
     return SpectralField(grid=grid, kind=SPACETIME, coeffs=c)
+
+
+def full_band_field(rng, grid, kind, which):
+    """A field with every mode filled (the tau = 0 plane, every Nyquist plane, the zero
+    mode): a real field from real samples ("real"), non-Hermitian coefficients flagged real
+    ("real_flag"), or a complex field ("complex")."""
+    shape = grid.shape_for(kind)
+    if which == "real":
+        return transform(grid, rng.standard_normal(shape), kind)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralField(grid=grid, kind=kind, coeffs=c, real_flag=which == "real_flag")

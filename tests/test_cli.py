@@ -654,6 +654,24 @@ def test_family_rejects_options_it_would_ignore(capsys, monkeypatch, flags, name
     assert out.startswith("ERROR\tcode=2") and f"takes no {name}\n" in out
 
 
+def test_family_takes_any_trial_count_since_it_draws_nothing(tmp_path):
+    outs = [tmp_path / f"{trials}.csv" for trials in (0, 1)]
+    for trials, out in zip((0, 1), outs):
+        assert main(["probe-embedding", "--ensemble", "counterexample-family", "--n", "2",
+                     "--scales", "4,6,8", "--trials", str(trials), "--out", str(out)]) == EXIT_OK
+    assert outs[0].read_text() == outs[1].read_text()
+    assert "probe.trials=None" in outs[0].read_text()
+
+
+def test_a_unary_lattice_probe_with_a_form_is_a_config_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli.pr, "embedding_ratio", lambda *a: pytest.fail("a trial ran"))
+    code = main(["probe-embedding", "--unary", "--form", "q0", "--trials", "2", "--n", "2",
+                 "--nt", "8", "--nx", "8"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().out == ("ERROR\tcode=2\tmsg=a unary probe measures "
+                                       "target(u) / source(u); it takes no form\n")
+
+
 @pytest.mark.parametrize("scales, bad", [("4,6,inf", "inf"), ("4,6,nan", "nan"),
                                          ("-4,6,8", "-4.0"), ("0.5,1,2", "0.5")])
 def test_family_scales_checked_before_any_is_computed(capsys, monkeypatch, scales, bad):

@@ -20,6 +20,8 @@ from nflab.lattice import (SPACETIME, SPATIAL, SpectralField, cutoff_profile,
                            time_spatial_rep, transform,
                            write_field)
 
+from conftest import full_band_field
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -465,16 +467,6 @@ def test_real_fft_route_matches_complex_route(n, kind):
             assert np.max(np.abs(back - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def _pad_crop_field(rng, g, kind, which):
-    """A real field from real samples (every mode filled: Nyquist planes, the zero mode),
-    non-Hermitian coefficients flagged real, or a complex field."""
-    shape = g.shape_for(kind)
-    if which == "real":
-        return transform(g, rng.standard_normal(shape), kind)
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return SpectralField(grid=g, kind=kind, coeffs=c, real_flag=which == "real_flag")
-
-
 @given(data=st.data(), n=st.integers(1, 3), kind=st.sampled_from([SPATIAL, SPACETIME]),
        which=st.sampled_from(["real", "real_flag", "complex"]),
        factor=st.sampled_from([1.5, 2.0, 2.5]), seed=st.integers(0, 2**16))
@@ -485,7 +477,7 @@ def test_pads_and_crops_match_the_complex_full_lattice_route(data, n, kind, whic
     N_t = data.draw(st.sampled_from([m for m in (2, 4, 8, 16) if m != N_x]))
     g = make_grid(n, N_t, N_x, 1.3, 2.9)
     rng = np.random.default_rng(seed)
-    u = _pad_crop_field(rng, g, kind, which)
+    u = full_band_field(rng, g, kind, which)
     assert u.real_flag is (which != "complex")
     want = _c2c_fine_samples(u, factor)
     got = fine_samples(u, factor)
@@ -504,7 +496,7 @@ def test_plane_wave_coeffs_is_the_division_bit_for_bit():
     for n, T_per, L_per in ((1, 1.3, TWO_PI), (2, 0.7, 2.3), (3, 5.0, 1.1), (2, 1.0, 3.0)):
         g = make_grid(n, 8, 8, T_per, L_per)
         for kind in (SPATIAL, SPACETIME):
-            u = _pad_crop_field(rng, g, kind, "complex")
+            u = full_band_field(rng, g, kind, "complex")
             u.coeffs[(0,) * u.coeffs.ndim] = 0.0
             u.coeffs[(1,) * u.coeffs.ndim] *= 1e-300
             vol = g.volume if kind == SPACETIME else g.spatial_volume
@@ -663,7 +655,7 @@ def test_pass_tree_images_match_one_pad_per_image(n, kind, periods):
     rng = np.random.default_rng(60 + n)
     ops = _symbols(n, kind)
     for which in ("real", "real_flag", "complex"):
-        u = _pad_crop_field(rng, g, kind, which)
+        u = full_band_field(rng, g, kind, which)
         assert np.all(u.coeffs != 0)  # the tau = 0 plane, every Nyquist plane, the zero mode
         for factor in (1.5, 2.0):
             for op, got in zip(ops, fine_images(u, ops, factor)):
@@ -679,7 +671,7 @@ def test_an_image_keeps_its_bits_whatever_its_siblings(n, kind):
     rng = np.random.default_rng(70 + n)
     ops = _symbols(n, kind)
     for which in ("real", "real_flag", "complex"):
-        u = _pad_crop_field(rng, g, kind, which)
+        u = full_band_field(rng, g, kind, which)
         alone = {op: fine_images(u, [op])[0] for op in ops}
         draws = [list(rng.permutation(len(ops))[:rng.integers(1, len(ops) + 1)])
                  for _ in range(4)]
@@ -691,7 +683,7 @@ def test_an_image_keeps_its_bits_whatever_its_siblings(n, kind):
         for op in ops:
             if op is None or op[0] == "rr":
                 assert np.array_equal(alone[op], _full_box_fine_samples(symbol_image(u, op), 1.5))
-        v = _pad_crop_field(rng, g, kind, which)
+        v = full_band_field(rng, g, kind, which)
         P = np.multiply(_full_box_fine_samples(u, 1.5), _full_box_fine_samples(v, 1.5))
         assert np.array_equal(dealiased_product(u, v).coeffs, _full_box_crop(g, kind, P))
 

@@ -1,15 +1,19 @@
-"""The worker pool (`lattice.pmap`) and the planned fine-lattice engine.
+"""The worker pool (`lattice.pmap`) and the planned pads of `nullform.combine_forms`
+(`lattice.planned_pads`).
 
 Every output must keep its bits at any NFLAB_THREADS, every image must be padded
-exactly once, and an engine must let go of each planned image at its last use.
+exactly once, pads must pair the pass trees in order of first use, and no padded
+image may outlive its evaluation.
 """
 
 import ctypes
 import functools
+import gc
 import math
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,7 +37,7 @@ FORMS = [BilinearFormSpec("q0"), BilinearFormSpec("qij", i=1, j=2), BilinearForm
 
 
 def _pads(form: str, n: int) -> tuple:
-    """(images, trees) a form pads for u != v: the distinct images, what a full memo pads,
+    """(images, trees) a form pads for u != v: the distinct images, each padded once,
     and the pad trees, one per operand and one per R_0 R_j image."""
     return {"q0": (2 * (n + 1), 2), "qij": (4, 2), "qtilde": (2 * n + 2, 2 * n + 2),
             "product": (2, 2)}.get(form, (0, 0))
@@ -122,13 +126,9 @@ def test_picard_csvs_and_probe_reports_keep_their_bytes_at_every_thread_count(mo
         assert reports[1:] == reports[:1] * 2, ensemble
 
 
-def _unplanned(plan=(), engine=lat.FineLattice):
-    return engine()
-
-
 @pytest.mark.parametrize("real", [True, False])
 def test_planning_moves_no_bit(monkeypatch, real):
-    # an unplanned engine keeps every image to its end, as a plain memo does
+    # the reference pads every image alone, in a tree of its own
     monkeypatch.setenv("NFLAB_THREADS", "2")
     u, v = _form_fields(3, real)
     cases = [(lambda s=s: apply_form(s, u, v).coeffs) for s in FORMS[:4]]
@@ -137,8 +137,9 @@ def test_planning_moves_no_bit(monkeypatch, real):
         cases.append(lambda spec=spec, comps=comps: [
             f.coeffs for f in apply_nonlinearity(spec, comps)])
     planned = [case() for case in cases]
-    for module in (lat, nf):
-        monkeypatch.setattr(module, "FineLattice", _unplanned)
+    pad_tree = lat._pad_tree
+    monkeypatch.setattr(lat, "_pad_tree", lambda tree: [
+        image for op in tree[1] for image in pad_tree((tree[0], [op]))])
     for case, want in zip(cases, planned):
         assert np.array_equal(case(), want)
 
@@ -201,24 +202,51 @@ def test_each_operand_is_folded_once(monkeypatch):
         assert len(folds) == operands, name
 
 
-def test_engines_hold_no_planned_image_after_an_evaluation(monkeypatch):
+@pytest.mark.parametrize("real", [True, False])
+def test_pads_pair_the_trees_in_order_of_first_use(monkeypatch, real):
+    # each pmap call pads the first unpadded tree beside the next one; an R_0 R_j image is a
+    # tree of its own, and a tree lists its images in order of first use
+    monkeypatch.setenv("NFLAB_THREADS", "1")
+    u, v = _form_fields(2, real)
+    calls = []
+    pmap, fine_images = lat.pmap, lat.fine_images
+    monkeypatch.setattr(lat, "pmap", lambda func, items: calls.append([]) or pmap(func, items))
+
+    def recorded(f, ops, factor=1.5):
+        calls[-1].append(("u" if f is u else "v", list(ops)))
+        return fine_images(f, ops, factor)
+
+    monkeypatch.setattr(lat, "fine_images", recorded)
+    apply_form(BilinearFormSpec("q0"), u, v)
+    d = [("d", mu) for mu in range(3)]
+    assert calls == [[("u", d), ("v", d)]]
+    calls.clear()
+    apply_form(BilinearFormSpec("qtilde"), u, v)
+    r1, r2 = ("rr", 1), ("rr", 2)
+    assert calls == [[("u", [r1]), ("v", [None])], [("u", [None]), ("v", [r1])],
+                     [("u", [r2]), ("v", [r2])]]
+
+
+def test_no_padded_image_outlives_its_evaluation(monkeypatch):
     monkeypatch.setenv("NFLAB_THREADS", "2")
-    engines = []
+    pads = []
+    fine_images = lat.fine_images
 
-    class Recorded(lat.FineLattice):
-        def __init__(self, plan=()):
-            super().__init__(plan)
-            engines.append((self, bool(plan)))
+    def recorded(f, ops, factor=1.5):
+        images = fine_images(f, ops, factor)
+        pads.extend(map(weakref.ref, images))
+        return images
 
-    for module in (lat, nf):
-        monkeypatch.setattr(module, "FineLattice", Recorded)
+    monkeypatch.setattr(lat, "fine_images", recorded)
     u, v = _form_fields(2, False)
-    for spec in FORMS[:4]:
-        apply_form(spec, u, v)
-    for spec, *_ in _systems().values():
-        apply_nonlinearity(spec, _comps(spec, True))
-    assert [planned for _, planned in engines] == [True] * 8  # the product builds none
-    assert all(eng._images == {} for eng, _ in engines)
+    runs = [(spec.form, lambda spec=spec: apply_form(spec, u, v)) for spec in FORMS[:4]]
+    runs += [(name, lambda spec=spec: apply_nonlinearity(spec, _comps(spec, True)))
+             for name, (spec, *_) in _systems().items()]
+    for name, run in runs:
+        pads.clear()
+        run()
+        gc.collect()
+        assert pads and all(ref() is None for ref in pads), name
 
 
 def _finishes(target, seconds=20.0):

@@ -901,6 +901,23 @@ def test_family_rejects_options_it_would_ignore(change, name, monkeypatch):
         probe_embedding(spec, "counterexample-family", 1, None, scales=[4, 6, 8])
 
 
+def test_family_takes_any_trial_count_since_it_draws_nothing():
+    plain = probe_embedding(_family_spec(2), "counterexample-family", 1, None, scales=[4, 6, 8])
+    assert probe_embedding(_family_spec(2), "counterexample-family", 0, None,
+                           scales=[4, 6, 8]) == plain
+
+
+def test_a_unary_lattice_probe_rejects_a_form_before_any_trial(monkeypatch):
+    monkeypatch.setattr(probe, "embedding_ratio", lambda *a: pytest.fail("a trial ran"))
+    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=SpaceIndex(0.0, 0.0),
+                         target=SpaceIndex(0.0, 0.0), n=2, unary=True,
+                         form=BilinearFormSpec("q0"))
+    g = make_grid(2, 8, 8, TWO_PI, TWO_PI)
+    with pytest.raises(ValueError, match="^a unary probe measures target\\(u\\) / source\\(u\\); "
+                                         "it takes no form$"):
+        probe_embedding(spec, "cone-concentrated", 2, g)
+
+
 def test_family_takes_the_product_form_spec_as_the_plain_product():
     plain = probe_embedding(_family_spec(2), "counterexample-family", 1, None, scales=[4, 6, 8])
     spec = dataclasses.replace(_family_spec(2), form=BilinearFormSpec("product"))

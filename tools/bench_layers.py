@@ -71,15 +71,15 @@ FIXED = ("schur_bound", "counterexample_lattice_ratio", "counterexample_norms", 
 
 
 def operand_pads(u):
-    """The n + 1 derivative pads of u under the malloc policy, as the engine's pool runs them:
-    one pass tree (`fine_images`)."""
+    """The n + 1 derivative pads of u under the malloc policy, as `combine_forms`' planned pads
+    (`lattice.planned_pads`) run them: one pass tree (`fine_images`)."""
     ops = [("d", mu) for mu in range(u.grid.n + 1)]
     return lambda: (lat._malloc_policy(), lat.fine_images(u, ops))
 
 
 def crops(grid, fields):
     """One crop (`field_from_fine_samples`) of the fine-lattice product of a real and of a
-    complex pair of fields, under the malloc policy, as the engine runs them."""
+    complex pair of fields, under the malloc policy, as `combine_forms` runs them."""
     pairs = [(lat.fine_samples(u) * lat.fine_samples(v), u.real_flag) for u, v in fields]
     return lambda: (lat._malloc_policy(), [lat.field_from_fine_samples(grid, lat.SPACETIME, P, real)
                                            for P, real in pairs])
