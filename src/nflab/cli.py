@@ -293,17 +293,14 @@ def parse_form(text, n: int):
 
 def cmd_probe_embedding(cfg) -> int:
     form = parse_form(cfg["probe.form"], cfg["grid.n"])
-    target_mixed = None
-    if cfg["probe.target_q"] is not None or cfg["probe.target_r"] is not None:
-        if cfg["probe.target_q"] is None or cfg["probe.target_r"] is None:
-            raise ConfigError("mixed-norm targets need both target_q and target_r")
-        target_mixed = (cfg["probe.target_q"], cfg["probe.target_r"])
-    spec = pr.EmbeddingSpec(
-        left=mult.SpaceIndex(cfg["probe.left_s"], cfg["probe.left_theta"]),
-        right=mult.SpaceIndex(cfg["probe.right_s"], cfg["probe.right_theta"]),
-        target=mult.SpaceIndex(cfg["probe.target_s"], cfg["probe.target_theta"]),
-        n=cfg["grid.n"], form=form, target_mixed=target_mixed,
-        unary=cfg["probe.unary"])
+    mixed = (cfg["probe.target_q"], cfg["probe.target_r"])
+    if mixed.count(None) == 1:
+        raise ConfigError("mixed-norm targets need both target_q and target_r")
+    right = mult.SpaceIndex(cfg["probe.right_s"], cfg["probe.right_theta"])
+    target = mult.SpaceIndex(cfg["probe.target_s"], cfg["probe.target_theta"])
+    spec = pr.EmbeddingSpec(left=mult.SpaceIndex(cfg["probe.left_s"], cfg["probe.left_theta"]),
+                            right=None if cfg["probe.unary"] else right,
+                            target=target if None in mixed else mixed, n=cfg["grid.n"], form=form)
     scales = cfg["probe.scales"]
     if scales is not None:
         scales = [float(x) for x in scales.split(",")]
@@ -320,12 +317,16 @@ def cmd_probe_embedding(cfg) -> int:
         return "inf" if math.isinf(x) else x
 
     param_fields = {"left": [spec.left.s, spec.left.theta]}
-    if not spec.unary:
-        param_fields["right"] = [spec.right.s, spec.right.theta]
-    if spec.target_mixed is not None:
-        param_fields["target_mixed"] = [_jsonable(x) for x in spec.target_mixed]
+    # the header records None for an index that does not act, as param_json omits it
+    if spec.right is None:
+        cfg.update(dict.fromkeys(("probe.right_s", "probe.right_theta")))
     else:
+        param_fields["right"] = [spec.right.s, spec.right.theta]
+    if isinstance(spec.target, mult.SpaceIndex):
         param_fields["target"] = [spec.target.s, spec.target.theta]
+    else:
+        param_fields["target_mixed"] = [_jsonable(x) for x in spec.target]
+        cfg.update(dict.fromkeys(("probe.target_s", "probe.target_theta")))
     param = json.dumps(param_fields, separators=(",", ":"))
     rows = [_header(cfg), "probe_id,param_json,scale,value,slope,residual,verdict\n"]
     if report.scales:

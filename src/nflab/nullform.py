@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -72,15 +73,10 @@ class BilinearFormSpec:
 
 
 def _wedge_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[-1] == 1:
-        return np.zeros(a.shape[:-1])
-    if a.shape[-1] != 3:
-        return sum((a[..., i] * b[..., j] - a[..., j] * b[..., i]) ** 2
-                   for i in range(a.shape[-1]) for j in range(i + 1, a.shape[-1]))
-    cx = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    cy = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    cz = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return cx**2 + cy**2 + cz**2
+    """sum over i < j of (a_i b_j - a_j b_i)^2, added from the last pair (i, j) to the first."""
+    terms = [(a[..., i] * b[..., j] - a[..., j] * b[..., i]) ** 2
+             for i, j in reversed(list(combinations(range(a.shape[-1]), 2)))]
+    return sum(terms[1:], terms[0]) if terms else np.zeros(a.shape[:-1])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,10 +133,10 @@ def kernel_value(spec: BilinearFormSpec, p: FrequencyPoint, q: FrequencyPoint) -
     """Exact symbol or kernel value at an input frequency pair (p, q)."""
     xi, eta = p.xi, q.xi
     if spec.form == "q0":
-        return complex(-p.tau * q.tau + float(np.dot(xi, eta)))
+        return complex(p.tau * q.tau - float(np.dot(xi, eta)))
     if spec.form == "qij":
         i, j = spec.i - 1, spec.j - 1
-        return complex(xi[i] * eta[j] - xi[j] * eta[i])
+        return complex(xi[j] * eta[i] - xi[i] * eta[j])
     if spec.form == "ralpha":
         return complex(float(r_kernel(p.tau, xi[None, :], q.tau, eta[None, :])[0]) ** spec.alpha)
     if spec.form == "splus":
@@ -382,11 +378,11 @@ def _ineq_q0(tau, lam, xi, eta):
 
 
 def _ineq_qij(tau, lam, xi, eta):
-    lhs = np.sqrt(_wedge_sq(xi, eta))
+    na, nb, ns, _, w = _geometry(xi, eta)
+    lhs = np.sqrt(w)
     A = _hyp(tau + lam, xi + eta)
     B = _hyp(tau, xi)
     C = _hyp(lam, eta)
-    na, nb, ns = _norm(xi), _norm(eta), _norm(xi + eta)
     rhs = 2.0 * np.sqrt(na * nb * ns) * (np.sqrt(A) + np.sqrt(B) + np.sqrt(C))
     unit = na * nb
     return lhs, rhs, unit

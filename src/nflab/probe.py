@@ -2,9 +2,9 @@
 
 Three kinds of evidence are produced, none of which claims a proof:
 
-* probe_embedding measures sup ratios of a bilinear (or unary) estimate over
-  seeded ensembles and reports a fixed-rule verdict; each trial's cone draw is
-  made once, free of any grid, and placed on the lattice and on its refinement;
+* probe_embedding measures sup ratios of a bilinear (or, with right=None, unary) estimate
+  into a Sobolev or (q, r) mixed target over seeded ensembles, with a fixed-rule verdict;
+  each trial's cone draw is made once, free of any grid, for the lattice and its refinement;
 * schur_bound evaluates the boundedness certificate sup_xi int K^2 d(eta) in
   polar coordinates with a graded angular mesh, monotone in the truncation
   and in the angular refinement by construction, for n >= 2 (the mesh is
@@ -87,17 +87,15 @@ def scaling_fit(points) -> FitResult:
 class EmbeddingSpec:
     """Estimate target(B(u,v)) <= C source_l(u) source_r(v); B is the plain product by default.
 
-    With unary=True the right factor is dropped and the probe measures
-    target(u) / source_l(u) (linear embeddings).
+    With right=None there is no right factor and the probe measures target(u) / source_l(u)
+    (linear embeddings).  A (q, r) target is the modified-norm upper surrogate of L^q_t L^r_x.
     """
 
     left: SpaceIndex
-    right: SpaceIndex
-    target: SpaceIndex
+    right: SpaceIndex | None
+    target: SpaceIndex | tuple
     n: int
     form: BilinearFormSpec = BilinearFormSpec("product")
-    target_mixed: tuple | None = None  # (q, r): use the modified-norm upper surrogate
-    unary: bool = False
 
 
 @dataclass
@@ -117,17 +115,14 @@ class ProbeReport:
 def embedding_ratio(spec: EmbeddingSpec, u: SpectralField, v: SpectralField | None) -> float | None:
     """Single-sample ratio; None when a source norm vanishes (0/0 guard)."""
     denom = ws_norm(u, spec.left)
-    if not spec.unary:
+    if spec.right is not None:
         denom *= ws_norm(v, spec.right)
     if denom == 0.0:
         return None
-    B = u if spec.unary else apply_form(spec.form, u, v)
-    if spec.target_mixed is not None:
-        q, r = spec.target_mixed
-        num = modified_mixed_norm(B, q, r)
-    else:
-        num = ws_norm(B, spec.target)
-    return num / denom
+    B = u if spec.right is None else apply_form(spec.form, u, v)
+    if isinstance(spec.target, SpaceIndex):
+        return ws_norm(B, spec.target) / denom
+    return modified_mixed_norm(B, *spec.target) / denom
 
 
 def _cone_modes(n: int, seed: int):
@@ -175,8 +170,8 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
     sup sets the refinement drift; the counterexample family reports no drift."""
     if ensemble == "counterexample-family":
         ignored = [name for name, used in (
-            ("form", spec.form.form != "product"),
-            ("unary", spec.unary), ("target_q/target_r", spec.target_mixed is not None)) if used]
+            ("form", spec.form.form != "product"), ("unary", spec.right is None),
+            ("target_q/target_r", not isinstance(spec.target, SpaceIndex))) if used]
         if ignored:
             raise ValueError(f"the counterexample-family ensemble probes the plain product into "
                              f"a Sobolev target; it takes no {' or '.join(ignored)}")
@@ -200,14 +195,14 @@ def probe_embedding(spec: EmbeddingSpec, ensemble: str, trials: int, grid: Grid 
         raise ValueError("lattice ensembles need a grid")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if spec.unary and spec.form.form != "product":
+    if spec.right is None and spec.form.form != "product":
         raise ValueError("a unary probe measures target(u) / source(u); it takes no form")
     grids = (grid, grid.refined())
 
     def trial(k):
         # v from its own seed; a unary probe draws none.  One draw serves every grid.
         u = _draw(grid.n, ensemble, seed + 1000 * k)
-        v = None if spec.unary else _draw(grid.n, ensemble, seed + 1000 * k + 7_000_003)
+        v = None if spec.right is None else _draw(grid.n, ensemble, seed + 1000 * k + 7_000_003)
         return [embedding_ratio(spec, u(g), None if v is None else v(g)) for g in grids]
 
     best, excluded = [(0.0, -1) for _ in grids], 0  # (sup, witness) per grid

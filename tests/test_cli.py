@@ -399,6 +399,26 @@ def test_probe_embedding_unary_mixed_target(tmp_path):
     assert "bounded-consistent" in text or "inconclusive" in text
 
 
+@pytest.mark.parametrize("flags, unused", [
+    (["--unary", "--target-q", "inf", "--target-r", "2"],
+     ("right_s", "right_theta", "target_s", "target_theta")),
+    (["--unary"], ("right_s", "right_theta")),
+    (["--form", "q0", "--target-q", "4", "--target-r", "4"], ("target_s", "target_theta")),
+    ([], ())])
+def test_a_probe_header_records_none_for_the_indices_that_do_not_act(tmp_path, flags, unused):
+    # a unary probe has no right factor and a (q, r) target no Sobolev index; param_json
+    # omits them, and so does the header
+    out = tmp_path / "probe.csv"
+    assert main(["probe-embedding", "--ensemble", "cone-concentrated", "--trials", "2",
+                 "--n", "2", "--nt", "8", "--nx", "8", "--left-s", "0.0", "--right-s", "0.5",
+                 "--target-s", "0.25", *flags, "--out", str(out)]) == EXIT_OK
+    header = out.read_text().splitlines()[0]
+    for key, value in (("right_s", "0.5"), ("right_theta", "0.6"), ("target_s", "0.25"),
+                       ("target_theta", "0.6")):
+        assert f" probe.{key}={'None' if key in unused else value} " in header
+    assert " probe.left_s=0.0 " in header
+
+
 def test_probe_embedding_mixed_target_needs_both_exponents(capsys):
     assert main(["probe-embedding", "--ensemble", "cone-concentrated",
                  "--trials", "2", "--n", "2", "--nt", "8", "--nx", "8",

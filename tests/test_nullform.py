@@ -105,17 +105,19 @@ def test_kernel_value_delta_plus_example():
 
 def test_kernel_value_qij_product_and_qtilde():
     p, q = FrequencyPoint(1.0, [1.0, 2.0, 7.0]), FrequencyPoint(-2.0, [3.0, 5.0, 11.0])
-    assert kernel_value(BilinearFormSpec("qij", i=1, j=2), p, q) == complex(1 * 5 - 2 * 3)
-    assert kernel_value(BilinearFormSpec("qij", i=2, j=3), p, q) == complex(2 * 11 - 7 * 5)
+    # Q_ij = d_i u d_j v - d_j u d_i v has the symbol xi_j eta_i - xi_i eta_j
+    assert kernel_value(BilinearFormSpec("qij", i=1, j=2), p, q) == complex(2 * 3 - 1 * 5)
+    assert kernel_value(BilinearFormSpec("qij", i=2, j=3), p, q) == complex(7 * 5 - 2 * 11)
     assert kernel_value(BilinearFormSpec("product"), p, q) == 1.0 + 0.0j
     with pytest.raises(ValueError, match="^qtilde has no pointwise kernel$"):
         kernel_value(BilinearFormSpec("qtilde"), p, q)
 
 
 def test_kernel_value_q0_is_lorentz_pairing():
+    # Q0 = -d_t u d_t v + grad u . grad v has the symbol tau lam - xi . eta
     spec = BilinearFormSpec("q0")
     v = kernel_value(spec, FrequencyPoint(2.0, [1.0, 0.0]), FrequencyPoint(3.0, [0.0, 4.0]))
-    assert abs(v - (-6.0 + 0.0)) <= 1e-14
+    assert abs(v - (2.0 * 3.0 - 0.0)) <= 1e-14
 
 
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3),

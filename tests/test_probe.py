@@ -891,8 +891,8 @@ def test_family_rejects_non_finite_or_small_scales_before_any_is_computed(scales
 
 
 @pytest.mark.parametrize("change, name", [
-    ({"form": BilinearFormSpec("q0")}, "form"), ({"unary": True}, "unary"),
-    ({"target_mixed": (4.0, 4.0)}, "target_q/target_r")])
+    ({"form": BilinearFormSpec("q0")}, "form"), ({"right": None}, "unary"),
+    ({"target": (4.0, 4.0)}, "target_q/target_r")])
 def test_family_rejects_options_it_would_ignore(change, name, monkeypatch):
     monkeypatch.setattr(probe, "counterexample_lattice_ratio",
                         lambda *a: pytest.fail("a scale was computed"))
@@ -909,9 +909,8 @@ def test_family_takes_any_trial_count_since_it_draws_nothing():
 
 def test_a_unary_lattice_probe_rejects_a_form_before_any_trial(monkeypatch):
     monkeypatch.setattr(probe, "embedding_ratio", lambda *a: pytest.fail("a trial ran"))
-    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=SpaceIndex(0.0, 0.0),
-                         target=SpaceIndex(0.0, 0.0), n=2, unary=True,
-                         form=BilinearFormSpec("q0"))
+    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=None,
+                         target=SpaceIndex(0.0, 0.0), n=2, form=BilinearFormSpec("q0"))
     g = make_grid(2, 8, 8, TWO_PI, TWO_PI)
     with pytest.raises(ValueError, match="^a unary probe measures target\\(u\\) / source\\(u\\); "
                                          "it takes no form$"):
@@ -1001,9 +1000,7 @@ def test_counterexample_family_default_scales_are_4_6_8_12(monkeypatch):
 
 
 def test_probe_embedding_unary_mode(grid2d):
-    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=SpaceIndex(0.0, 0.0),
-                         target=SpaceIndex(0.0, 0.0), n=2, unary=True,
-                         target_mixed=(math.inf, 2))
+    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=None, target=(math.inf, 2), n=2)
     u = random_field(grid2d, SPACETIME, 5, max_freq=3, real=False)
     r = embedding_ratio(spec, u, None)
     assert r is not None and r > 0.0
@@ -1188,8 +1185,8 @@ def test_probe_counts_exclusions_and_witness_on_the_first_lattice(monkeypatch):
     table = {(8, 0): None, (8, 1): 2.0, (8, 2): 3.0, (16, 0): 5.0, (16, 1): None, (16, 2): 4.0}
     monkeypatch.setattr(probe, "embedding_ratio", lambda spec, u, v: table[
         u.grid.N_x, trial_of[u.coeffs.tobytes()]])
-    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=SpaceIndex(0.0, 0.6),
-                         target=SpaceIndex(0.0, 0.6), n=2, unary=True)
+    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=None,
+                         target=SpaceIndex(0.0, 0.6), n=2)
     rep = probe_embedding(spec, "cone-concentrated", 3, g, seed=1)
     assert (rep.sup_ratio, rep.witness, rep.excluded) == (3.0, 2, 1)
     assert rep.refinement_drift == abs(5.0 - 3.0) / 3.0
@@ -1208,15 +1205,14 @@ def test_unary_probe_draws_only_u(ensemble, drawer, seed_arg, per_field, monkeyp
     seeds = []
     real = getattr(probe, drawer)
     monkeypatch.setattr(probe, drawer, lambda *a, **k: seeds.append(a[seed_arg]) or real(*a, **k))
-    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=SpaceIndex(0.0, 0.6),
-                         target=SpaceIndex(0.0, 0.6), n=2, target_mixed=(math.inf, 2),
-                         unary=True)
+    spec = EmbeddingSpec(left=SpaceIndex(0.0, 0.6), right=None, target=(math.inf, 2), n=2)
     trials = 3
     probe_embedding(spec, ensemble, trials, g, seed=5)  # trials on g and on g.refined()
     assert len(seeds) == per_field * trials
     assert set(seeds) == {5 + 1000 * k for k in range(trials)}  # no v seed
     seeds.clear()
-    probe_embedding(dataclasses.replace(spec, unary=False), ensemble, trials, g, seed=5)
+    probe_embedding(dataclasses.replace(spec, right=SpaceIndex(0.0, 0.6)), ensemble, trials, g,
+                    seed=5)
     assert len(seeds) == 2 * per_field * trials
 
 
