@@ -210,9 +210,10 @@ def inverse_transform(fieldv: SpectralField) -> np.ndarray:
     return out
 
 
-def plane_wave_coeffs(fieldv: SpectralField) -> np.ndarray:
-    """Amplitudes A_k with u(x) = sum_k A_k exp(i Xi_k . x); A = c / sqrt(volume)."""
-    return fieldv.coeffs * (1.0 / math.sqrt(_measure(fieldv.grid, fieldv.kind)))
+def plane_wave_coeffs(fieldv: SpectralField, out=None) -> np.ndarray:
+    """Amplitudes A_k with u(x) = sum_k A_k exp(i Xi_k . x); A = c / sqrt(volume), written
+    into `out` if given."""
+    return np.multiply(fieldv.coeffs, 1.0 / math.sqrt(_measure(fieldv.grid, fieldv.kind)), out=out)
 
 
 def from_plane_wave_coeffs(grid: Grid, A: np.ndarray, kind: str, real_flag=False) -> SpectralField:
@@ -508,10 +509,13 @@ def pmap(func, items) -> list:
 # and crops go one axis at a time in ifftn's order, last axis first.  A pad
 # zero-pads only the axis it is about to transform, and a crop cuts an axis to
 # the band right after its forward transform, so rows still all zero, or
-# dropped, are never transformed.  Every row that is transformed holds the
-# values and goes through the 1-D transform of a full-box ifftn/fftn, so the
-# pruned passes keep the full-box bits.  In-place transforms act only on the
-# engine's own temporaries.
+# dropped, are never transformed.  A complex pad grows inside its output: the
+# coefficients fill the fine array's leading corner, and before the pass over
+# an axis its negative half-band moves to the end of that axis and the rows
+# between are zeroed.  Every row that is transformed holds the values and goes
+# through the 1-D transform of a full-box ifftn/fftn, so the pruned passes keep
+# the full-box bits.  In-place transforms and products act only on the engine's
+# own arrays: a pad's output, and images and sums at their last use.
 #
 # A real field's fine samples are the real part of its interpolant, whose
 # coefficients are the Hermitian fold W = (Y + conj Y(-Xi)) / 2, taken on the
@@ -523,14 +527,17 @@ def pmap(func, items) -> list:
 # One operand's images share a pass tree (`fine_images`): the coefficients are
 # folded or scaled once, and each derivative i xi_mu, diagonal along axis mu,
 # is applied just before the pass over that axis, sharing every pass before
-# it.  On the folded band the +N/2 row takes xi = +N/2: the fold of the
+# it; the last derivative takes the tree's own array when the identity is not a
+# leaf.  On the folded band the +N/2 row takes xi = +N/2: the fold of the
 # derivative's coefficients, Nyquist rows included.  An R_0 R_j image mixes
 # the axes and is a one-leaf tree of its own.  `nullform.combine_forms` (every
-# q0, qij and qtilde sum) walks `planned_pads` over the images (u, op) in order
-# of use: a miss pads every planned image of its tree, beside the next unpadded
-# tree on `pmap`, and an image is dropped at its last planned use.  No image's
-# bits depend on its siblings or the pairing.  `dealiased_product` pads each
-# distinct operand with `fine_samples`, on one `pmap` call.
+# q0, qij and qtilde sum) walks `planned_products` over the image pairs in
+# order of use: a miss pads every planned image of its tree, beside the next
+# unpadded tree on `pmap`, and an image is let go at its last planned use, where
+# the pair's product is written into it if it has the product's dtype.  No
+# image's bits depend on its siblings or the pairing.  `dealiased_product` pads
+# each distinct operand with `fine_samples`, on one `pmap` call, and multiplies
+# into one of its pads.
 
 
 def _fine_shape(shape: tuple, factor: float) -> tuple:
@@ -540,16 +547,23 @@ def _fine_shape(shape: tuple, factor: float) -> tuple:
 
 
 def _ifft_padded(A: np.ndarray, ax: int, M: int) -> np.ndarray:
-    """Zero-pad axis ax of A to length M and inverse-transform it in place.  An axis of even
-    length N holds its band in FFT order, one of odd length the centred band -h..h, h = N // 2."""
-    lead, N = (slice(None),) * ax, A.shape[ax]
-    h = N // 2
-    pos, neg = (slice(h, N), slice(0, h)) if N % 2 else (slice(0, h), slice(h, N))
+    """Zero-pad axis ax of A, the centred band -h..h of odd length N = 2h + 1, to length M
+    and inverse-transform it in place."""
+    lead, h = (slice(None),) * ax, A.shape[ax] // 2
     B = np.empty(A.shape[:ax] + (M,) + A.shape[ax + 1:], dtype=complex)
-    B[lead + (slice(0, N - h),)] = A[lead + (pos,)]
-    B[lead + (slice(N - h, M - h),)] = 0.0
-    B[lead + (slice(M - h, M),)] = A[lead + (neg,)]
+    B[lead + (slice(0, h + 1),)] = A[lead + (slice(h, None),)]
+    B[lead + (slice(h + 1, M - h),)] = 0.0
+    B[lead + (slice(M - h, M),)] = A[lead + (slice(0, h),)]
     return np.fft.ifft(B, axis=ax, norm="forward", out=B)
+
+
+def _ifft_grown(V: np.ndarray, ax: int, N: int) -> None:
+    """Inverse-transform axis ax of V in place, its first N rows a band in FFT order: the
+    negative half moves to the end of the axis and the rows between are zeroed first."""
+    lead, h, M = (slice(None),) * ax, N // 2, V.shape[ax]
+    V[lead + (slice(M - h, M),)] = V[lead + (slice(h, N),)]
+    V[lead + (slice(h, M - h),)] = 0.0
+    np.fft.ifft(V, axis=ax, norm="forward", out=V)
 
 
 def _cropped(F: np.ndarray, ax: int, N: int, centred: bool = False) -> np.ndarray:
@@ -605,23 +619,39 @@ def fine_images(fieldv: SpectralField, ops, factor: float = 1.5) -> list:
 
 def _pass_tree(f: SpectralField, leaves, fine: tuple) -> dict:
     """op -> fine samples of symbol_image(f, op), op in leaves None or ("d", mu)."""
-    X, d, real = plane_wave_coeffs(f), f.coeffs.ndim, f.real_flag
+    shape, d, real = f.coeffs.shape, f.coeffs.ndim, f.real_flag
     order = [*range(d - 2, -1, -1), d - 1] if real else list(range(d - 1, -1, -1))
-    X = _folded_half_spectrum(X) if real else X
+    if real:
+        X = _folded_half_spectrum(plane_wave_coeffs(f))
+    else:  # the coefficients in the leading corner of the fine array, which grows in place
+        X = np.empty(fine, dtype=complex)
+        plane_wave_coeffs(f, out=X[tuple(map(slice, shape))])
 
     def passes(Z, axes):
         for ax in axes:
-            Z = (np.fft.irfft(Z, n=fine[ax], axis=ax, norm="forward") if real and ax == d - 1
-                 else _ifft_padded(Z, ax, fine[ax]))
+            if not real:  # the axes before ax still hold their coarse band
+                _ifft_grown(Z[tuple(map(slice, shape[:ax]))], ax, shape[ax])
+            elif ax == d - 1:
+                Z = np.fft.irfft(Z, n=fine[ax], axis=ax, norm="forward")
+            else:
+                Z = _ifft_padded(Z, ax, fine[ax])
         return Z
 
-    # a derivative branches off at the pass over its axis, the identity after the last pass
+    # a derivative branches off at the pass over its axis, the identity after the last pass;
+    # the last branch takes the tree's own array when the identity is not a leaf
     branches = sorted([(order.index(ax), op, xi) for op in leaves if op is not None
                        for ax, xi in [_symbol_axis(f.grid, f.kind, op, real)]], key=lambda b: b[0])
+    steps = branches + [(d, None, None)] * (None in leaves)
     out, done = {}, 0
-    for k, op, xi in branches + [(d, None, None)] * (None in leaves):
+    for i, (k, op, xi) in enumerate(steps):
         X, done = passes(X, order[done:k]), k
-        out[op] = X if op is None else passes(X * (1j * xi), order[k:])
+        if op is None:
+            out[op] = X
+            continue
+        band = () if real else tuple(map(slice, shape[:d - k]))
+        Y = X if i == len(steps) - 1 else np.empty_like(X)
+        np.multiply(X[band], 1j * xi, out=Y[band])
+        out[op] = passes(Y, order[k:])
     return out
 
 
@@ -695,20 +725,36 @@ def _pad_tree(tree) -> zip:
     return zip([(id(f), op) for op in ops], fine_images(f, list(ops)))
 
 
-def planned_pads(plan):
-    """Yield the fine samples of each image (u, op) of the list `plan`, the images of one
-    evaluation's product sums in order of use, each padded once and let go at its last use
-    (see the comment above).  `plan` holds its fields, so their ids stay theirs."""
-    trees, last, pads = {}, {}, {}
-    for i, (u, op) in enumerate(plan):
-        trees.setdefault((id(u), op if op and op[0] == "rr" else None), (u, {}))[1][op] = None
-        last[id(u), op] = i
-    for i, (u, op) in enumerate(plan):
-        if (id(u), op) not in pads:  # the first use of the first unpadded tree; padded
-            # straight into `pads`, since a list of images held in a local outlives their use
+def _into_spent(ufunc, P, Q, spent=(True, True)) -> np.ndarray:
+    """ufunc(P, Q), written into the first operand that is `spent` and has the result's dtype.
+    Not `*`, which may write into a temporary operand with the operands swapped: a complex
+    product does not commute bit for bit, so the operand order is kept."""
+    dtype = np.result_type(P, Q)
+    out = next((X for X, done in zip((P, Q), spent) if done and X.dtype == dtype), None)
+    return ufunc(P, Q, out=out)
+
+
+def planned_products(pairs):
+    """Yield the fine samples of the product of each pair of images ((u, op_u), (v, op_v)) of
+    the list `pairs`, the products of one evaluation's sums in order of use: each image padded
+    once, and let go at its last use, where the product may take its array (see the comment
+    above).  `pairs` holds its fields, so their ids stay theirs."""
+    plan = [image for pair in pairs for image in pair]
+    keys = [(id(u), op) for u, op in plan]
+    last = {key: i for i, key in enumerate(keys)}
+    trees, pads = {}, {}
+    for (u, op), key in zip(plan, keys):
+        trees.setdefault((key[0], op if op and op[0] == "rr" else None), (u, {}))[1][op] = None
+
+    def take(i):
+        if keys[i] not in pads:  # the first use of the first unpadded tree
             pads.update(kv for images in pmap(_pad_tree, [trees.pop(r) for r in list(trees)[:2]])
                         for kv in images)
-        yield pads.pop((id(u), op)) if last[id(u), op] == i else pads[id(u), op]
+        return pads.pop(keys[i]) if last[keys[i]] == i else pads[keys[i]]
+
+    for i in range(0, len(keys), 2):  # no local holds an image or a product across the yield
+        yield _into_spent(np.multiply, take(i), take(i + 1),
+                          (last[keys[i]] == i, last[keys[i + 1]] == i + 1))
 
 
 def dealiased_product(u: SpectralField, v: SpectralField, factor: float = 1.5) -> SpectralField:
@@ -716,7 +762,7 @@ def dealiased_product(u: SpectralField, v: SpectralField, factor: float = 1.5) -
     if u.grid != v.grid or u.kind != v.kind:
         raise ValueError("fields must share grid and kind")
     P, *Q = pmap(lambda f: fine_samples(f, factor), [u] if u is v else [u, v])
-    P = np.multiply(P, Q.pop() if Q else P)  # both pads go before the crop
+    P = _into_spent(np.multiply, P, Q.pop() if Q else P)  # both pads go before the crop
     out = field_from_fine_samples(u.grid, u.kind, P, real_flag=u.real_flag and v.real_flag)
     out.zero_mode_projected = u.zero_mode_projected or v.zero_mode_projected
     return out

@@ -33,8 +33,8 @@ from itertools import combinations
 import numpy as np
 
 from .lattice import (SPACETIME, FrequencyPoint, Grid, SpectralField, _cropped, _fine_shape,
-                      _measure, dealiased_product, field_from_fine_samples, planned_pads, pmap,
-                      symbol_image)
+                      _into_spent, _measure, dealiased_product, field_from_fine_samples,
+                      planned_products, pmap, symbol_image)
 # bound here as well: perfbench/tracer.py wraps fine_samples in every module that binds it
 from .lattice import fine_samples  # noqa: F401
 from .multiplier import weight
@@ -166,14 +166,14 @@ def _groups(spec: BilinearFormSpec, n: int) -> list:
 
 def combine_forms(grid: Grid, *combos) -> list:
     """Per combo (terms, n_out): the components sum_t w_t[I] F_t(u_t, v_t), I < n_out, of its
-    terms (F_t, u_t, v_t, w_t), F_t a q0, qij or qtilde form.  One walk of `planned_pads` over
-    every combo's images pads each image once; each group of each output is cropped once,
-    when its last term is summed, and the crops are added in the order the groups first
+    terms (F_t, u_t, v_t, w_t), F_t a q0, qij or qtilde form.  One walk of `planned_products`
+    over every combo's image pairs pads each image once; each group of each output is cropped
+    once, when its last term is summed, and the crops are added in the order the groups first
     appear.  The outputs are real when all the combo's inputs are, and zero-mode-projected
     when one is or a term is qtilde."""
-    pads = planned_pads([image for terms, _ in combos for spec, u, v, _ in terms
-                         for _, prods in _groups(spec, grid.n)
-                         for _, op_u, op_v in prods for image in ((u, op_u), (v, op_v))])
+    products = planned_products([((u, op_u), (v, op_v)) for terms, _ in combos
+                                 for spec, u, v, _ in terms for _, prods in _groups(spec, grid.n)
+                                 for _, op_u, op_v in prods])
     outs = []
     for terms, n_out in combos:
         real = all(u.real_flag and v.real_flag for _, u, v, _ in terms)
@@ -185,14 +185,17 @@ def combine_forms(grid: Grid, *combos) -> list:
         for t, (spec, u, v, w) in enumerate(terms):
             for outer, prods in _groups(spec, grid.n):
                 P = 0
-                for sign, op_u, op_v in prods:
-                    # not `*`, which may reuse an image at its last use (a temporary) as the
-                    # output with the operands swapped: complex products do not commute bitwise
-                    Q = np.multiply(next(pads), next(pads))
+                for sign, _, _ in prods:
+                    Q = next(products)
                     P = np.add(P, Q, out=Q) if sign > 0 else np.subtract(P, Q, out=Q)
-                for I in np.flatnonzero(w):
+                rows = np.flatnonzero(w)
+                for I in rows:
                     key = (int(I), outer)
-                    acc[key] = w[I] * P if key not in acc else acc[key] + w[I] * P
+                    # the last row scales the group sum itself; a row's sum lands in its term
+                    S = _into_spent(np.multiply, w[I], P, (False, I == rows[-1]))
+                    acc[key] = S if key not in acc else _into_spent(np.add, acc[key], S,
+                                                                    (False, True))
+                    del S
                     if last[key] == t:
                         crop = field_from_fine_samples(grid, SPACETIME, acc[key], real)
                         acc[key] = symbol_image(crop, outer).coeffs
@@ -297,7 +300,9 @@ def _kernel_form(spec: BilinearFormSpec, u: SpectralField, v: SpectralField) -> 
         cols, W = _pair_sum(spec, g, su, sv, U, V)
     out = np.zeros((len(W), math.prod(g.spatial_shape)), dtype=complex)
     out[:, cols] = W / math.sqrt(_measure(g, u.kind))
-    return u.copy_with(out.reshape(g.shape_for(u.kind)), real_flag=u.real_flag and v.real_flag,
+    # R^alpha's tau = 0 rule is not odd under (tau, lam) -> (-tau, -lam): never real
+    real = u.real_flag and v.real_flag and spec.form != "ralpha"
+    return u.copy_with(out.reshape(g.shape_for(u.kind)), real_flag=real,
                        zero_mode_projected=u.zero_mode_projected or v.zero_mode_projected)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,3 +62,14 @@ def full_band_field(rng, grid, kind, which):
         return transform(grid, rng.standard_normal(shape), kind)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return SpectralField(grid=grid, kind=kind, coeffs=c, real_flag=which == "real_flag")
+
+
+def traced_peak(call) -> int:
+    """The peak bytes tracemalloc sees during one call of `call`, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -20,7 +20,7 @@ from nflab.lattice import (SPACETIME, SPATIAL, SpectralField, cutoff_profile,
                            time_spatial_rep, transform,
                            write_field)
 
-from conftest import full_band_field
+from conftest import full_band_field, traced_peak
 
 TWO_PI = 2.0 * math.pi
 
@@ -715,6 +715,25 @@ def test_dealiased_product_pads_each_distinct_operand_through_fine_samples(monke
     calls.clear()
     dealiased_product(u, u)
     assert [(id(f), factor) for f, factor in calls] == [(id(u), 1.5)]
+
+
+FINE_ARRAY_3X16 = np.dtype(complex).itemsize * 24 ** 4  # one complex fine array at (3, 16)
+
+
+def test_a_complex_pad_grows_inside_its_output():
+    # the coefficients fill the fine array's leading corner and each pass transforms it in
+    # place; a pad that held its previous stage beside its output peaked at 1.87 fine arrays
+    g = make_grid(3, 16, 16, TWO_PI, TWO_PI)
+    u = random_field(g, SPACETIME, 1, real=False)
+    assert traced_peak(lambda: fine_samples(u)) < 1.6 * FINE_ARRAY_3X16
+
+
+def test_a_complex_product_lands_in_one_of_its_pads(monkeypatch):
+    # a fresh product array beside both pads peaked at 3.0 fine arrays
+    monkeypatch.setenv("NFLAB_THREADS", "1")
+    g = make_grid(3, 16, 16, TWO_PI, TWO_PI)
+    u, v = (random_field(g, SPACETIME, seed, real=False) for seed in (1, 2))
+    assert traced_peak(lambda: dealiased_product(u, v)) < 2.85 * FINE_ARRAY_3X16
 
 
 def _full_box_time_spatial_rep(fieldv):

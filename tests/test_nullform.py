@@ -18,7 +18,7 @@ from nflab.nullform import (INEQUALITY_REGISTRY, BilinearFormSpec, apply_form,
                             kernel_value, occupied_modes, r_kernel)
 from nflab.propagate import half_wave, pm_decompose
 
-from conftest import axis_mode_field, banded_spacetime_field, single_mode_field
+from conftest import axis_mode_field, banded_spacetime_field, single_mode_field, traced_peak
 
 TWO_PI = 2.0 * math.pi
 Q0 = BilinearFormSpec("q0")
@@ -352,6 +352,20 @@ def test_ralpha_tau_zero_sides_with_positive_tau(grid2d):
                - float(delta_minus(a[None, :], b[None, :])[0])) > 0.5
 
 
+def test_ralpha_output_is_never_flagged_real():
+    # the tau = 0 rule (tau >= 0) == (lam >= 0) is not odd under (tau, lam) -> (-tau, -lam),
+    # so real inputs without Nyquist content give a far from Hermitian output; Delta_+ and
+    # Delta_- read the spatial pair alone and keep the flag
+    g = make_grid(2, 16, 16, TWO_PI, TWO_PI)
+    u, v = (random_field(g, SPACETIME, seed, max_freq=3) for seed in (1, 2))
+    out = apply_form(BilinearFormSpec("ralpha", alpha=0.7), u, v)
+    assert out.hermitian_error() > 0.5 * np.max(np.abs(out.coeffs))
+    assert not out.real_flag
+    for form in ("splus", "sminus"):
+        out = apply_form(BilinearFormSpec(form, alpha=0.7), u, v)
+        assert out.real_flag and out.hermitian_error() <= 1e-14 * np.max(np.abs(out.coeffs))
+
+
 def test_ralpha_evaluates_kernels_once_per_spatial_pair(monkeypatch):
     g = make_grid(2, 16, 16, TWO_PI, TWO_PI)
     u = random_field(g, SPACETIME, 21, max_freq=3)
@@ -405,6 +419,18 @@ def test_a_finished_group_sum_is_let_go_before_the_next_group_pads(monkeypatch, 
     finally:
         tracemalloc.stop()
     assert peak < arrays * fine_array
+
+
+@pytest.mark.parametrize("real, arrays", [(True, 4.6), (False, 5.6)])
+def test_qtilde_products_land_in_spent_operands(monkeypatch, real, arrays):
+    # each product is written into an operand at its last use and each group sum is scaled in
+    # place; a fresh array for every product and every w[I] * P peaked at 5.06 (real) and
+    # 6.06 (complex) fine arrays
+    monkeypatch.setenv("NFLAB_THREADS", "1")
+    g = make_grid(3, 16, 16, TWO_PI, TWO_PI)
+    u, v = random_field(g, SPACETIME, 1, real=real), random_field(g, SPACETIME, 2, real=real)
+    peak = traced_peak(lambda: apply_form(BilinearFormSpec("qtilde"), u, v))
+    assert peak < arrays * np.dtype(complex).itemsize * 24 ** 4
 
 
 def test_qtilde_raises_riesz_flag_and_is_real(grid2d):

@@ -1,5 +1,5 @@
-"""The worker pool (`lattice.pmap`) and the planned pads of `nullform.combine_forms`
-(`lattice.planned_pads`).
+"""The worker pool (`lattice.pmap`) and the planned pads and products of
+`nullform.combine_forms` (`lattice.planned_products`).
 
 Every output must keep its bits at any NFLAB_THREADS, every image must be padded
 exactly once, pads must pair the pass trees in order of first use, and no padded
@@ -142,6 +142,22 @@ def test_planning_moves_no_bit(monkeypatch, real):
         image for op in tree[1] for image in pad_tree((tree[0], [op]))])
     for case, want in zip(cases, planned):
         assert np.array_equal(case(), want)
+
+
+def test_a_product_in_a_spent_operand_keeps_the_bits_of_a_fresh_one(monkeypatch):
+    # one image as both operands (q0(u, u)), real times complex (qtilde's R_0 R_j images of
+    # real fields, q0 and the padded product of a real and a complex field) and complex times
+    # real: the reference writes each product, scaled group sum and sum into a fresh array
+    monkeypatch.setenv("NFLAB_THREADS", "2")
+    (u, v), (w, _) = _form_fields(3, True), _form_fields(3, False)
+    q0, qtilde, product = (BilinearFormSpec(form) for form in ("q0", "qtilde", "product"))
+    cases = [(q0, u, u), (q0, w, w), (q0, u, w), (q0, w, u), (qtilde, u, v), (qtilde, u, w),
+             (qtilde, w, u), (product, u, w), (product, w, u), (product, w, w)]
+    got = [apply_form(*case).coeffs for case in cases]
+    for module in (lat, nf):
+        monkeypatch.setattr(module, "_into_spent", lambda ufunc, P, Q, spent=(): ufunc(P, Q))
+    for case, out in zip(cases, got):
+        assert np.array_equal(apply_form(*case).coeffs, out), case
 
 
 def _counting_pads(monkeypatch):

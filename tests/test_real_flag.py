@@ -45,13 +45,14 @@ HOLDS = [
     ("duhamel", ST, lambda u, v: [duhamel(u)]),
     ("homogeneous", SP, lambda u, v: [homogeneous(CauchyData(u, v), 0.0)]),
     ("half_wave", SP, lambda u, v: [half_wave(sign, 0.0, u) for sign in (1, -1)]),
+    ("apply_form-ralpha", ST, _form("ralpha")),
 ]
 BROKEN = [
     ("dealiased_product", BOTH, lambda u, v: [dealiased_product(u, v)]),
     ("symbol_image-d", BOTH, lambda u, v: [symbol_image(u, ("d", mu))
                                            for mu in range(u.kind == SPATIAL, u.grid.n + 1)]),
     *[(f"apply_form-{form}", ST, _form(form))
-      for form in ("q0", "qij", "qtilde", "product", "ralpha", "splus", "sminus")],
+      for form in ("q0", "qij", "qtilde", "product", "splus", "sminus")],
     *[(f"apply_form-{form}", SP, _form(form)) for form in ("product", "splus", "sminus")],
 ]
 ROWS = [pytest.param(evaluate, kind, id=f"{name}-{kind}",

@@ -14,7 +14,8 @@ threshold rises after a large free) out of the next layer's row.
 The layers, at every (n, N) of --sizes on an N x N^n lattice of period 2 pi
 with `random_field` inputs at their default band: transform and inverse, the
 3/2-padded product, one crop of a real and one of a complex fine-lattice
-product, the n + 1 derivative pads of one real operand, each
+product, one complex pad (`fine_samples`), the n + 1 derivative pads of one
+real operand, each
 bilinear form, `duhamel_mixed` and the modified mixed norm at (q, r) = (4, 4).
 Once, whatever the sizes: `schur_bound`, `counterexample_lattice_ratio`, the
 counterexample family's norms and its membership checks at 10^6 samples (draw
@@ -63,8 +64,8 @@ FORMS = {"q0": nf.BilinearFormSpec("q0"), "qij": nf.BilinearFormSpec("qij", i=1,
          "qtilde": nf.BilinearFormSpec("qtilde"), "splus": nf.BilinearFormSpec("splus", alpha=0.7),
          "sminus": nf.BilinearFormSpec("sminus", alpha=0.7),
          "ralpha": nf.BilinearFormSpec("ralpha", alpha=0.7)}
-SIZED = ("transform", "inverse_transform", "product", "crop", "operand_pads", *FORMS,
-         "duhamel_mixed", "modified_norm")
+SIZED = ("transform", "inverse_transform", "product", "crop", "complex_pad", "operand_pads",
+         *FORMS, "duhamel_mixed", "modified_norm")
 FIXED = ("schur_bound", "counterexample_lattice_ratio", "counterexample_norms", "membership_1e6",
          "fuzzer_1e6",
          *(f"picard_J1.{name}" for name in SYSTEMS))
@@ -72,7 +73,7 @@ FIXED = ("schur_bound", "counterexample_lattice_ratio", "counterexample_norms", 
 
 def operand_pads(u):
     """The n + 1 derivative pads of u under the malloc policy, as `combine_forms`' planned pads
-    (`lattice.planned_pads`) run them: one pass tree (`fine_images`)."""
+    (`lattice.planned_products`) run them: one pass tree (`fine_images`)."""
     ops = [("d", mu) for mu in range(u.grid.n + 1)]
     return lambda: (lat._malloc_policy(), lat.fine_images(u, ops))
 
@@ -104,6 +105,7 @@ def sized_layers(n: int, N: int) -> dict:
               "inverse_transform": lambda: lat.inverse_transform(u),
               "product": lambda: lat.dealiased_product(u, v),
               "crop": crops(grid, [(u, v), (u_c, v_c)]),
+              "complex_pad": lambda: (lat._malloc_policy(), lat.fine_samples(u_c)),
               "operand_pads": operand_pads(u)}
     layers.update({name: (lambda s=spec: nf.apply_form(s, u, v)) for name, spec in FORMS.items()})
     layers["duhamel_mixed"] = lambda: prop.duhamel_mixed(grid, a_u)
